@@ -136,7 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_config(args) -> RunConfig:
     ceiling = args.hard_ceiling
     if ceiling is None:
-        ceiling = int(os.environ.get(HARD_CEILING_ENV, 10**6))
+        raw = os.environ.get(HARD_CEILING_ENV, 10**6)
+        try:
+            ceiling = int(raw)
+        except ValueError:
+            raise ParseError(f"{HARD_CEILING_ENV}={raw!r} is not an integer") from None
     return RunConfig(
         initial_level=0 if args.level is None else args.level,
         initial_max_cosets=args.max_cosets,

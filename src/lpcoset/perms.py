@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Sequence
 
 from .errors import InputError, ParseError
@@ -195,114 +196,115 @@ def endo_image(phi: PermutationRep, e: EndoWord) -> PermutationRep:
 class ImageGroup:
     """Closure of the generator images under products, with Schreier data.
 
-    Elements appear in breadth-first order (identity first); ``words[i]``
-    is the shortest positive representative word found for ``elements[i]``,
-    ties broken by generator order.  ``transitions[i][g]`` is the index of
-    ``elements[i] * perms[g]`` and ``parents[i]`` records the discovery
-    edge, so products along representative words can be replayed under any
-    other representation without building the words again.
+    Only the breadth-first closure is stored.  ``closure[i]`` is element i
+    (identity first) in the 0-based encoding of :func:`_encoding`;
+    ``transitions[i][g]`` is the index of ``elements[i] * perms[g]`` and
+    ``parents[i]`` is the (element, generator) edge that discovered element
+    i.  As elements are numbered in discovery order, the transitions alone
+    let products along representative words be replayed under any other
+    representation without building the words.
+
+    ``order`` is read off the closure.  ``elements`` (as :class:`Permutation`)
+    and ``words`` are built on first access and cached; ``words[i]`` is the
+    shortest positive representative word for ``elements[i]``, ties broken
+    by generator order.
     """
 
     rep: PermutationRep
-    elements: tuple[Permutation, ...]
-    words: tuple[Word, ...]
+    closure: tuple
     transitions: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int], ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.parents)
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(x + 1 for x in e)) for e in self.closure)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        # representative words use positive letters only, so concatenation
+        # never needs a reduction pass
+        words = [Word.identity(self.rep.alphabet)]
+        for i, g in self.parents[1:]:
+            words.append(Word(self.rep.alphabet, words[i].letters + (g + 1,)))
+        return tuple(words)
 
 
-def _translation_tables(perms: Sequence[Permutation], degree: int) -> list[bytes]:
-    """0-based 256-entry tables so that composition is ``bytes.translate``."""
-    tail = bytes(range(degree, 256))
-    return [bytes(x - 1 for x in p.images) + tail for p in perms]
+def _compose_tuples(e: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[x] for x in e)
+
+
+def _encoding(perms: Sequence[Permutation], degree: int):
+    """``(tables, identity, compose)`` for closures and replays over ``perms``.
+
+    Points are 0-based and ``compose(e, tables[g])`` applies ``e`` first.
+    Degrees up to 256 run on byte strings padded to 256-entry tables, where
+    a product is a single ``bytes.translate`` call; larger degrees on tuples.
+    """
+    if degree <= 256:
+        tail = bytes(range(degree, 256))
+        tables = [bytes(x - 1 for x in p.images) + tail for p in perms]
+        return tables, bytes(range(degree)), bytes.translate
+    tables = [tuple(x - 1 for x in p.images) for p in perms]
+    return tables, tuple(range(degree)), _compose_tuples
+
+
+def _closure(tables, ident, compose, cap: int):
+    """Breadth-first closure of ``ident`` under right multiplication by
+    ``tables``: ``(elements, transitions, parents)``, or ``None`` once past
+    ``cap`` elements."""
+    elements = [ident]
+    index = {ident: 0}
+    parents: list[tuple[int, int]] = [(-1, -1)]
+    transitions: list[tuple[int, ...]] = []
+    for i, e in enumerate(elements):
+        row = []
+        for g, t in enumerate(tables):
+            x = compose(e, t)
+            j = index.get(x)
+            if j is None:
+                if len(elements) >= cap:
+                    return None
+                j = len(elements)
+                index[x] = j
+                elements.append(x)
+                parents.append((i, g))
+            row.append(j)
+        transitions.append(tuple(row))
+    return elements, transitions, parents
+
+
+def _replay_consistent(transitions, tables, ident, compose) -> bool:
+    """Replay a breadth-first closure's transitions with ``tables``: does
+    every edge land where the replayed target does?
+
+    The closure numbers elements in discovery order, so an edge whose target
+    is the next unseen index is that element's discovery edge and fixes its
+    replayed value; every other edge is checked against it.
+    """
+    mirror = [ident]
+    for m, row in zip(mirror, transitions):
+        for t, j in zip(tables, row):
+            x = compose(m, t)
+            if j == len(mirror):
+                mirror.append(x)
+            elif x != mirror[j]:
+                return False
+    return True
 
 
 def image_group(phi: PermutationRep, cap: int) -> ImageGroup | None:
-    """Enumerate the image group of ``phi``; ``None`` once past ``cap`` elements.
-
-    Degrees up to 256 run on byte strings, where a product is a single
-    ``translate`` call; composition applies the existing element first.
-    """
+    """Enumerate the image group of ``phi``; ``None`` once past ``cap`` elements."""
     if cap < 1:
         raise InputError("cap must be positive")
-    if phi.degree > 256:
-        return _image_group_generic(phi, cap)
-    ngens = len(phi.alphabet)
-    tables = _translation_tables(phi.perms, phi.degree)
-    ident = bytes(range(phi.degree))
-    elements = [ident]
-    index = {ident: 0}
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    transitions: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(elements):
-        e = elements[i]
-        row = []
-        for g in range(ngens):
-            t = e.translate(tables[g])
-            j = index.get(t)
-            if j is None:
-                if len(elements) >= cap:
-                    return None
-                j = len(elements)
-                index[t] = j
-                elements.append(t)
-                parents.append((i, g))
-            row.append(j)
-        transitions.append(tuple(row))
-        i += 1
-    return _assemble_image_group(
-        phi,
-        [Permutation(tuple(x + 1 for x in e)) for e in elements],
-        parents,
-        transitions,
-    )
-
-
-def _image_group_generic(phi: PermutationRep, cap: int) -> ImageGroup | None:
-    ngens = len(phi.alphabet)
-    gens = [p.images for p in phi.perms]
-    ident = tuple(range(1, phi.degree + 1))
-    elements = [ident]
-    index = {ident: 0}
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    transitions: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(elements):
-        e = elements[i]
-        row = []
-        for g in range(ngens):
-            p = gens[g]
-            t = tuple(p[x - 1] for x in e)
-            j = index.get(t)
-            if j is None:
-                if len(elements) >= cap:
-                    return None
-                j = len(elements)
-                index[t] = j
-                elements.append(t)
-                parents.append((i, g))
-            row.append(j)
-        transitions.append(tuple(row))
-        i += 1
-    return _assemble_image_group(
-        phi, [Permutation(e) for e in elements], parents, transitions
-    )
-
-
-def _assemble_image_group(phi, elements, parents, transitions) -> ImageGroup:
-    # representative words use positive letters only, so concatenation
-    # never needs a reduction pass
-    words: list[Word] = [Word.identity(phi.alphabet)]
-    for j in range(1, len(elements)):
-        i, g = parents[j]
-        words.append(Word(phi.alphabet, words[i].letters + (g + 1,)))
-    return ImageGroup(
-        phi, tuple(elements), tuple(words), tuple(transitions), tuple(parents)
-    )
+    found = _closure(*_encoding(phi.perms, phi.degree), cap)
+    if found is None:
+        return None
+    elements, transitions, parents = found
+    return ImageGroup(phi, tuple(elements), tuple(transitions), tuple(parents))
 
 
 @dataclass(frozen=True)
@@ -348,32 +350,9 @@ def kernel_contained(
     ig = target_group if target_group is not None else image_group(rep_target, cap)
     if ig is None:
         return None
-    ngens = len(rep_source.alphabet)
-    if rep_source.degree <= 256:
-        tables = _translation_tables(rep_source.perms, rep_source.degree)
-        mirror: list[bytes] = [bytes(range(rep_source.degree))]
-        for j in range(1, len(ig.elements)):
-            i, g = ig.parents[j]
-            mirror.append(mirror[i].translate(tables[g]))
-        for i, row in enumerate(ig.transitions):
-            m = mirror[i]
-            for g in range(ngens):
-                if m.translate(tables[g]) != mirror[row[g]]:
-                    return False
-        return True
-    gens = [p.images for p in rep_source.perms]
-    mirror_t: list[tuple[int, ...]] = [tuple(range(1, rep_source.degree + 1))]
-    for j in range(1, len(ig.elements)):
-        i, g = ig.parents[j]
-        p = gens[g]
-        mirror_t.append(tuple(p[x - 1] for x in mirror_t[i]))
-    for i, row in enumerate(ig.transitions):
-        m = mirror_t[i]
-        for g in range(ngens):
-            p = gens[g]
-            if tuple(p[x - 1] for x in m) != mirror_t[row[g]]:
-                return False
-    return True
+    return _replay_consistent(
+        ig.transitions, *_encoding(rep_source.perms, rep_source.degree)
+    )
 
 
 def reduces_to(

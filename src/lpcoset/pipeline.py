@@ -25,7 +25,7 @@ from .coset_enum import (
     todd_coxeter,
     trace as table_trace,
 )
-from .errors import GaveUp, InputError, PreconditionError
+from .errors import GaveUp, InputError, PreconditionError, ResourceLimitError
 from .perms import (
     ImageGroup,
     Permutation,
@@ -221,7 +221,7 @@ def cyclic_reduction_pair(
                 if ig is None:
                     attempt *= 2
                     if attempt > cap_ceiling:
-                        raise InputError(
+                        raise ResourceLimitError(
                             f"image-group enumeration exceeded the cap ceiling {cap_ceiling}"
                         )
             groups[i] = ig

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from lpcoset import (
-    EndoWord,
     Permutation,
     PermutationRep,
     basilica,
@@ -40,7 +39,3 @@ def bas_index3_rep(bas):
             Permutation.from_cycles(3, [(2, 3)]),
         ),
     )
-
-
-def sigma_power(lp, k: int) -> EndoWord:
-    return EndoWord(lp.alphabet, lp.endomorphisms, (0,) * k)

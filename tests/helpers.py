@@ -12,6 +12,7 @@ import random
 
 from lpcoset import (
     CosetTable,
+    EndoWord,
     Permutation,
     PermutationRep,
     SubgroupSpec,
@@ -21,6 +22,11 @@ from lpcoset import (
 )
 from lpcoset.coset_enum import table_from_rep
 from lpcoset.words import Word
+
+
+def sigma_power(lp, k: int) -> EndoWord:
+    """The k-th power of the single endomorphism of ``lp`` as an endomorphism word."""
+    return EndoWord(lp.alphabet, lp.endomorphisms, (0,) * k)
 
 
 def random_raw_letters(rng: random.Random, ngens: int, max_len: int) -> list[int]:
@@ -123,6 +129,16 @@ def transitive_tables_by_exhaustion(lp, max_index: int, level: int):
             keys.add(t.rows)
             unique.append(t)
     return unique
+
+
+def reroot(table: CosetTable, root: int) -> CosetTable:
+    """The standardized table of the same action with ``root`` as coset 1:
+    the table of the conjugate subgroup stabilizing ``root``."""
+    swap = {1: root, root: 1}
+    rows = []
+    for c in range(1, table.size + 1):
+        rows.append(tuple(swap.get(d, d) for d in table.rows[swap.get(c, c) - 1]))
+    return standardize(CosetTable(table.alphabet, tuple(rows)))
 
 
 def fold_and_dedup(lp, tables, cap: int = 10**5):

@@ -36,13 +36,13 @@ from lpcoset import (
 from lpcoset.cli import main
 from lpcoset.words import free_reduce
 
-from conftest import sigma_power
 from helpers import (
     brute_force_reduce,
     enumeration_fixtures,
     fold_and_dedup,
     random_raw_letters,
     random_word,
+    sigma_power,
     transitive_tables_by_exhaustion,
 )
 

@@ -268,6 +268,17 @@ class TestErrorPaths:
         )
         assert code == EXIT_RESOURCE
 
+    def test_non_integer_env_var_ceiling(self, monkeypatch):
+        code, _, err = run_cli(
+            "index",
+            "builtin:basilica",
+            *BAS_U,
+            env={"LPCOSET_HARD_CEILING": "abc"},
+            monkeypatch=monkeypatch,
+        )
+        assert code == EXIT_PARSE
+        assert "LPCOSET_HARD_CEILING" in err
+
     def test_flag_overrides_env(self, monkeypatch):
         code, out, _ = run_cli(
             "index",

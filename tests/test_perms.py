@@ -21,8 +21,7 @@ from lpcoset import (
     word_image,
 )
 
-from conftest import sigma_power
-from helpers import random_word
+from helpers import random_word, sigma_power
 
 
 class TestPermutation:
@@ -241,3 +240,138 @@ class TestKernelContained:
     def test_cap_gives_none(self, bas, bas_index3_rep):
         rep2 = endo_image(bas_index3_rep, sigma_power(bas, 2))
         assert kernel_contained(bas_index3_rep, rep2, 2) is None
+
+
+def _eager_image_group(phi: PermutationRep):
+    """Reference closure: the former eager assembly on Permutation objects,
+    returning ``(elements, words, transitions, parents)``."""
+    elements = [Permutation.identity(phi.degree)]
+    index = {elements[0]: 0}
+    parents = [(-1, -1)]
+    transitions = []
+    i = 0
+    while i < len(elements):
+        row = []
+        for g, p in enumerate(phi.perms):
+            t = elements[i] * p
+            j = index.get(t)
+            if j is None:
+                j = len(elements)
+                index[t] = j
+                elements.append(t)
+                parents.append((i, g))
+            row.append(j)
+        transitions.append(tuple(row))
+        i += 1
+    words = [Word.identity(phi.alphabet)]
+    for j in range(1, len(elements)):
+        i, g = parents[j]
+        words.append(Word(phi.alphabet, words[i].letters + (g + 1,)))
+    return tuple(elements), tuple(words), tuple(transitions), tuple(parents)
+
+
+def _random_rep(rng, alphabet, degree):
+    return PermutationRep(
+        alphabet,
+        degree,
+        tuple(
+            Permutation(tuple(rng.sample(range(1, degree + 1), degree)))
+            for _ in range(len(alphabet))
+        ),
+    )
+
+
+def _padded(rep, degree):
+    """The same action with fixed points appended up to ``degree``."""
+    tail = tuple(range(rep.degree + 1, degree + 1))
+    return PermutationRep(
+        rep.alphabet, degree, tuple(Permutation(p.images + tail) for p in rep.perms)
+    )
+
+
+def _kernel_sources(rng, target):
+    """Representations whose kernel may or may not contain the target's: a
+    random one, a relabelling (same kernel), the sign of the target (larger
+    kernel) and the trivial one."""
+    n = target.degree
+    relabel = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+    odd = Permutation((2, 1))
+    even = Permutation.identity(2)
+    return [
+        _random_rep(rng, target.alphabet, rng.randrange(2, 6)),
+        PermutationRep(
+            target.alphabet,
+            n,
+            tuple(relabel.inverse() * p * relabel for p in target.perms),
+        ),
+        PermutationRep(
+            target.alphabet,
+            2,
+            tuple(
+                odd if sum(len(c) - 1 for c in p.cycles()) % 2 else even
+                for p in target.perms
+            ),
+        ),
+        PermutationRep.trivial(target.alphabet, 3),
+    ]
+
+
+@pytest.fixture(scope="module")
+def random_reps(bas):
+    rng = random.Random(20)
+    return [_random_rep(rng, bas.alphabet, rng.randrange(1, 6)) for _ in range(30)]
+
+
+class TestClosureDifferential:
+    def test_lazy_elements_and_words_match_eager_assembly(self, random_reps):
+        for rep in random_reps:
+            for phi in (rep, _padded(rep, 260)):
+                ig = image_group(phi, 10**4)
+                elements, words, transitions, parents = _eager_image_group(phi)
+                assert ig.order == len(elements)
+                assert ig.elements == elements
+                assert ig.words == words
+                assert ig.transitions == transitions
+                assert ig.parents == parents
+
+    @pytest.mark.parametrize("degree", [256, 257, 260])
+    def test_padding_across_the_byte_limit_keeps_the_closure(self, random_reps, degree):
+        for rep in random_reps:
+            small = image_group(rep, 10**4)
+            big = image_group(_padded(rep, degree), 10**4)
+            assert big.order == small.order
+            assert big.transitions == small.transitions
+            assert big.parents == small.parents
+            tail = tuple(range(rep.degree + 1, degree + 1))
+            assert big.elements == tuple(
+                Permutation(p.images + tail) for p in small.elements
+            )
+
+    def test_order_builds_no_elements_or_words(self, bas_index3_rep):
+        ig = image_group(bas_index3_rep, 100)
+        assert ig.order == 6
+        trivial = PermutationRep.trivial(bas_index3_rep.alphabet, 3)
+        assert kernel_contained(bas_index3_rep, trivial, 100, ig) is True
+        assert "elements" not in vars(ig) and "words" not in vars(ig)
+
+    def test_kernel_contained_matches_schreier_replay(self, random_reps):
+        rng = random.Random(21)
+        seen = set()
+        for target in random_reps:
+            elements, words, transitions, _ = _eager_image_group(target)
+            for source in _kernel_sources(rng, target):
+                expected = all(
+                    word_image(
+                        source,
+                        words[i]
+                        * Word.generator(target.alphabet, g + 1)
+                        * words[j].inverse(),
+                    ).is_identity
+                    for i, row in enumerate(transitions)
+                    for g, j in enumerate(row)
+                )
+                seen.add(expected)
+                for t in (target, _padded(target, 260)):
+                    for s in (source, _padded(source, 260)):
+                        assert kernel_contained(t, s, 10**4) is expected
+        assert seen == {True, False}

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcoset import (
     Alphabet,
@@ -13,7 +16,9 @@ from lpcoset import (
     Permutation,
     PermutationRep,
     PreconditionError,
+    ResourceLimitError,
     SubgroupSpec,
+    basilica,
     burnside,
     cyclic_reduction_pair,
     decide_validity,
@@ -21,6 +26,7 @@ from lpcoset import (
     enumerate_cosets,
     fold_invalid,
     fold_to_valid,
+    grigorchuk,
     is_valid_perm_rep,
     parse_subgroup,
     parse_word,
@@ -29,8 +35,9 @@ from lpcoset import (
     word_image,
 )
 from lpcoset.coset_enum import table_from_rep
+from lpcoset.subgroups import _low_index_tables
 
-from conftest import sigma_power
+from helpers import reroot, sigma_power
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +184,11 @@ class TestCyclicReductionPair:
         with pytest.raises(InputError):
             cyclic_reduction_pair(lp, PermutationRep.trivial(lp.alphabet))
 
+    def test_cap_ceiling_is_a_resource_limit(self, bas, bas_index3_rep):
+        # the index-3 rep's image group has 6 elements, past a ceiling of 1
+        with pytest.raises(ResourceLimitError):
+            cyclic_reduction_pair(bas, bas_index3_rep, cap=1, cap_ceiling=1)
+
     def test_shortcut_agrees_with_general_walk(self, bas, bas_index3_rep, invalid_basilica_rep):
         # the shortcut and the generic walk agree on single-endomorphism input
         for rep in (bas_index3_rep, invalid_basilica_rep):
@@ -315,3 +327,35 @@ class TestFoldMonotonicity:
         final = sizes[-1]
         assert all(s % final == 0 for s in sizes)
         assert sorted(sizes, reverse=True) == sizes
+
+
+@functools.cache
+def _candidate_tables():
+    """Complete candidate tables, valid and invalid, from the low-index
+    descent over the level-0 and level-1 covers of both groups."""
+    out = []
+    for lp in (grigorchuk(), basilica()):
+        for level in (0, 1):
+            tables, _ = _low_index_tables(lp.covering(level), 6)
+            out.extend((lp, t) for t in tables)
+    return tuple(out)
+
+
+class TestConjugationInvariance:
+    def test_candidates_include_both_verdicts(self):
+        verdicts = {
+            decide_validity(lp, to_perm_rep(t)).valid for lp, t in _candidate_tables()
+        }
+        assert verdicts == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rerooted_table_has_the_same_verdict(self, data):
+        # a conjugate subgroup is the same action seen from another coset,
+        # so the representation has the same kernel
+        lp, table = data.draw(st.sampled_from(_candidate_tables()))
+        rerooted = reroot(table, data.draw(st.integers(1, table.size)))
+        assert (
+            decide_validity(lp, to_perm_rep(rerooted)).valid
+            == decide_validity(lp, to_perm_rep(table)).valid
+        )
