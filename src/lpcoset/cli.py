@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .coset_enum import parse_table_dump, to_perm_rep
 from .errors import InputError, ParseError, ResourceLimitError
 from .pipeline import (
-    DEFAULT_REDUCTION_CAP,
     EnumerationConfig,
     TraceEvent,
     decide_validity,
@@ -55,14 +54,9 @@ HARD_CEILING_ENV = "LPCOSET_HARD_CEILING"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated bundle of pipeline knobs plus output preferences."""
+    """The enumeration settings plus output preferences, validated."""
 
-    initial_level: int = 0
-    initial_max_cosets: int = 2**14
-    escalation_factor: int = 4
-    hard_ceiling: int = 10**6
-    reduction_cap: int = DEFAULT_REDUCTION_CAP
-    strategy: str = "felsch"
+    enumeration: EnumerationConfig = EnumerationConfig()
     output_format: str = "table"
     verbosity: int = 0
 
@@ -71,17 +65,6 @@ class RunConfig:
             raise InputError(f"unknown output format {self.output_format!r}")
         if self.verbosity < 0:
             raise InputError("verbosity must be >= 0")
-        self.enumeration()  # validates the numeric fields
-
-    def enumeration(self) -> EnumerationConfig:
-        return EnumerationConfig(
-            initial_level=self.initial_level,
-            initial_max_cosets=self.initial_max_cosets,
-            escalation_factor=self.escalation_factor,
-            hard_ceiling=self.hard_ceiling,
-            reduction_cap=self.reduction_cap,
-            strategy=self.strategy,
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,12 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="presentation file, or builtin:grigorchuk / builtin:basilica / "
         "builtin:burnside(n,m)",
     )
+    defaults = EnumerationConfig()
     common.add_argument("--level", type=int, default=None, help="initial truncation level")
-    common.add_argument("--max-cosets", type=int, default=2**14)
-    common.add_argument("--escalation-factor", type=int, default=4)
+    common.add_argument("--max-cosets", type=int, default=defaults.initial_max_cosets)
+    common.add_argument("--escalation-factor", type=int, default=defaults.escalation_factor)
     common.add_argument("--hard-ceiling", type=int, default=None)
-    common.add_argument("--reduction-cap", type=int, default=DEFAULT_REDUCTION_CAP)
-    common.add_argument("--strategy", choices=("felsch", "hlt"), default="felsch")
+    common.add_argument("--reduction-cap", type=int, default=defaults.reduction_cap)
+    common.add_argument("--strategy", choices=("felsch", "hlt"), default=defaults.strategy)
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
     common.add_argument("-v", "--verbose", action="count", default=0)
 
@@ -136,18 +120,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_config(args) -> RunConfig:
     ceiling = args.hard_ceiling
     if ceiling is None:
-        raw = os.environ.get(HARD_CEILING_ENV, 10**6)
+        raw = os.environ.get(HARD_CEILING_ENV, EnumerationConfig().hard_ceiling)
         try:
             ceiling = int(raw)
         except ValueError:
             raise ParseError(f"{HARD_CEILING_ENV}={raw!r} is not an integer") from None
-    return RunConfig(
+    enumeration = EnumerationConfig(
         initial_level=0 if args.level is None else args.level,
         initial_max_cosets=args.max_cosets,
         escalation_factor=args.escalation_factor,
         hard_ceiling=ceiling,
         reduction_cap=args.reduction_cap,
         strategy=args.strategy,
+    )
+    return RunConfig(
+        enumeration=enumeration,
         output_format=args.format,
         verbosity=args.verbose,
     )
@@ -181,13 +168,13 @@ def _emit_payload(cfg: RunConfig, payload: dict, out) -> None:
 
 def _subgroup(lp: LPresentation, text: str, cfg: RunConfig, trace) -> FiniteIndexSubgroup:
     spec = parse_subgroup(lp.alphabet, text)
-    return finite_index_subgroup(lp, spec, cfg.enumeration(), trace)
+    return finite_index_subgroup(lp, spec, cfg.enumeration, trace)
 
 
 def _cmd_index(args, cfg: RunConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
     spec = parse_subgroup(lp.alphabet, args.subgroup)
-    result = enumerate_cosets(lp, spec, cfg.enumeration(), _trace_printer(cfg, err))
+    result = enumerate_cosets(lp, spec, cfg.enumeration, _trace_printer(cfg, err))
     payload = {
         "index": result.index,
         "level": result.level_used,
@@ -213,7 +200,7 @@ def _cmd_member(args, cfg: RunConfig, out, err) -> int:
 def _cmd_core(args, cfg: RunConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
     sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(cfg, err))
-    result = core(sub, cfg.reduction_cap)
+    result = core(sub, cfg.enumeration.reduction_cap)
     payload = {
         "index": result.index,
         "generators": [str(g) for g in result.generators],
@@ -230,7 +217,7 @@ def _cmd_intersect(args, cfg: RunConfig, out, err) -> int:
     trace = _trace_printer(cfg, err)
     u = _subgroup(lp, args.subgroup, cfg, trace)
     v = _subgroup(lp, args.subgroup2, cfg, trace)
-    result = intersect(u, v, cfg.reduction_cap)
+    result = intersect(u, v, cfg.enumeration.reduction_cap)
     payload = {
         "index": result.index,
         "generators": [str(g) for g in result.generators],
@@ -249,7 +236,7 @@ def _cmd_low_index(args, cfg: RunConfig, out, err) -> int:
         lp,
         args.max_index,
         level=level,
-        cap=cfg.reduction_cap,
+        cap=cfg.enumeration.reduction_cap,
         max_tables=args.max_tables,
         trace=_trace_printer(cfg, err),
     )
@@ -287,7 +274,7 @@ def _cmd_validate(args, cfg: RunConfig, out, err) -> int:
         raise ParseError(f"cannot read table dump {args.table!r}: {exc}") from exc
     table = parse_table_dump(lp.alphabet, text)
     outcome = decide_validity(
-        lp, to_perm_rep(table), cfg.reduction_cap, _trace_printer(cfg, err)
+        lp, to_perm_rep(table), cfg.enumeration.reduction_cap, _trace_printer(cfg, err)
     )
     payload: dict = {"verdict": "valid" if outcome.valid else "invalid"}
     if not outcome.valid:

@@ -460,18 +460,22 @@ def merge_coincidences(
     return eng.snapshot(table.alphabet)
 
 
-def standardize(table: CosetTable) -> CosetTable:
-    """Relabel cosets in breadth-first discovery order over the generators.
+def standardize(table: CosetTable, base: int = 1) -> CosetTable:
+    """Relabel cosets in breadth-first discovery order over the generators,
+    starting from ``base`` as the new coset 1.
 
     Two closed tables describe the same subgroup of the same presentation
-    exactly when their standardized forms are identical.
+    exactly when their standardized forms are identical.  With ``base`` = c
+    the result is the table of the conjugate subgroup stabilizing coset c.
     """
     if not table.is_closed:
         raise PreconditionError("standardize requires a closed table")
     n = table.size
+    if not 1 <= base <= n:
+        raise InputError(f"coset {base} out of range 1..{n}")
     ngens = len(table.alphabet)
-    newid = {1: 1}
-    order = [1]
+    newid = {base: 1}
+    order = [base]
     i = 0
     while i < len(order):
         c = order[i]
@@ -482,7 +486,7 @@ def standardize(table: CosetTable) -> CosetTable:
                 newid[d] = len(order) + 1
                 order.append(d)
     if len(order) != n:
-        raise PreconditionError("table is not transitive from coset 1")
+        raise PreconditionError(f"table is not transitive from coset {base}")
     rows: list[tuple[int, ...]] = [()] * n
     for c in range(1, n + 1):
         rows[newid[c] - 1] = tuple(newid[d] for d in table.rows[c - 1])

@@ -6,11 +6,16 @@ Low-index search works on a covering presentation: a backtracking descent
 over partial coset tables that introduces cosets in first-use order (so
 every complete table comes out standardized and each subgroup appears
 exactly once), propagates relator consequences after each choice, and
-abandons a branch as soon as a forced coincidence appears.  Candidates are
-then folded to validity against the L-presentation and deduplicated; this
-yields all subgroups of the L-presented group regardless of the covering
-level, because a subgroup of index at most n pulls back to one of the same
-index in every covering group.
+abandons a branch as soon as a forced coincidence appears.  Only relators
+of length at most twice the index bound are propagated; the longer ones
+are deferred and traced on each complete table.  Candidates are then folded
+to validity against the L-presentation and deduplicated; this yields all
+subgroups of the L-presented group regardless of the covering level,
+because a subgroup of index at most n pulls back to one of the same index
+in every covering group.  Folding is decided once per conjugacy class of
+candidates: the other members of a class are the representative re-rooted
+at another coset, and they fold to the representative's fold re-rooted at
+the image of that coset.
 """
 
 from __future__ import annotations
@@ -186,6 +191,30 @@ class _SearchCapped(Exception):
     pass
 
 
+def _split_relators(
+    fp: FinitePresentation, max_index: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The cyclically reduced relators of ``fp`` as column words, split into
+    those the descent scans (length at most ``2 * max_index``) and those
+    deferred to complete tables.
+
+    A scan deduces an entry only when all but one of the relator's letters
+    are already defined along its path; a relator longer than twice the
+    number of cosets passes some coset three times or more, so it rarely
+    gets that far before the table is complete, while every rotation of it
+    is rescanned after each deduction.  On the level-2 Grigorchuk cover at
+    index 15 the descent then reaches 705 complete tables instead of 246,
+    and the deferred relator of length 32 rejects the other 459 at the
+    leaves, which measured cheaper than scanning it during the descent.
+    """
+    bound = 2 * max_index
+    scanned: list[tuple[int, ...]] = []
+    deferred: list[tuple[int, ...]] = []
+    for w in _prepared_relators(fp):
+        (scanned if len(w) <= bound else deferred).append(w)
+    return scanned, deferred
+
+
 def _low_index_tables(
     fp: FinitePresentation, max_index: int, max_tables: int | None = None
 ) -> tuple[list[CosetTable], bool]:
@@ -194,17 +223,21 @@ def _low_index_tables(
 
     Returns (tables, capped).  Descent order: locate the first undefined
     slot scanning rows then generators; try every existing coset whose
-    matching inverse slot is free, then one fresh coset.  Relator
-    consequences propagate through rotation scans; a scan that closes
-    wrongly kills the branch, since the merged table is found on another
-    branch with the smaller assignment made directly.
+    matching inverse slot is free, then one fresh coset.  Consequences of
+    the scanned relators (see :func:`_split_relators`) propagate through
+    rotation scans; a scan that closes wrongly kills the branch, since the
+    merged table is found on another branch with the smaller assignment
+    made directly.  A complete table is kept when the deferred relators
+    close at every coset; only kept tables count against ``max_tables``.
+    The leaves come out in lexicographic order of their generator columns
+    whichever relators are scanned, so deferring changes no output order.
     """
     if max_index < 1:
         raise InputError("max_index must be >= 1")
     ngens = len(fp.alphabet)
     ncols = 2 * ngens
-    relators = _prepared_relators(fp)
-    rot_by_col = _rotation_index(ncols, relators)
+    scanned, deferred = _split_relators(fp, max_index)
+    rot_by_col = _rotation_index(ncols, scanned)
     tab = [0] * ((max_index + 2) * ncols)
     results: list[CosetTable] = []
     capped = False
@@ -257,6 +290,15 @@ def _low_index_tables(
                     return False
         return True
 
+    def closes_everywhere(w: tuple[int, ...]) -> bool:
+        for a in range(1, n + 1):
+            f = a
+            for col in w:
+                f = tab[f * ncols + col]
+            if f != a:
+                return False
+        return True
+
     n = 1
 
     def descend(c0: int, g0: int) -> None:
@@ -275,6 +317,10 @@ def _low_index_tables(
             c += 1
             gi = 0
         if slot is None:
+            if not all(closes_everywhere(w) for w in deferred):
+                return
+            if not all(closes_everywhere(w) for w in scanned):
+                raise RuntimeError("low-index search produced an inconsistent table")
             if max_tables is not None and len(results) >= max_tables:
                 capped = True
                 raise _SearchCapped
@@ -307,12 +353,54 @@ def _low_index_tables(
         descend(1, 0)
     except _SearchCapped:
         pass
-    for t in results:
-        for c in range(1, t.size + 1):
-            for r in fp.relators:
-                if table_trace(t, c, r) != c:
-                    raise RuntimeError("low-index search produced an inconsistent table")
     return results, capped
+
+
+def _quotient_map(table: CosetTable, quotient: CosetTable) -> list[int]:
+    """Image of each coset of ``table`` (1-based, slot 0 unused) under the
+    homomorphism of tables onto ``quotient`` that sends coset 1 to coset 1,
+    found by walking both tables in lockstep."""
+    image = [0] * (table.size + 1)
+    image[1] = 1
+    order = [1]
+    for c in order:
+        row, qrow = table.rows[c - 1], quotient.rows[image[c] - 1]
+        for col in range(0, len(row), 2):
+            d = row[col]
+            if not image[d]:
+                image[d] = qrow[col]
+                order.append(d)
+    return image
+
+
+def _fold_by_class(
+    lp: LPresentation, tables: Sequence[CosetTable], cap: int, trace: Trace | None
+) -> tuple[list[CosetTable], int]:
+    """``fold_to_valid`` of every closed standardized table, deciding only
+    the first table of each conjugacy class.  Returns the folded tables in
+    input order and the number of classes.
+
+    A conjugate is the representative re-rooted at some coset c.  Validity
+    depends only on the kernel of the action, which re-rooting keeps, and
+    each fold merges a partition that relabelling carries along; so the
+    conjugate folds to the representative's fold re-rooted at the image of
+    c under the quotient map.
+    """
+    # rows of each re-rooting of a representative -> (the representative's
+    # fold, the coset of that fold where the re-rooting's coset 1 lands)
+    decided: dict[tuple, tuple[CosetTable, int]] = {}
+    classes = 0
+    folds = []
+    for t in tables:
+        if t.rows not in decided:
+            classes += 1
+            folded, _ = fold_to_valid(lp, t, cap, trace)
+            image = _quotient_map(t, folded)
+            for c in range(1, t.size + 1):
+                decided.setdefault(standardize(t, base=c).rows, (folded, image[c]))
+        folded, root = decided[t.rows]
+        folds.append(folded if root == 1 else standardize(folded, base=root))
+    return folds, classes
 
 
 @dataclass(frozen=True)
@@ -364,18 +452,19 @@ def low_index(
     """Every subgroup of index at most ``max_index``, not up to conjugacy.
 
     Candidates come from the covering presentation at the given truncation
-    level; each is folded to validity and duplicates are removed, so the
-    output does not depend on the level.  When the candidate cap is hit a
+    level; each is folded to validity (one decision per conjugacy class, see
+    :func:`_fold_by_class`) and duplicates are removed, so the output does
+    not depend on the level.  When the candidate cap is hit a
     :class:`LowIndexIncomplete` is raised carrying the folded portion.
     """
     fp = lp.covering(level)
     _emit(trace, "low-index", level=level, max_index=max_index, relators=len(fp.relators))
     tables, capped = _low_index_tables(fp, max_index, max_tables)
     _emit(trace, "low-index-candidates", count=len(tables))
+    folds, classes = _fold_by_class(lp, tables, cap, trace)
     entries = []
     seen = set()
-    for t in tables:
-        folded, _ = fold_to_valid(lp, t, cap)
+    for folded in folds:
         if folded.rows in seen:
             continue
         seen.add(folded.rows)
@@ -384,6 +473,12 @@ def low_index(
                 FiniteIndexSubgroup.from_table(lp, folded, cap, revalidate=False)
             )
         )
+    _emit(
+        trace,
+        "low-index-classes",
+        classes=classes,
+        deferred=len(_split_relators(fp, max_index)[1]),
+    )
     entries.sort(key=lambda e: e.subgroup.sort_key())
     result = SubgroupList(lp, max_index, tuple(entries), complete=not capped)
     _emit(trace, "low-index-subgroups", count=len(entries))
@@ -425,10 +520,11 @@ def mark_normal_and_maximal(slist: SubgroupList) -> SubgroupList:
 # --- reports ----------------------------------------------------------------
 
 
-def format_report(
-    slist: SubgroupList, *, show_normal: bool = False, show_maximal: bool = False
-) -> str:
-    """Aligned text table of per-index counts (blank maximal cell at index 1)."""
+def _report_rows(
+    slist: SubgroupList, show_normal: bool, show_maximal: bool, blank: str
+) -> list[list[str]]:
+    """Header plus one row of per-index counts; ``blank`` fills the maximal
+    cell at index 1."""
     counts = slist.counts()
     normal = slist.normal_counts()
     maximal = slist.maximal_counts()
@@ -443,9 +539,18 @@ def format_report(
         if show_normal:
             row.append(str(normal.get(idx, 0)))
         if show_maximal:
-            row.append("-" if idx == 1 else str(maximal.get(idx, 0)))
+            row.append(blank if idx == 1 else str(maximal.get(idx, 0)))
         rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    return rows
+
+
+def format_report(
+    slist: SubgroupList, *, show_normal: bool = False, show_maximal: bool = False
+) -> str:
+    """Aligned text table of per-index counts (``-`` as the maximal cell at
+    index 1)."""
+    rows = _report_rows(slist, show_normal, show_maximal, "-")
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = [
         "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)) for row in rows
     ]
@@ -455,23 +560,10 @@ def format_report(
 def format_csv(
     slist: SubgroupList, *, show_normal: bool = False, show_maximal: bool = False
 ) -> str:
-    counts = slist.counts()
-    normal = slist.normal_counts()
-    maximal = slist.maximal_counts()
-    header = ["index", "subgroups"]
-    if show_normal:
-        header.append("normal")
-    if show_maximal:
-        header.append("maximal")
-    lines = [",".join(header)]
-    for idx in range(1, slist.max_index + 1):
-        row = [str(idx), str(counts.get(idx, 0))]
-        if show_normal:
-            row.append(str(normal.get(idx, 0)))
-        if show_maximal:
-            row.append("" if idx == 1 else str(maximal.get(idx, 0)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """The same rows as :func:`format_report`, comma-separated (empty maximal
+    cell at index 1)."""
+    rows = _report_rows(slist, show_normal, show_maximal, "")
+    return "\n".join(",".join(row) for row in rows) + "\n"
 
 
 def report_json(slist: SubgroupList, include_entries: bool = False) -> dict:

@@ -16,11 +16,12 @@ from lpcoset import (
     Permutation,
     PermutationRep,
     SubgroupSpec,
+    dump_table,
     fold_to_valid,
     standardize,
     word_image,
 )
-from lpcoset.coset_enum import table_from_rep
+from lpcoset.coset_enum import _prepared_relators, _rotation_index, table_from_rep
 from lpcoset.words import Word
 
 
@@ -150,6 +151,91 @@ def fold_and_dedup(lp, tables, cap: int = 10**5):
             keys.add(ft.rows)
             folded.append(ft)
     return folded
+
+
+def plain_low_index_tables(fp, max_index: int) -> list[CosetTable]:
+    """The low-index descent without classes or deferred relators: every
+    relator of ``fp`` is scanned after every deduction, and each complete
+    table is kept.  Reference for the library's ``_low_index_tables``."""
+    ncols = 2 * len(fp.alphabet)
+    rot_by_col = _rotation_index(ncols, _prepared_relators(fp))
+    tab = [0] * ((max_index + 2) * ncols)
+    results = []
+
+    def scan(a, w, trail, queue):
+        # follow w forwards from a, then backwards, as far as defined
+        f, i = a, 0
+        while i < len(w) and tab[f * ncols + w[i]]:
+            f = tab[f * ncols + w[i]]
+            i += 1
+        if i == len(w):
+            return f == a
+        b, j = a, len(w)
+        while j > i and tab[b * ncols + (w[j - 1] ^ 1)]:
+            b = tab[b * ncols + (w[j - 1] ^ 1)]
+            j -= 1
+        if j == i:
+            return f == b
+        if j == i + 1:
+            s1, s2 = f * ncols + w[i], b * ncols + (w[i] ^ 1)
+            tab[s1], tab[s2] = b, f
+            trail += [s1, s2]
+            queue.append((f, w[i]))
+        return True
+
+    def propagate(queue, trail):
+        for a, col in queue:  # the queue grows while it is walked
+            for w in rot_by_col[col]:
+                if not scan(a, w, trail, queue):
+                    return False
+            for w in rot_by_col[col ^ 1]:
+                if not scan(tab[a * ncols + col], w, trail, queue):
+                    return False
+        return True
+
+    def descend(n):
+        slot = next(
+            (
+                (c, col)
+                for c in range(1, n + 1)
+                for col in range(0, ncols, 2)
+                if tab[c * ncols + col] == 0
+            ),
+            None,
+        )
+        if slot is None:
+            rows = tuple(tuple(tab[r * ncols : (r + 1) * ncols]) for r in range(1, n + 1))
+            results.append(CosetTable(fp.alphabet, rows))
+            return
+        a, col = slot
+        targets = [b for b in range(1, n + 1) if tab[b * ncols + (col ^ 1)] == 0]
+        if n < max_index:
+            targets.append(n + 1)
+        for b in targets:
+            s1, s2 = a * ncols + col, b * ncols + (col ^ 1)
+            tab[s1], tab[s2] = b, a
+            trail = [s1, s2]
+            if propagate([(a, col)], trail):
+                descend(max(n, b))
+            for s in trail:
+                tab[s] = 0
+
+    descend(1)
+    return results
+
+
+def is_normal_table(table: CosetTable) -> bool:
+    """Normal exactly when re-rooting at every coset gives the same table."""
+    return all(reroot(table, c).rows == table.rows for c in range(1, table.size + 1))
+
+
+def plain_low_index(lp, max_index: int, level: int) -> list[CosetTable]:
+    """Every candidate of the plain descent folded on its own, deduplicated
+    and sorted like ``low_index``'s entries."""
+    tables = plain_low_index_tables(lp.covering(level), max_index)
+    return sorted(
+        fold_and_dedup(lp, tables), key=lambda t: (t.size, dump_table(t).encode())
+    )
 
 
 def enumeration_fixtures():

@@ -161,6 +161,15 @@ class TestLowIndexCommand:
         assert first == second
 
 
+    def test_verbose_traces_the_whole_job(self):
+        code, _, err = run_cli(
+            "low-index", "builtin:basilica", "--max-index", "4", "--level", "0", "-v"
+        )
+        assert code == EXIT_OK
+        kinds = {line.split()[0] for line in err.splitlines()}
+        assert {"validity", "fold", "low-index-classes"} <= kinds
+
+
 class TestValidateCommand:
     def test_valid_dump(self, tmp_path):
         code, out, _ = run_cli("index", "builtin:basilica", *BAS_U, "--format", "json")

@@ -30,7 +30,7 @@ from lpcoset import (
 )
 from lpcoset.coset_enum import coset_representatives, table_from_rep
 
-from helpers import congruence_quotient_size, enumeration_fixtures, random_word
+from helpers import congruence_quotient_size, enumeration_fixtures, random_word, reroot
 
 
 def cyclic_table(n: int) -> CosetTable:
@@ -252,6 +252,15 @@ class TestStandardize:
         table = CosetTable(bas.alphabet, ((0, 0, 0, 0),))
         with pytest.raises(PreconditionError):
             standardize(table)
+
+    def test_base_gives_the_rerooted_table(self, bas_u_result):
+        table = standardize(bas_u_result.table)
+        for c in range(1, table.size + 1):
+            assert standardize(table, base=c).rows == reroot(table, c).rows
+
+    def test_base_out_of_range(self, bas_u_result):
+        with pytest.raises(InputError):
+            standardize(bas_u_result.table, base=bas_u_result.table.size + 1)
 
 
 class TestPermRepExtraction:

@@ -30,12 +30,14 @@ from lpcoset import (
     is_valid_perm_rep,
     parse_subgroup,
     parse_word,
+    standardize,
     to_perm_rep,
     todd_coxeter,
+    trace,
     word_image,
 )
-from lpcoset.coset_enum import table_from_rep
-from lpcoset.subgroups import _low_index_tables
+from lpcoset.coset_enum import coset_representatives, table_from_rep
+from lpcoset.subgroups import _low_index_tables, _quotient_map
 
 from helpers import reroot, sigma_power
 
@@ -359,3 +361,17 @@ class TestConjugationInvariance:
             decide_validity(lp, to_perm_rep(rerooted)).valid
             == decide_validity(lp, to_perm_rep(table)).valid
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_folding_commutes_with_rerooting(self, data):
+        # the fold of the conjugate candidate rooted at c is the fold of the
+        # candidate rooted at the image d of c, which is reached from coset 1
+        # of the fold by the same word that reaches c in the candidate
+        lp, table = data.draw(st.sampled_from(_candidate_tables()))
+        c = data.draw(st.integers(1, table.size))
+        folded, _ = fold_to_valid(lp, table)
+        d = trace(folded, 1, coset_representatives(table)[c - 1])
+        assert _quotient_map(table, folded)[c] == d
+        rerooted_fold, _ = fold_to_valid(lp, standardize(table, base=c))
+        assert rerooted_fold.rows == standardize(folded, base=d).rows

@@ -11,6 +11,7 @@ from lpcoset import (
     contains_subgroup,
     core,
     finite_index_subgroup,
+    fold_to_valid,
     format_csv,
     format_report,
     image_group,
@@ -24,9 +25,17 @@ from lpcoset import (
     standardize,
     subgroup_equal,
 )
-from lpcoset.subgroups import _low_index_tables
+from lpcoset.presentations import FinitePresentation
+from lpcoset.subgroups import _fold_by_class, _low_index_tables, _split_relators
+from lpcoset.words import Alphabet
 
-from helpers import fold_and_dedup, transitive_tables_by_exhaustion
+from helpers import (
+    fold_and_dedup,
+    is_normal_table,
+    plain_low_index,
+    plain_low_index_tables,
+    transitive_tables_by_exhaustion,
+)
 
 PUBLISHED_CORE_GENERATORS = (
     "b^2, a^3, a^2*b*a^-1*b^-1, a*b*a*b^-1, a*b^2*a^-1, b*a^2*b^-1*a^-1, b*a*b*a^-2"
@@ -228,6 +237,23 @@ class TestLowIndexSearch:
         keys = [t.rows for t in tables]
         assert len(keys) == len(set(keys))
 
+    def test_max_tables_counts_only_tables_satisfying_every_relator(self):
+        # in the infinite dihedral group the index-3 actions with ab of order
+        # 3 satisfy the scanned involution relators but not the deferred
+        # (ab)^4, and come before accepted tables in descent order
+        abc = Alphabet(("a", "b"))
+        fp = FinitePresentation(abc, tuple(parse_words(abc, "a^2 b^2 (a*b)^4")))
+        assert _split_relators(fp, 3)[1]
+        full = [t.rows for t in plain_low_index_tables(fp, 3)]
+        dihedral = FinitePresentation(abc, tuple(parse_words(abc, "a^2 b^2")))
+        unfiltered = [t.rows for t in plain_low_index_tables(dihedral, 3)]
+        first_rejected = next(i for i, rows in enumerate(unfiltered) if rows not in full)
+        assert first_rejected < len(full)
+        for k in range(len(full) + 1):
+            tables, capped = _low_index_tables(fp, 3, max_tables=k)
+            assert [t.rows for t in tables] == full[:k]
+            assert capped == (k < len(full))
+
     def test_level_zero_needs_folding(self, bas):
         # at level 0 some degree-6 candidates are quotients in disguise:
         # folding plus deduplication strictly shrinks the list
@@ -236,7 +262,28 @@ class TestLowIndexSearch:
         assert len(folded) < len(tables)
 
 
+def _s3_as_l_presentation():
+    """S4 = <a, b | a^2, b^3, (ab)^4> at level 0; the endomorphism a -> ab,
+    b -> b^-1 sends the iterated relator a^2 to (ab)^2, whose normal closure
+    is the Klein four-group, so the group is S3.  Index-6 candidates of the
+    level-0 cover fold onto the non-normal subgroups of index 3, in
+    different conjugates for conjugate candidates."""
+    from lpcoset import LPresentation
+    from lpcoset.words import FreeEndomorphism
+
+    abc = Alphabet(("a", "b"))
+    sigma = FreeEndomorphism(abc, (parse_word(abc, "a*b"), parse_word(abc, "b^-1")))
+    return LPresentation(
+        abc, tuple(parse_words(abc, "a^2 b^3 (a*b)^4")), (sigma,), (parse_word(abc, "a^2"),)
+    )
+
+
 class TestLowIndex:
+    def test_s3_as_l_presentation(self):
+        lp = _s3_as_l_presentation()
+        for level in (0, 1, 2):
+            assert low_index(lp, 6, level=level).counts() == {1: 1, 2: 1, 3: 3, 6: 1}
+
     def test_whole_group_only_at_index_one(self, bas):
         slist = low_index(bas, 1)
         assert len(slist.entries) == 1
@@ -253,6 +300,48 @@ class TestLowIndex:
         keys = [e.subgroup.table.rows for e in slist.entries]
         baseline = [e.subgroup.table.rows for e in low_index(bas, 4).entries]
         assert keys == baseline
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_grigorchuk_level_invariance(self, grig, level):
+        keys = [e.subgroup.table.rows for e in low_index(grig, 8, level=level).entries]
+        baseline = [e.subgroup.table.rows for e in low_index(grig, 8, level=2).entries]
+        assert len(keys) == 222
+        assert keys == baseline
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("group,max_index", [("grigorchuk", 8), ("basilica", 6)])
+    def test_same_as_plain_path(self, grig, bas, group, max_index, level):
+        # reference: every candidate of a descent that scans every relator,
+        # folded on its own
+        lp = grig if group == "grigorchuk" else bas
+        expected = plain_low_index(lp, max_index, level)
+        normal: dict[int, int] = {}
+        for t in expected:
+            if is_normal_table(t):
+                normal[t.size] = normal.get(t.size, 0) + 1
+        events = []
+        slist = mark_normal_and_maximal(
+            low_index(lp, max_index, level=level, trace=events.append)
+        )
+        assert [e.subgroup.table.rows for e in slist.entries] == [t.rows for t in expected]
+        assert slist.normal_counts() == normal
+        (candidates,) = [e.get("count") for e in events if e.kind == "low-index-candidates"]
+        (classes,) = [e.get("classes") for e in events if e.kind == "low-index-classes"]
+        assert classes < candidates
+
+    @pytest.mark.parametrize("group,level", [("s3", 0), ("basilica", 0), ("grigorchuk", 1)])
+    def test_class_folds_equal_folding_each_candidate(self, grig, bas, group, level):
+        lp = {"s3": _s3_as_l_presentation(), "basilica": bas, "grigorchuk": grig}[group]
+        tables, _ = _low_index_tables(lp.covering(level), 6)
+        folds, classes = _fold_by_class(lp, tables, 10**5, None)
+        assert [f.rows for f in folds] == [fold_to_valid(lp, t)[0].rows for t in tables]
+        assert classes < len(tables)
+
+    def test_grigorchuk_level_two_defers_long_relators(self, grig):
+        events = []
+        low_index(grig, 8, level=2, trace=events.append)
+        (deferred,) = [e.get("deferred") for e in events if e.kind == "low-index-classes"]
+        assert deferred > 0
 
     def test_brute_force_oracle_equivalence(self, bas):
         # oracle: every transitive degree <= 3 action satisfying the level-2
