@@ -15,9 +15,10 @@ coincidences fold the table down without another enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coset_enum import (
+    DEFAULT_MAX_COSETS,
     CosetTable,
     merge_coincidences,
     standardize,
@@ -344,9 +345,9 @@ def fold_to_valid(
 @dataclass(frozen=True)
 class EnumerationConfig:
     initial_level: int = 0
-    initial_max_cosets: int = 2**14
-    escalation_factor: int = 4
-    hard_ceiling: int = 10**6
+    initial_max_cosets: int = 2**8
+    escalation_factor: int = 16
+    hard_ceiling: int = DEFAULT_MAX_COSETS
     reduction_cap: int = DEFAULT_REDUCTION_CAP
     strategy: str = "felsch"
     hlt_lookahead: bool = False
@@ -375,6 +376,23 @@ class EnumerationResult:
     escalations: int
 
 
+def _attempts(config: EnumerationConfig) -> Iterator[tuple[int, int]]:
+    """The ``(level, max_cosets)`` pair of every Todd-Coxeter attempt.
+
+    Each attempt is one level deeper and has ``escalation_factor`` times
+    the coset limit of the one before; every limit, the first included, is
+    clamped to ``hard_ceiling``, and the attempt at the ceiling is the last.
+    """
+    level = config.initial_level
+    limit = min(config.initial_max_cosets, config.hard_ceiling)
+    while True:
+        yield level, limit
+        if limit >= config.hard_ceiling:
+            return
+        level += 1
+        limit = min(limit * config.escalation_factor, config.hard_ceiling)
+
+
 def enumerate_cosets(
     lp: LPresentation,
     sub: SubgroupSpec,
@@ -384,15 +402,38 @@ def enumerate_cosets(
     """Compute the index of the subgroup, escalating truncation level and
     coset limit on overflow and folding coincidences on invalid tables.
 
+    The attempts follow :func:`_attempts`: by default 2^8 cosets at the
+    initial level, then one level deeper and 16 times the limit each time,
+    up to the hard ceiling.  An attempt at a level whose covering group
+    gives the subgroup infinite index overflows whatever its limit, so the
+    schedule keeps those overflows cheap:
+
+    - Overflow cost is monotone in the limit.  In the default (Felsch)
+      strategy ``_Engine.define`` is the only reader of ``max_cosets``, so
+      an overflowing run is a prefix of the same run with a larger limit.
+    - Each limit is 16 times the one before until the ceiling clamps it,
+      and covering relators only grow with the level (total relator
+      length: Grigorchuk 43, 107, 235 at levels 0-2; B(4,2) 3, 35, 371),
+      so the overflows before an unclamped attempt cost at most 1/15 of
+      that attempt's budget, and at most 16/15 of it before a clamped one
+      (0.07 at the default ceiling).
+    - At the default ceiling of 10^6 the limits are 2^8, 2^12, 2^16, 10^6
+      at levels 0-3, each no larger than under the former schedule (2^14,
+      then x4: 2^14, 2^16, 2^18, 10^6), with the same final attempt, so no
+      input that gives up costs more than it did.  At smaller ceilings the
+      last attempt can sit one level higher than under that schedule, and
+      a subgroup whose enumeration at some level needs between 2^8 and
+      2^14 cosets closed there before and now overflows there and is
+      retried one level deeper.
+
     Termination is guaranteed only when the index is finite; hitting the
     hard ceiling raises :class:`GaveUp`, which asserts nothing about the
     index.
     """
     _require_same_alphabet(lp.alphabet, sub.alphabet)
-    level = config.initial_level
-    limit = config.initial_max_cosets
-    escalations = 0
-    while True:
+    for escalations, (level, limit) in enumerate(_attempts(config)):
+        if escalations:
+            _emit(trace, "escalate", level=level, max_cosets=limit)
         fp = lp.covering(level)
         table = todd_coxeter(
             fp,
@@ -403,16 +444,6 @@ def enumerate_cosets(
         )
         if table is None:
             _emit(trace, "tc-overflow", level=level, max_cosets=limit)
-            if limit >= config.hard_ceiling:
-                raise GaveUp(
-                    f"no closed table within {limit} cosets at level {level}",
-                    level=level,
-                    max_cosets=limit,
-                )
-            level += 1
-            limit = min(limit * config.escalation_factor, config.hard_ceiling)
-            escalations += 1
-            _emit(trace, "escalate", level=level, max_cosets=limit)
             continue
         _emit(trace, "tc-closed", level=level, cosets=table.size)
         table, _ = fold_to_valid(lp, table, config.reduction_cap, trace)
@@ -423,3 +454,8 @@ def enumerate_cosets(
             level_used=level,
             escalations=escalations,
         )
+    raise GaveUp(
+        f"no closed table within {limit} cosets at level {level}",
+        level=level,
+        max_cosets=limit,
+    )

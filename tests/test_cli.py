@@ -264,6 +264,14 @@ class TestErrorPaths:
         )
         assert code == EXIT_RESOURCE
 
+    def test_hard_ceiling_alone_bounds_the_first_attempt(self):
+        code, _, err = run_cli(
+            "index", "builtin:basilica", "--subgroup", "a^2,b", "--hard-ceiling", "100", "-v"
+        )
+        assert code == EXIT_RESOURCE
+        assert "tc-overflow level=0 max_cosets=100" in err
+        assert "no closed table within 100 cosets at level 0" in err
+
     def test_env_var_ceiling(self, monkeypatch):
         code, _, _ = run_cli(
             "index",

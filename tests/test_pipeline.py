@@ -28,6 +28,7 @@ from lpcoset import (
     fold_to_valid,
     grigorchuk,
     is_valid_perm_rep,
+    low_index,
     parse_subgroup,
     parse_word,
     standardize,
@@ -36,7 +37,8 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset.coset_enum import coset_representatives, table_from_rep
+from lpcoset.coset_enum import DEFAULT_MAX_COSETS, coset_representatives, table_from_rep
+from lpcoset.pipeline import _attempts
 from lpcoset.subgroups import _low_index_tables, _quotient_map
 
 from helpers import reroot, sigma_power
@@ -314,6 +316,112 @@ class TestEnumerate:
             EnumerationConfig(initial_level=-1)
         with pytest.raises(InputError):
             EnumerationConfig(strategy="magic")
+
+
+FORMER_SCHEDULE = EnumerationConfig(initial_max_cosets=2**14, escalation_factor=4)
+
+# (n, m, subgroup generators, index): B(1,m) is cyclic of order m, B(n,2)
+# elementary abelian of order 2^n, B(2,3) the Heisenberg group of order 27
+BURNSIDE_INDEXES = (
+    (1, 3, "1", 3),
+    (1, 5, "1", 5),
+    (1, 7, "1", 7),
+    (2, 2, "1", 4),
+    (2, 2, "a1", 2),
+    (3, 2, "1", 8),
+    (3, 2, "a1*a2*a3", 4),
+    (4, 2, "1", 16),
+    (4, 2, "a1,a2", 4),
+    (2, 3, "1", 27),
+    (2, 3, "a1", 9),
+    (2, 3, "[a1,a2]", 9),
+)
+
+
+class TestEscalationSchedule:
+    def test_default_schedule(self):
+        attempts = list(_attempts(EnumerationConfig()))
+        assert attempts == [(0, 2**8), (1, 2**12), (2, 2**16), (3, 10**6)]
+        former = list(_attempts(FORMER_SCHEDULE))
+        assert len(former) == len(attempts)
+        for (level, limit), (old_level, old_limit) in zip(attempts, former):
+            assert level == old_level
+            assert limit <= old_limit
+
+    def test_one_default_ceiling(self):
+        assert EnumerationConfig().hard_ceiling == DEFAULT_MAX_COSETS
+
+    @given(
+        initial_level=st.integers(0, 5),
+        initial_max_cosets=st.integers(1, 10**6),
+        escalation_factor=st.integers(2, 64),
+        hard_ceiling=st.integers(1, 10**7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_properties(self, **fields):
+        config = EnumerationConfig(**fields)
+        attempts = list(_attempts(config))
+        levels = [level for level, _ in attempts]
+        limits = [limit for _, limit in attempts]
+        start = config.initial_level
+        assert levels == list(range(start, start + len(attempts)))
+        assert limits[0] == min(config.initial_max_cosets, config.hard_ceiling)
+        for before, after in zip(limits, limits[1:]):
+            assert after == min(before * config.escalation_factor, config.hard_ceiling)
+        assert max(limits) <= config.hard_ceiling
+        assert limits[-1] == config.hard_ceiling
+        assert all(limit < config.hard_ceiling for limit in limits[:-1])
+
+    def test_first_attempt_honours_the_ceiling(self):
+        lp = burnside(1, 3)
+        events = []
+        with pytest.raises(GaveUp) as info:
+            enumerate_cosets(
+                lp,
+                SubgroupSpec(lp.alphabet, ()),
+                EnumerationConfig(hard_ceiling=100),
+                trace=events.append,
+            )
+        assert info.value.max_cosets == 100
+        assert info.value.level == 0
+        assert [str(e) for e in events] == ["tc-overflow level=0 max_cosets=100"]
+
+    @pytest.mark.parametrize("n, m, gens, index", BURNSIDE_INDEXES)
+    def test_burnside_indexes_and_overflows(self, n, m, gens, index):
+        lp = burnside(n, m)
+        events = []
+        res = enumerate_cosets(lp, parse_subgroup(lp.alphabet, gens), trace=events.append)
+        assert res.index == index
+        overflows = [
+            (e.get("level"), e.get("max_cosets")) for e in events if e.kind == "tc-overflow"
+        ]
+        expected = [(0, 256)] if n == 1 else [(0, 256), (1, 4096)]
+        assert overflows == expected
+        assert res.level_used == len(expected)
+        assert res.escalations == len(expected)
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_burnside_same_answer_as_former_schedule(self, m):
+        lp = burnside(1, m)
+        sub = SubgroupSpec(lp.alphabet, ())
+        new = enumerate_cosets(lp, sub)
+        old = enumerate_cosets(lp, sub, FORMER_SCHEDULE)
+        assert (new.index, new.level_used, new.escalations) == (
+            old.index,
+            old.level_used,
+            old.escalations,
+        )
+        assert new.table.rows == old.table.rows
+
+    @pytest.mark.parametrize("group", ["grig", "bas"])
+    def test_small_index_subgroups_close_at_level_zero(self, group, request):
+        lp = request.getfixturevalue(group)
+        for entry in low_index(lp, 4).entries:
+            u = entry.subgroup
+            res = enumerate_cosets(lp, SubgroupSpec(lp.alphabet, u.generators))
+            assert res.index == u.index
+            assert res.table.rows == u.table.rows
+            assert (res.level_used, res.escalations) == (0, 0)
 
 
 class TestFoldMonotonicity:
