@@ -171,6 +171,17 @@ def _subgroup(lp: LPresentation, text: str, cfg: RunConfig, trace) -> FiniteInde
     return finite_index_subgroup(lp, spec, cfg.enumeration, trace)
 
 
+def _subgroup_payload(result: FiniteIndexSubgroup, cfg: RunConfig) -> dict:
+    """Index, generators and table of a computed subgroup; outside JSON the
+    generators are one comma-separated string."""
+    gens = [str(g) for g in result.generators]
+    return {
+        "index": result.index,
+        "generators": gens if cfg.output_format == "json" else ", ".join(gens),
+        "table": [list(row) for row in result.table.rows],
+    }
+
+
 def _cmd_index(args, cfg: RunConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
     spec = parse_subgroup(lp.alphabet, args.subgroup)
@@ -201,14 +212,7 @@ def _cmd_core(args, cfg: RunConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
     sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(cfg, err))
     result = core(sub, cfg.enumeration.reduction_cap)
-    payload = {
-        "index": result.index,
-        "generators": [str(g) for g in result.generators],
-        "table": [list(row) for row in result.table.rows],
-    }
-    if cfg.output_format != "json":
-        payload["generators"] = ", ".join(str(g) for g in result.generators)
-    _emit_payload(cfg, payload, out)
+    _emit_payload(cfg, _subgroup_payload(result, cfg), out)
     return EXIT_OK
 
 
@@ -218,14 +222,7 @@ def _cmd_intersect(args, cfg: RunConfig, out, err) -> int:
     u = _subgroup(lp, args.subgroup, cfg, trace)
     v = _subgroup(lp, args.subgroup2, cfg, trace)
     result = intersect(u, v, cfg.enumeration.reduction_cap)
-    payload = {
-        "index": result.index,
-        "generators": [str(g) for g in result.generators],
-        "table": [list(row) for row in result.table.rows],
-    }
-    if cfg.output_format != "json":
-        payload["generators"] = ", ".join(str(g) for g in result.generators)
-    _emit_payload(cfg, payload, out)
+    _emit_payload(cfg, _subgroup_payload(result, cfg), out)
     return EXIT_OK
 
 

@@ -100,6 +100,18 @@ def _check_level_zero(lp: LPresentation, phi: PermutationRep) -> None:
                 )
 
 
+def _relator_witness(
+    lp: LPresentation, rep: PermutationRep, endo: EndoWord
+) -> InvalidWitness | None:
+    """Witness for ``endo``: the first iterated relator ``rep`` does not kill."""
+    for r in lp.iterated:
+        img = word_image(rep, r)
+        if not img.is_identity:
+            coset = next(c for c in range(1, img.degree + 1) if img.apply(c) != c)
+            return InvalidWitness(r, endo, img, coset)
+    return None
+
+
 class _Visited:
     """One kept endomorphism word with its representation and lazy image group."""
 
@@ -141,20 +153,14 @@ def is_valid_perm_rep(
     ]
     head = 0
     checks: list[EndoWord] = []
+    witness = None
     while head < len(queue):
         delta, rep_d = queue[head]
         head += 1
         checks.append(delta)
-        for r in lp.iterated:
-            img = word_image(rep_d, r)
-            if not img.is_identity:
-                coset = next(c for c in range(1, img.degree + 1) if img.apply(c) != c)
-                return ValidityOutcome(
-                    valid=False,
-                    witness=InvalidWitness(r, delta, img, coset),
-                    visited=tuple(v.endo for v in visited),
-                    relator_checks=tuple(checks),
-                )
+        witness = _relator_witness(lp, rep_d, delta)
+        if witness is not None:
+            break
         if rep_d.generator_images() in by_images:
             continue
         reduced = False
@@ -179,8 +185,8 @@ def is_valid_perm_rep(
                 )
                 queue.append((child, rep_d.precompose(delta.family[k])))
     return ValidityOutcome(
-        valid=True,
-        witness=None,
+        valid=witness is None,
+        witness=witness,
         visited=tuple(v.endo for v in visited),
         relator_checks=tuple(checks),
     )
@@ -248,23 +254,16 @@ def _single_endo_validity(
     checks = []
     rep = phi
     powers = [_power_word(lp, k) for k in range(j)]
+    witness = None
     for k in range(1, j):
         rep = rep.precompose(lp.endomorphisms[0])
         checks.append(powers[k])
-        for r in lp.iterated:
-            img = word_image(rep, r)
-            if not img.is_identity:
-                coset = next(c for c in range(1, img.degree + 1) if img.apply(c) != c)
-                return ValidityOutcome(
-                    valid=False,
-                    witness=InvalidWitness(r, powers[k], img, coset),
-                    visited=tuple(powers),
-                    relator_checks=tuple(checks),
-                    reduction_pair=(i, j),
-                )
+        witness = _relator_witness(lp, rep, powers[k])
+        if witness is not None:
+            break
     return ValidityOutcome(
-        valid=True,
-        witness=None,
+        valid=witness is None,
+        witness=witness,
         visited=tuple(powers),
         relator_checks=tuple(checks),
         reduction_pair=(i, j),

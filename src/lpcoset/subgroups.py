@@ -20,8 +20,10 @@ the image of that coset.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .coset_enum import (
     CosetTable,
@@ -52,6 +54,7 @@ from .words import Word, _require_same_alphabet
 class FiniteIndexSubgroup:
     """A finite-index subgroup pinned down by its standardized coset table.
 
+    ``rep`` and ``generators`` are derived from the table on first read.
     ``generators`` are the Schreier generators of the stabilizer of coset 1,
     freely reduced; they generate the subgroup together with the relations
     of the owner.
@@ -59,8 +62,6 @@ class FiniteIndexSubgroup:
 
     owner: LPresentation
     table: CosetTable
-    rep: PermutationRep
-    generators: tuple[Word, ...]
 
     @classmethod
     def from_table(
@@ -70,16 +71,27 @@ class FiniteIndexSubgroup:
         cap: int = DEFAULT_REDUCTION_CAP,
         revalidate: bool = True,
     ) -> "FiniteIndexSubgroup":
+        """Standardize ``table`` and wrap it.  With ``revalidate`` (the
+        default) a table that does not define a subgroup of ``owner`` raises
+        :class:`InputError`; ``revalidate=False`` is only for tables this
+        library built, which are valid by construction."""
         table = standardize(table)
-        rep = to_perm_rep(table)
         if revalidate:
-            outcome = decide_validity(owner, rep, cap)
+            outcome = decide_validity(owner, to_perm_rep(table), cap)
             if not outcome.valid:
                 raise InputError(
                     "table does not define a subgroup of the presented group "
                     f"(relator {outcome.witness.relator} fails)"
                 )
-        return cls(owner, table, rep, schreier_generators(table))
+        return cls(owner, table)
+
+    @cached_property
+    def rep(self) -> PermutationRep:
+        return to_perm_rep(self.table)
+
+    @cached_property
+    def generators(self) -> tuple[Word, ...]:
+        return schreier_generators(self.table)
 
     @property
     def index(self) -> int:
@@ -112,8 +124,10 @@ def subgroup_equal(u: FiniteIndexSubgroup, v: FiniteIndexSubgroup) -> bool:
 
 
 def contains_subgroup(v: FiniteIndexSubgroup, u: FiniteIndexSubgroup) -> bool:
-    """Is u a subgroup of v?  Tested on u's generators."""
-    return all(v.contains(g) for g in u.generators)
+    """Is u a subgroup of v?  Exactly when a map of tables sends coset 1 of
+    u to coset 1 of v (see :func:`_quotient_map`)."""
+    _require_same_alphabet(v.owner.alphabet, u.owner.alphabet)
+    return _quotient_map(u.table, v.table) is not None
 
 
 def finite_index_subgroup(
@@ -125,13 +139,7 @@ def finite_index_subgroup(
     """Enumerate, validate, and wrap the subgroup generated by ``sub``."""
     if not isinstance(sub, SubgroupSpec):
         sub = SubgroupSpec(lp.alphabet, tuple(sub))
-    result = enumerate_cosets(lp, sub, config, trace)
-    return FiniteIndexSubgroup(
-        owner=lp,
-        table=result.table,
-        rep=result.rep,
-        generators=schreier_generators(result.table),
-    )
+    return FiniteIndexSubgroup(lp, enumerate_cosets(lp, sub, config, trace).table)
 
 
 def intersect(
@@ -163,7 +171,7 @@ def intersect(
         for g in range(ngens):
             rows[row[2 * g] - 1][2 * g + 1] = c
     table = CosetTable(u.owner.alphabet, tuple(tuple(r) for r in rows))
-    return FiniteIndexSubgroup.from_table(u.owner, table, cap)
+    return FiniteIndexSubgroup.from_table(u.owner, table, cap, revalidate=False)
 
 
 def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteIndexSubgroup:
@@ -181,7 +189,7 @@ def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteInde
             rows[i][2 * g] = row[g] + 1
             rows[row[g]][2 * g + 1] = i + 1
     table = CosetTable(u.owner.alphabet, tuple(tuple(r) for r in rows))
-    return FiniteIndexSubgroup.from_table(u.owner, table, cap)
+    return FiniteIndexSubgroup.from_table(u.owner, table, cap, revalidate=False)
 
 
 # --- low-index enumeration -------------------------------------------------
@@ -356,10 +364,12 @@ def _low_index_tables(
     return results, capped
 
 
-def _quotient_map(table: CosetTable, quotient: CosetTable) -> list[int]:
+def _quotient_map(table: CosetTable, quotient: CosetTable) -> list[int] | None:
     """Image of each coset of ``table`` (1-based, slot 0 unused) under the
     homomorphism of tables onto ``quotient`` that sends coset 1 to coset 1,
-    found by walking both tables in lockstep."""
+    found by walking both tables in lockstep; ``None`` when an edge
+    disagrees, i.e. when the subgroup of ``table`` is not inside that of
+    ``quotient``."""
     image = [0] * (table.size + 1)
     image[1] = 1
     order = [1]
@@ -370,6 +380,8 @@ def _quotient_map(table: CosetTable, quotient: CosetTable) -> list[int]:
             if not image[d]:
                 image[d] = qrow[col]
                 order.append(d)
+            elif image[d] != qrow[col]:
+                return None
     return image
 
 
@@ -419,25 +431,18 @@ class SubgroupList:
     entries: tuple[SubgroupEntry, ...]
     complete: bool = True
 
+    def _counts(self, keep: Callable[[SubgroupEntry], bool | None]) -> dict[int, int]:
+        """Number of entries per index for which ``keep`` is true."""
+        return dict(Counter(e.subgroup.index for e in self.entries if keep(e)))
+
     def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.entries:
-            out[e.subgroup.index] = out.get(e.subgroup.index, 0) + 1
-        return out
+        return self._counts(lambda e: True)
 
     def normal_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.entries:
-            if e.normal:
-                out[e.subgroup.index] = out.get(e.subgroup.index, 0) + 1
-        return out
+        return self._counts(lambda e: e.normal)
 
     def maximal_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.entries:
-            if e.maximal:
-                out[e.subgroup.index] = out.get(e.subgroup.index, 0) + 1
-        return out
+        return self._counts(lambda e: e.maximal)
 
 
 def low_index(
@@ -567,21 +572,17 @@ def format_csv(
 
 
 def report_json(slist: SubgroupList, include_entries: bool = False) -> dict:
-    counts = slist.counts()
+    def per_index(counts: dict[int, int]) -> dict[str, int]:
+        return {str(i): counts.get(i, 0) for i in range(1, slist.max_index + 1)}
+
     payload: dict = {
         "max_index": slist.max_index,
         "complete": slist.complete,
-        "counts": {str(i): counts.get(i, 0) for i in range(1, slist.max_index + 1)},
+        "counts": per_index(slist.counts()),
     }
     if any(e.normal is not None for e in slist.entries):
-        normal = slist.normal_counts()
-        maximal = slist.maximal_counts()
-        payload["normal_counts"] = {
-            str(i): normal.get(i, 0) for i in range(1, slist.max_index + 1)
-        }
-        payload["maximal_counts"] = {
-            str(i): maximal.get(i, 0) for i in range(1, slist.max_index + 1)
-        }
+        payload["normal_counts"] = per_index(slist.normal_counts())
+        payload["maximal_counts"] = per_index(slist.maximal_counts())
     if include_entries:
         payload["subgroups"] = [
             {

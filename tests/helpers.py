@@ -224,6 +224,12 @@ def plain_low_index_tables(fp, max_index: int) -> list[CosetTable]:
     return results
 
 
+def contains_by_generators(v, u) -> bool:
+    """Is u a subgroup of v?  Every Schreier generator of u must lie in v.
+    Reference for ``contains_subgroup``, which walks the tables instead."""
+    return all(v.contains(g) for g in u.generators)
+
+
 def is_normal_table(table: CosetTable) -> bool:
     """Normal exactly when re-rooting at every coset gives the same table."""
     return all(reroot(table, c).rows == table.rows for c in range(1, table.size + 1))

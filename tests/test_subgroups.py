@@ -1,19 +1,29 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lpcoset.subgroups
 from lpcoset import (
+    FiniteIndexSubgroup,
+    InputError,
     LowIndexIncomplete,
     SubgroupSpec,
     Word,
+    basilica,
     contains_subgroup,
     core,
+    decide_validity,
     finite_index_subgroup,
     fold_to_valid,
     format_csv,
     format_report,
+    grigorchuk,
     image_group,
     intersect,
     low_index,
@@ -24,12 +34,14 @@ from lpcoset import (
     report_json,
     standardize,
     subgroup_equal,
+    to_perm_rep,
 )
 from lpcoset.presentations import FinitePresentation
 from lpcoset.subgroups import _fold_by_class, _low_index_tables, _split_relators
 from lpcoset.words import Alphabet
 
 from helpers import (
+    contains_by_generators,
     fold_and_dedup,
     is_normal_table,
     plain_low_index,
@@ -97,6 +109,24 @@ class TestSubgroupEqual:
         for u, v in itertools.product(subs, repeat=2):
             both_ways = contains_subgroup(u, v) and contains_subgroup(v, u)
             assert both_ways == subgroup_equal(u, v)
+
+
+class TestContainsSubgroup:
+    @pytest.mark.parametrize("group, max_index", [("grig", 8), ("bas", 6)])
+    def test_agrees_with_generator_test_on_all_pairs(self, request, group, max_index):
+        slist = low_index(request.getfixturevalue(group), max_index)
+        subs = [e.subgroup for e in slist.entries]
+        verdicts = set()
+        for u, v in itertools.product(subs, repeat=2):
+            verdict = contains_subgroup(v, u)
+            assert verdict == contains_by_generators(v, u)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_alphabet_mismatch(self, bas_u, grig):
+        whole = finite_index_subgroup(grig, SubgroupSpec.whole_group(grig.alphabet))
+        with pytest.raises(InputError):
+            contains_subgroup(whole, bas_u)
 
 
 class TestIsNormal:
@@ -222,6 +252,101 @@ class TestCore:
 
     def test_regular_table_is_standardized(self, bas_core):
         assert standardize(bas_core.table).rows == bas_core.table.rows
+
+
+@functools.cache
+def _pool():
+    """Subgroups of index at most 4 of both groups."""
+    return tuple(
+        e.subgroup for lp in (grigorchuk(), basilica()) for e in low_index(lp, 4).entries
+    )
+
+
+def _assert_valid_and_standardized(sub: FiniteIndexSubgroup) -> None:
+    assert decide_validity(sub.owner, to_perm_rep(sub.table)).valid
+    assert standardize(sub.table).rows == sub.table.rows
+
+
+class TestConstructedTablesAreValid:
+    """``core`` and ``intersect`` skip revalidation: their tables are
+    valid because the coset action of a subgroup factors through the group,
+    and standardized by their breadth-first numbering."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_core(self, data):
+        _assert_valid_and_standardized(core(data.draw(st.sampled_from(_pool()))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_intersect(self, data):
+        u = data.draw(st.sampled_from(_pool()))
+        v = data.draw(st.sampled_from([w for w in _pool() if w.owner == u.owner]))
+        _assert_valid_and_standardized(intersect(u, v))
+
+    def test_no_validity_decision(self, bas_u, bas_core, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decide_validity called")
+
+        monkeypatch.setattr(lpcoset.subgroups, "decide_validity", refuse)
+        assert core(bas_u).index == 6
+        assert intersect(bas_u, bas_core).index == 6
+
+
+class TestFromTable:
+    def test_fields_are_owner_and_table(self):
+        fields = [f.name for f in dataclasses.fields(FiniteIndexSubgroup)]
+        assert fields == ["owner", "table"]
+
+    def test_invalid_table_is_an_input_error(self, bas):
+        # a level-0 candidate that folding would shrink: it satisfies the
+        # relators of the cover but is not a coset table of the group
+        tables, _ = _low_index_tables(bas.covering(0), 6)
+        invalid = next(
+            t for t in tables if not decide_validity(bas, to_perm_rep(t)).valid
+        )
+        with pytest.raises(InputError, match="does not define a subgroup"):
+            FiniteIndexSubgroup.from_table(bas, invalid)
+        trusted = FiniteIndexSubgroup.from_table(bas, invalid, revalidate=False)
+        assert trusted.table == invalid
+
+    def test_valid_outside_table_is_accepted(self, bas_u):
+        rerooted = standardize(bas_u.table, base=2)
+        sub = FiniteIndexSubgroup.from_table(bas_u.owner, rerooted)
+        assert sub.table == rerooted
+        assert not subgroup_equal(sub, bas_u)
+
+
+class TestDerivedOnRead:
+    """Schreier generators are built only when ``generators`` is read."""
+
+    @staticmethod
+    def _refuse(table):
+        raise AssertionError("Schreier generators built")
+
+    def test_finite_index_subgroup_and_low_index(self, bas, monkeypatch):
+        monkeypatch.setattr(lpcoset.subgroups, "schreier_generators", self._refuse)
+        sub = finite_index_subgroup(bas, parse_subgroup(bas.alphabet, "a^3, b, a*b*a"))
+        slist = low_index(bas, 4)
+        assert sub.index == 3 and slist.counts() == {1: 1, 2: 3, 3: 7, 4: 19}
+        with pytest.raises(AssertionError, match="Schreier"):
+            sub.generators
+        with pytest.raises(AssertionError, match="Schreier"):
+            slist.entries[-1].subgroup.generators
+
+    def test_maximality(self, bas, monkeypatch):
+        expected = mark_normal_and_maximal(low_index(bas, 5))
+        monkeypatch.setattr(lpcoset.subgroups, "schreier_generators", self._refuse)
+        # normality still tests conjugated generators; stub it to isolate maximality
+        monkeypatch.setattr(FiniteIndexSubgroup, "is_normal", lambda self: None)
+        marked = mark_normal_and_maximal(low_index(bas, 5))
+        assert [e.maximal for e in marked.entries] == [
+            e.maximal for e in expected.entries
+        ]
+
+    def test_generators_are_cached(self, bas_u):
+        assert bas_u.generators is bas_u.generators
+        assert bas_u.rep is bas_u.rep
 
 
 class TestLowIndexSearch:
