@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--escalation-factor", type=int, default=defaults.escalation_factor)
     common.add_argument("--hard-ceiling", type=int, default=None)
     common.add_argument("--reduction-cap", type=int, default=defaults.reduction_cap)
-    common.add_argument("--strategy", choices=("felsch", "hlt"), default=defaults.strategy)
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
     common.add_argument("-v", "--verbose", action="count", default=0)
 
@@ -131,7 +130,6 @@ def _run_config(args) -> RunConfig:
         escalation_factor=args.escalation_factor,
         hard_ceiling=ceiling,
         reduction_cap=args.reduction_cap,
-        strategy=args.strategy,
     )
     return RunConfig(
         enumeration=enumeration,

@@ -1,18 +1,16 @@
 """Todd-Coxeter coset enumeration over a finite presentation.
 
 Two table forms: a mutable engine used while enumerating (rows indexed by
-coset id with a union-find over ids, a deduction stack, and a coincidence
-queue) and an immutable snapshot (:class:`CosetTable`) used by everything
-else.  Signed letters map to column indices so that a column's inverse is
-``col ^ 1``.  Coset ids are dense positive integers; ids freed by
-coincidences are never reused within a run, and snapshots are compressed
-back to 1..n preserving id order.
+coset id with a union-find over ids and a coincidence queue) and an
+immutable snapshot (:class:`CosetTable`) used by everything else.  Signed
+letters map to column indices so that a column's inverse is ``col ^ 1``.
+Coset ids are dense positive integers; ids freed by coincidences are never
+reused within a run, and snapshots are compressed back to 1..n preserving
+id order.
 
-Strategies: ``felsch`` (deduction driven, the default) processes every
-relator rotation through each new edge, which keeps tables small on
-relator-heavy covering presentations; ``hlt`` (relator driven) sweeps
-relators coset by coset, optionally running a coincidence-only lookahead
-pass when the coset limit is hit.
+The enumeration is relator driven (HLT, Havas, "Coset enumeration
+strategies", ISSAC 1991): it sweeps the relators coset by coset, defining
+cosets wherever a scan gets stuck, until a sweep changes nothing.
 """
 
 from __future__ import annotations
@@ -111,16 +109,12 @@ class _Overflow(Exception):
 class _Engine:
     """Mutable enumeration state; rows are 1-based with ``tab[0]`` unused."""
 
-    def __init__(self, ncols: int, max_cosets: int, max_steps: int | None = None):
+    def __init__(self, ncols: int, max_cosets: int):
         self.ncols = ncols
         self.tab: list[list[int] | None] = [None, [0] * ncols]
         self.p = [0, 1]
         self.ndead = 0
-        self.steps = 0
         self.max_cosets = max_cosets
-        self.max_steps = max_steps
-        self.deductions: list[tuple[int, int]] = []
-        self.track_deductions = True
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ncols: int) -> "_Engine":
@@ -146,16 +140,11 @@ class _Engine:
         """Adjoin a fresh coset as the image of ``a`` under ``col``."""
         if self.alive >= self.max_cosets:
             raise _Overflow
-        self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise _Overflow
         b = len(self.tab)
         self.tab.append([0] * self.ncols)
         self.p.append(b)
         self.tab[a][col] = b
         self.tab[b][col ^ 1] = a
-        if self.track_deductions:
-            self.deductions.append((a, col))
         return b
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
@@ -171,9 +160,8 @@ class _Engine:
     def coincide(self, a: int, b: int) -> None:
         """Identify two cosets and propagate until the table is consistent.
 
-        Rows of dying cosets are migrated eagerly; every edge that is
-        re-established on a survivor is pushed as a deduction so relator
-        scans stay complete after the merge.
+        Rows of dying cosets are migrated eagerly onto their survivors; an
+        edge that lands on an already defined entry queues a further merge.
         """
         queue: list[int] = []
         self._merge(a, b, queue)
@@ -201,44 +189,11 @@ class _Engine:
                     else:
                         self.tab[mu][col] = nu
                         self.tab[nu][col ^ 1] = mu
-                if self.track_deductions:
-                    self.deductions.append((mu, col))
-
-    def scan(self, a: int, w: Sequence[int]) -> None:
-        """Trace the cycle ``w`` based at ``a``; deduce or coincide."""
-        tab = self.tab
-        f = a
-        i = 0
-        r = len(w)
-        while i < r:
-            t = tab[f][w[i]]
-            if t == 0:
-                break
-            f = t
-            i += 1
-        else:
-            if f != a:
-                self.coincide(f, a)
-            return
-        b = a
-        j = r
-        while j > i:
-            t = tab[b][w[j - 1] ^ 1]
-            if t == 0:
-                break
-            b = t
-            j -= 1
-        if j == i:
-            if f != b:
-                self.coincide(f, b)
-        elif j == i + 1:
-            tab[f][w[i]] = b
-            tab[b][w[i] ^ 1] = f
-            if self.track_deductions:
-                self.deductions.append((f, w[i]))
 
     def scan_fill(self, a: int, w: Sequence[int]) -> None:
-        """Scan, defining new cosets until the cycle closes."""
+        """Trace the cycle ``w`` based at ``a``, defining new cosets until
+        it closes; a closing gap of one letter is filled in, and two ends
+        that meet at different cosets coincide."""
         tab = self.tab
         f = a
         i = 0
@@ -269,35 +224,13 @@ class _Engine:
             if j == i + 1:
                 tab[f][w[i]] = b
                 tab[b][w[i] ^ 1] = f
-                if self.track_deductions:
-                    self.deductions.append((f, w[i]))
                 return
             f = self.define(f, w[i])
             i += 1
 
-    def process_deductions(self, rot_by_col: list[list[tuple[int, ...]]]) -> None:
-        while self.deductions:
-            a, col = self.deductions.pop()
-            if self.p[a] == a:
-                for w in rot_by_col[col]:
-                    self.scan(a, w)
-                    if self.p[a] != a:
-                        break
-            if self.p[a] != a:
-                continue
-            b = self.tab[a][col]
-            if b and self.p[b] == b:
-                for w in rot_by_col[col ^ 1]:
-                    self.scan(b, w)
-                    if self.p[b] != b:
-                        break
-
-    def live_cosets(self) -> list[int]:
-        return [c for c in range(1, len(self.tab)) if self.p[c] == c]
-
     def snapshot(self, alphabet: Alphabet) -> CosetTable:
         """Compress live cosets to 1..n in id order."""
-        live = self.live_cosets()
+        live = [c for c in range(1, len(self.tab)) if self.p[c] == c]
         newid = {c: i + 1 for i, c in enumerate(live)}
         rows = []
         for c in live:
@@ -338,13 +271,17 @@ def todd_coxeter(
     sub: SubgroupSpec,
     *,
     max_cosets: int = DEFAULT_MAX_COSETS,
-    max_steps: int | None = None,
-    strategy: str = "felsch",
-    hlt_lookahead: bool = False,
 ) -> CosetTable | None:
     """Enumerate the cosets of ``sub`` modulo the relators of ``fp``.
 
-    Returns the closed table, or ``None`` when a limit was hit (a normal
+    Each sweep scans the subgroup generators from coset 1, then every
+    relator from every live coset in id order, defining the missing
+    entries of a coset's row once its relators are scanned.  Sweeps repeat
+    until one changes nothing.  Only :meth:`_Engine.define` reads
+    ``max_cosets``, and the run is otherwise deterministic, so a run that
+    overflows is a prefix of the same run with a larger limit.
+
+    Returns the closed table, or ``None`` when the limit was hit (a normal
     outcome that callers treat as a signal to escalate).  The closed table
     is verified before being returned: every relator closes from every
     coset and every subgroup generator closes from coset 1.
@@ -352,82 +289,35 @@ def todd_coxeter(
     _require_same_alphabet(fp.alphabet, sub.alphabet)
     if max_cosets < 1:
         raise InputError("max_cosets must be positive")
-    if max_steps is not None and max_steps < 1:
-        raise InputError("max_steps must be positive")
-    if strategy not in ("felsch", "hlt"):
-        raise InputError(f"unknown strategy {strategy!r}")
-    ncols = 2 * len(fp.alphabet)
     relators = _prepared_relators(fp)
     subgens = [w for w in (_col_word(g) for g in sub.generators) if w]
-    eng = _Engine(ncols, max_cosets, max_steps)
+    eng = _Engine(2 * len(fp.alphabet), max_cosets)
     try:
-        if strategy == "felsch":
-            _run_felsch(eng, relators, subgens)
-        else:
-            _run_hlt(eng, relators, subgens, hlt_lookahead)
+        while True:
+            before = (len(eng.tab), eng.ndead)
+            for w in subgens:
+                eng.scan_fill(1, w)
+            a = 1
+            while a < len(eng.tab):
+                if eng.p[a] == a:
+                    for w in relators:
+                        eng.scan_fill(a, w)
+                        if eng.p[a] != a:
+                            break
+                    if eng.p[a] == a:
+                        for col in range(eng.ncols):
+                            if eng.tab[a][col] == 0:
+                                eng.define(a, col)
+                a += 1
+            # Coincidences can graft unscanned edges onto already-swept
+            # rows; sweep again until a pass changes nothing.
+            if (len(eng.tab), eng.ndead) == before:
+                break
     except _Overflow:
         return None
     table = eng.snapshot(fp.alphabet)
     _verify_closed(table, fp, sub)
     return table
-
-
-def _run_felsch(eng: _Engine, relators, subgens) -> None:
-    rot_by_col = _rotation_index(eng.ncols, relators)
-    for w in subgens:
-        eng.scan_fill(1, w)
-        eng.process_deductions(rot_by_col)
-    a = 1
-    while a < len(eng.tab):
-        if eng.p[a] == a:
-            for col in range(eng.ncols):
-                if eng.p[a] != a:
-                    break
-                if eng.tab[a][col] == 0:
-                    eng.define(a, col)
-                    eng.process_deductions(rot_by_col)
-        a += 1
-
-
-def _run_hlt(eng: _Engine, relators, subgens, lookahead: bool) -> None:
-    eng.track_deductions = False
-
-    def sweep() -> None:
-        for w in subgens:
-            eng.scan_fill(1, w)
-        a = 1
-        while a < len(eng.tab):
-            if eng.p[a] == a:
-                for w in relators:
-                    eng.scan_fill(a, w)
-                    if eng.p[a] != a:
-                        break
-                if eng.p[a] == a:
-                    for col in range(eng.ncols):
-                        if eng.tab[a][col] == 0:
-                            eng.define(a, col)
-            a += 1
-
-    while True:
-        before = (len(eng.tab), eng.ndead)
-        try:
-            sweep()
-        except _Overflow:
-            if not lookahead:
-                raise
-            dead_before = eng.ndead
-            for a in eng.live_cosets():
-                for w in relators:
-                    if eng.p[a] != a:
-                        break
-                    eng.scan(a, w)
-            if eng.ndead == dead_before:
-                raise
-            continue
-        # Coincidences can graft unscanned edges onto already-processed
-        # rows; sweep again until a pass changes nothing.
-        if (len(eng.tab), eng.ndead) == before:
-            return
 
 
 def _verify_closed(table: CosetTable, fp: FinitePresentation, sub: SubgroupSpec) -> None:
@@ -452,7 +342,6 @@ def merge_coincidences(
 ) -> CosetTable:
     ncols = 2 * len(table.alphabet)
     eng = _Engine.from_rows(table.rows, ncols)
-    eng.track_deductions = False
     for c, d in pairs:
         if not (1 <= c <= table.size and 1 <= d <= table.size):
             raise InputError(f"coset pair ({c}, {d}) out of range")

@@ -348,8 +348,6 @@ class EnumerationConfig:
     escalation_factor: int = 16
     hard_ceiling: int = DEFAULT_MAX_COSETS
     reduction_cap: int = DEFAULT_REDUCTION_CAP
-    strategy: str = "felsch"
-    hlt_lookahead: bool = False
 
     def __post_init__(self):
         for name in ("initial_max_cosets", "hard_ceiling", "reduction_cap"):
@@ -359,8 +357,6 @@ class EnumerationConfig:
             raise InputError("initial_level must be >= 0")
         if self.escalation_factor < 2:
             raise InputError("escalation_factor must be >= 2")
-        if self.strategy not in ("felsch", "hlt"):
-            raise InputError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -407,9 +403,9 @@ def enumerate_cosets(
     gives the subgroup infinite index overflows whatever its limit, so the
     schedule keeps those overflows cheap:
 
-    - Overflow cost is monotone in the limit.  In the default (Felsch)
-      strategy ``_Engine.define`` is the only reader of ``max_cosets``, so
-      an overflowing run is a prefix of the same run with a larger limit.
+    - Overflow cost is monotone in the limit.  ``_Engine.define`` is the
+      only reader of ``max_cosets`` in :func:`todd_coxeter`, so an
+      overflowing run is a prefix of the same run with a larger limit.
     - Each limit is 16 times the one before until the ceiling clamps it,
       and covering relators only grow with the level (total relator
       length: Grigorchuk 43, 107, 235 at levels 0-2; B(4,2) 3, 35, 371),
@@ -434,13 +430,7 @@ def enumerate_cosets(
         if escalations:
             _emit(trace, "escalate", level=level, max_cosets=limit)
         fp = lp.covering(level)
-        table = todd_coxeter(
-            fp,
-            sub,
-            max_cosets=limit,
-            strategy=config.strategy,
-            hlt_lookahead=config.hlt_lookahead,
-        )
+        table = todd_coxeter(fp, sub, max_cosets=limit)
         if table is None:
             _emit(trace, "tc-overflow", level=level, max_cosets=limit)
             continue

@@ -210,7 +210,7 @@ def _split_relators(
     are already defined along its path; a relator longer than twice the
     number of cosets passes some coset three times or more, so it rarely
     gets that far before the table is complete, while every rotation of it
-    is rescanned after each deduction.  On the level-2 Grigorchuk cover at
+    is rescanned after each new entry.  On the level-2 Grigorchuk cover at
     index 15 the descent then reaches 705 complete tables instead of 246,
     and the deferred relator of length 32 rejects the other 459 at the
     leaves, which measured cheaper than scanning it during the descent.
@@ -242,6 +242,8 @@ def _low_index_tables(
     """
     if max_index < 1:
         raise InputError("max_index must be >= 1")
+    if max_tables is not None and max_tables < 0:
+        raise InputError("max_tables must be >= 0")
     ngens = len(fp.alphabet)
     ncols = 2 * ngens
     scanned, deferred = _split_relators(fp, max_index)

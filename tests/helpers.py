@@ -21,8 +21,17 @@ from lpcoset import (
     standardize,
     word_image,
 )
-from lpcoset.coset_enum import _prepared_relators, _rotation_index, table_from_rep
-from lpcoset.words import Word
+from lpcoset.coset_enum import (
+    DEFAULT_MAX_COSETS,
+    _col_word,
+    _Engine,
+    _Overflow,
+    _prepared_relators,
+    _rotation_index,
+    _verify_closed,
+    table_from_rep,
+)
+from lpcoset.words import Word, _require_same_alphabet
 
 
 def sigma_power(lp, k: int) -> EndoWord:
@@ -244,9 +253,152 @@ def plain_low_index(lp, max_index: int, level: int) -> list[CosetTable]:
     )
 
 
+class _FelschEngine(_Engine):
+    """The enumeration engine with a deduction stack: every edge that
+    ``define``, ``coincide`` or ``scan_fill`` establishes is pushed, and
+    ``process_deductions`` scans every relator rotation through it."""
+
+    def __init__(self, ncols: int, max_cosets: int):
+        super().__init__(ncols, max_cosets)
+        self.deductions: list[tuple[int, int]] = []
+
+    def define(self, a, col):
+        b = super().define(a, col)
+        self.deductions.append((a, col))
+        return b
+
+    def coincide(self, a, b):
+        queue = []
+        self._merge(a, b, queue)
+        i = 0
+        while i < len(queue):
+            dead = queue[i]
+            i += 1
+            row = self.tab[dead]
+            for col in range(self.ncols):
+                f = row[col]
+                if f == 0:
+                    continue
+                row[col] = 0
+                if self.tab[f][col ^ 1] == dead:
+                    self.tab[f][col ^ 1] = 0
+                mu = self.find(dead)
+                nu = self.find(f)
+                t = self.tab[mu][col]
+                if t != 0:
+                    self._merge(nu, t, queue)
+                else:
+                    t = self.tab[nu][col ^ 1]
+                    if t != 0:
+                        self._merge(mu, t, queue)
+                    else:
+                        self.tab[mu][col] = nu
+                        self.tab[nu][col ^ 1] = mu
+                self.deductions.append((mu, col))
+
+    def scan(self, a, w):
+        """Trace the cycle ``w`` based at ``a``; deduce or coincide, never
+        define."""
+        tab = self.tab
+        f, i, r = a, 0, len(w)
+        while i < r and tab[f][w[i]]:
+            f = tab[f][w[i]]
+            i += 1
+        if i == r:
+            if f != a:
+                self.coincide(f, a)
+            return
+        b, j = a, r
+        while j > i and tab[b][w[j - 1] ^ 1]:
+            b = tab[b][w[j - 1] ^ 1]
+            j -= 1
+        if j == i:
+            if f != b:
+                self.coincide(f, b)
+        elif j == i + 1:
+            tab[f][w[i]] = b
+            tab[b][w[i] ^ 1] = f
+            self.deductions.append((f, w[i]))
+
+    def scan_fill(self, a, w):
+        tab = self.tab
+        f, i = a, 0
+        b, j = a, len(w)
+        while True:
+            while i < j and tab[f][w[i]]:
+                f = tab[f][w[i]]
+                i += 1
+            if i == j:
+                if f != b:
+                    self.coincide(f, b)
+                return
+            while j > i and tab[b][w[j - 1] ^ 1]:
+                b = tab[b][w[j - 1] ^ 1]
+                j -= 1
+            if j == i:
+                if f != b:
+                    self.coincide(f, b)
+                return
+            if j == i + 1:
+                tab[f][w[i]] = b
+                tab[b][w[i] ^ 1] = f
+                self.deductions.append((f, w[i]))
+                return
+            f = self.define(f, w[i])
+            i += 1
+
+    def process_deductions(self, rot_by_col):
+        while self.deductions:
+            a, col = self.deductions.pop()
+            if self.p[a] == a:
+                for w in rot_by_col[col]:
+                    self.scan(a, w)
+                    if self.p[a] != a:
+                        break
+            if self.p[a] != a:
+                continue
+            b = self.tab[a][col]
+            if b and self.p[b] == b:
+                for w in rot_by_col[col ^ 1]:
+                    self.scan(b, w)
+                    if self.p[b] != b:
+                        break
+
+
+def felsch_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
+    """Deduction-driven (Felsch) Todd-Coxeter: cosets are defined in row
+    order, and the consequences of each new edge are propagated through
+    every relator rotation before the next definition.  Reference for the
+    library's relator-driven ``todd_coxeter``; None on overflow."""
+    _require_same_alphabet(fp.alphabet, sub.alphabet)
+    eng = _FelschEngine(2 * len(fp.alphabet), max_cosets)
+    rot_by_col = _rotation_index(eng.ncols, _prepared_relators(fp))
+    try:
+        for g in sub.generators:
+            w = _col_word(g)
+            if w:
+                eng.scan_fill(1, w)
+                eng.process_deductions(rot_by_col)
+        a = 1
+        while a < len(eng.tab):
+            if eng.p[a] == a:
+                for col in range(eng.ncols):
+                    if eng.p[a] != a:
+                        break
+                    if eng.tab[a][col] == 0:
+                        eng.define(a, col)
+                        eng.process_deductions(rot_by_col)
+            a += 1
+    except _Overflow:
+        return None
+    table = eng.snapshot(fp.alphabet)
+    _verify_closed(table, fp, sub)
+    return table
+
+
 def enumeration_fixtures():
-    """Ten (presentation name, finite presentation, subgroup) triples used
-    for the strategy-independence checks."""
+    """Ten (presentation name, finite presentation, subgroup) triples on
+    which ``todd_coxeter`` is checked against ``felsch_todd_coxeter``."""
     from lpcoset import basilica, grigorchuk, parse_words
     from lpcoset.presentations import FinitePresentation, parse_word
     from lpcoset.words import Alphabet

@@ -39,6 +39,7 @@ from lpcoset.words import free_reduce
 from helpers import (
     brute_force_reduce,
     enumeration_fixtures,
+    felsch_todd_coxeter,
     fold_and_dedup,
     random_raw_letters,
     random_word,
@@ -233,8 +234,8 @@ class TestCriterion7PropertySuites:
         fixtures = enumeration_fixtures()
         assert len(fixtures) == 10
         for name, fp, sub in fixtures:
-            felsch = todd_coxeter(fp, sub, strategy="felsch")
-            hlt = todd_coxeter(fp, sub, strategy="hlt")
+            felsch = felsch_todd_coxeter(fp, sub)
+            hlt = todd_coxeter(fp, sub)
             assert standardize(felsch).rows == standardize(hlt).rows, name
         report(7, True, "identical standardized tables on 10 fixtures")
 

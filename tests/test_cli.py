@@ -169,6 +169,20 @@ class TestLowIndexCommand:
         kinds = {line.split()[0] for line in err.splitlines()}
         assert {"validity", "fold", "low-index-classes"} <= kinds
 
+    def test_zero_candidate_cap_stops_at_once(self):
+        code, _, err = run_cli(
+            "low-index", "builtin:basilica", "--max-index", "3", "--max-tables", "0"
+        )
+        assert code == EXIT_RESOURCE
+        assert "stopped after 0 candidate tables" in err
+
+    def test_negative_candidate_cap_is_input_error(self):
+        code, _, err = run_cli(
+            "low-index", "builtin:basilica", "--max-index", "3", "--max-tables", "-1"
+        )
+        assert code == EXIT_INPUT
+        assert "max_tables must be >= 0" in err
+
 
 class TestValidateCommand:
     def test_valid_dump(self, tmp_path):
@@ -271,6 +285,15 @@ class TestErrorPaths:
         assert code == EXIT_RESOURCE
         assert "tc-overflow level=0 max_cosets=100" in err
         assert "no closed table within 100 cosets at level 0" in err
+
+    def test_gives_up_at_a_real_ceiling(self):
+        # <b,c,d> has infinite index in the Grigorchuk group: the attempts at
+        # 2^8 and 2^12 cosets overflow, and level 2 overflows the ceiling
+        code, _, err = run_cli(
+            "index", "builtin:grigorchuk", "--subgroup", "b,c,d", "--hard-ceiling", "65536"
+        )
+        assert code == EXIT_RESOURCE
+        assert "no closed table within 65536 cosets at level 2" in err
 
     def test_env_var_ceiling(self, monkeypatch):
         code, _, _ = run_cli(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcoset import (
     Alphabet,
@@ -28,9 +31,15 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset.coset_enum import coset_representatives, table_from_rep
+from lpcoset.coset_enum import _Engine, coset_representatives, table_from_rep
 
-from helpers import congruence_quotient_size, enumeration_fixtures, random_word, reroot
+from helpers import (
+    congruence_quotient_size,
+    enumeration_fixtures,
+    felsch_todd_coxeter,
+    random_word,
+    reroot,
+)
 
 
 def cyclic_table(n: int) -> CosetTable:
@@ -66,11 +75,6 @@ class TestToddCoxeter:
         fp = FinitePresentation(bas.alphabet, ())
         assert todd_coxeter(fp, SubgroupSpec(bas.alphabet, ()), max_cosets=50) is None
 
-    def test_max_steps_limit(self):
-        abc = Alphabet(("a",))
-        fp = FinitePresentation(abc, (parse_word(abc, "a^100"),))
-        assert todd_coxeter(fp, SubgroupSpec(abc, ()), max_steps=10) is None
-
     def test_empty_alphabet(self):
         abc = Alphabet(())
         table = todd_coxeter(FinitePresentation(abc, ()), SubgroupSpec(abc, ()))
@@ -95,24 +99,10 @@ class TestToddCoxeter:
 
     @pytest.mark.parametrize("name,fp,sub", enumeration_fixtures())
     def test_strategy_independence(self, name, fp, sub):
-        felsch = todd_coxeter(fp, sub, strategy="felsch")
-        hlt = todd_coxeter(fp, sub, strategy="hlt")
+        felsch = felsch_todd_coxeter(fp, sub)
+        hlt = todd_coxeter(fp, sub)
         assert felsch is not None and hlt is not None, name
         assert standardize(felsch).rows == standardize(hlt).rows, name
-
-    def test_hlt_lookahead_recovers_space(self):
-        # a collapsing order-8 group: plain relator sweeps peak at 15 cosets,
-        # a coincidence-only lookahead pass gets through with 10
-        abc = Alphabet(("x", "y"))
-        fp = FinitePresentation(abc, tuple(parse_words(abc, "x^2*y^2 y^-1*x*y*x^-3")))
-        sub = SubgroupSpec(abc, ())
-        reference = todd_coxeter(fp, sub)
-        assert reference is not None and reference.size == 8
-        plain = todd_coxeter(fp, sub, strategy="hlt", max_cosets=12)
-        ahead = todd_coxeter(fp, sub, strategy="hlt", max_cosets=12, hlt_lookahead=True)
-        assert plain is None
-        assert ahead is not None
-        assert standardize(ahead).rows == standardize(reference).rows
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_index_divisibility_across_levels(self, bas, grig, level):
@@ -131,8 +121,8 @@ class TestToddCoxeter:
             assert small.size % big.size == 0
 
     def test_strategy_agreement_on_random_presentations(self):
-        # seeded fuzz: both strategies must close on the same table (or both
-        # hit the limit) for arbitrary small presentations
+        # seeded fuzz: whenever both the library and the Felsch reference
+        # close, they close on the same table
         rng = random.Random(97)
         abc = Alphabet(("x", "y"))
         closed = 0
@@ -144,13 +134,47 @@ class TestToddCoxeter:
             sub = SubgroupSpec(
                 abc, tuple(random_word(rng, abc, 4) for _ in range(rng.randrange(3)))
             )
-            felsch = todd_coxeter(fp, sub, max_cosets=300, strategy="felsch")
-            hlt = todd_coxeter(fp, sub, max_cosets=300, strategy="hlt")
+            felsch = felsch_todd_coxeter(fp, sub, max_cosets=300)
+            hlt = todd_coxeter(fp, sub, max_cosets=300)
             if felsch is None or hlt is None:
                 continue
             closed += 1
             assert standardize(felsch).rows == standardize(hlt).rows
         assert closed >= 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=7), max_size=3),
+        st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4), max_size=2),
+        st.integers(1, 40),
+        st.integers(1, 200),
+    )
+    def test_overflowing_run_is_a_prefix_of_a_larger_run(self, rels, gens, limit, extra):
+        # the escalation schedule's cost bound: define is the only reader of
+        # max_cosets, so a run that overflows at one limit made the same
+        # definitions, in the same order, as the run at any larger limit
+        abc = Alphabet(("x", "y"))
+        fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in rels))
+        sub = SubgroupSpec(abc, tuple(Word.reduce(abc, g) for g in gens))
+
+        def defines(max_cosets):
+            calls = []
+            define = _Engine.define
+
+            def recording(eng, a, col):
+                calls.append((a, col))
+                return define(eng, a, col)
+
+            with mock.patch.object(_Engine, "define", recording):
+                table = todd_coxeter(fp, sub, max_cosets=max_cosets)
+            return table, calls
+
+        small, small_calls = defines(limit)
+        _, big_calls = defines(limit + extra)
+        if small is None:
+            assert big_calls[: len(small_calls)] == small_calls
+        else:
+            assert big_calls == small_calls
 
     def test_divisibility_is_strict_somewhere(self):
         # burnside(1,2): the level-0 cover sees <a^3> with index 3, level 1

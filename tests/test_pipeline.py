@@ -304,18 +304,11 @@ class TestEnumerate:
         r2 = enumerate_cosets(bas, sub)
         assert r1.table.rows == r2.table.rows
 
-    def test_hlt_strategy_same_answer(self, bas):
-        sub = parse_subgroup(bas.alphabet, "a^3, b, a*b*a")
-        res = enumerate_cosets(bas, sub, EnumerationConfig(strategy="hlt"))
-        assert res.index == 3
-
     def test_config_validation(self):
         with pytest.raises(InputError):
             EnumerationConfig(escalation_factor=1)
         with pytest.raises(InputError):
             EnumerationConfig(initial_level=-1)
-        with pytest.raises(InputError):
-            EnumerationConfig(strategy="magic")
 
 
 FORMER_SCHEDULE = EnumerationConfig(initial_max_cosets=2**14, escalation_factor=4)

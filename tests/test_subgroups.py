@@ -527,6 +527,10 @@ class TestLowIndex:
         assert not partial.complete
         assert 0 < len(partial.entries) <= 3
 
+    def test_negative_candidate_cap_is_input_error(self, bas):
+        with pytest.raises(InputError, match="max_tables"):
+            low_index(bas, 3, max_tables=-1)
+
 
 class TestMarkNormalAndMaximal:
     def test_grigorchuk_up_to_four(self, grig_low4):
