@@ -107,7 +107,8 @@ class _Overflow(Exception):
 
 
 class _Engine:
-    """Mutable enumeration state; rows are 1-based with ``tab[0]`` unused."""
+    """Mutable enumeration state; rows are 1-based with ``tab[0]`` unused,
+    and the row of a dead coset is ``None``."""
 
     def __init__(self, ncols: int, max_cosets: int):
         self.ncols = ncols
@@ -160,8 +161,9 @@ class _Engine:
     def coincide(self, a: int, b: int) -> None:
         """Identify two cosets and propagate until the table is consistent.
 
-        Rows of dying cosets are migrated eagerly onto their survivors; an
-        edge that lands on an already defined entry queues a further merge.
+        Rows of dying cosets are migrated eagerly onto their survivors and
+        then freed; an edge that lands on an already defined entry queues a
+        further merge.
         """
         queue: list[int] = []
         self._merge(a, b, queue)
@@ -189,6 +191,7 @@ class _Engine:
                     else:
                         self.tab[mu][col] = nu
                         self.tab[nu][col ^ 1] = mu
+            self.tab[dead] = None
 
     def scan_fill(self, a: int, w: Sequence[int]) -> None:
         """Trace the cycle ``w`` based at ``a``, defining new cosets until

@@ -31,6 +31,7 @@ from lpcoset.coset_enum import (
     _verify_closed,
     table_from_rep,
 )
+from lpcoset.subgroups import _low_index_tables, _split_relators
 from lpcoset.words import Word, _require_same_alphabet
 
 
@@ -149,6 +150,19 @@ def reroot(table: CosetTable, root: int) -> CosetTable:
     for c in range(1, table.size + 1):
         rows.append(tuple(swap.get(d, d) for d in table.rows[swap.get(c, c) - 1]))
     return standardize(CosetTable(table.alphabet, tuple(rows)))
+
+
+def conjugates(table: CosetTable) -> set:
+    """Rows of the distinct re-rootings of a closed standardized table: the
+    tables of the conjugates of its subgroup."""
+    return {reroot(table, c).rows for c in range(1, table.size + 1)}
+
+
+def low_index_classes(fp, max_index: int, max_tables: int | None = None):
+    """The library's descent over ``fp`` with the relators split as
+    ``low_index`` splits them: ([(representative, class size)], capped)."""
+    scanned, deferred = _split_relators(fp, max_index)
+    return _low_index_tables(fp.alphabet, max_index, scanned, deferred, max_tables)
 
 
 def fold_and_dedup(lp, tables, cap: int = 10**5):

@@ -104,6 +104,24 @@ class TestToddCoxeter:
         assert felsch is not None and hlt is not None, name
         assert standardize(felsch).rows == standardize(hlt).rows, name
 
+    def test_dead_rows_are_freed(self, bas_u_result):
+        # every engine that todd_coxeter or merge_coincidence builds holds a
+        # row for its live cosets only, once its coincidences are processed
+        engines = []
+
+        class Recording(_Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        with mock.patch("lpcoset.coset_enum._Engine", Recording):
+            for _, fp, sub in enumeration_fixtures():
+                todd_coxeter(fp, sub)
+            merge_coincidence(bas_u_result.table, 1, 2)
+        assert sum(eng.ndead for eng in engines) > 0
+        for eng in engines:
+            assert sum(row is not None for row in eng.tab) == eng.alive
+
     @pytest.mark.parametrize("level", [0, 1])
     def test_index_divisibility_across_levels(self, bas, grig, level):
         from lpcoset import burnside

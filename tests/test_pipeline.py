@@ -39,9 +39,9 @@ from lpcoset import (
 )
 from lpcoset.coset_enum import DEFAULT_MAX_COSETS, coset_representatives, table_from_rep
 from lpcoset.pipeline import _attempts
-from lpcoset.subgroups import _low_index_tables, _quotient_map
+from lpcoset.subgroups import _quotient_map
 
-from helpers import reroot, sigma_power
+from helpers import plain_low_index_tables, reroot, sigma_power
 
 
 @pytest.fixture(scope="module")
@@ -434,12 +434,13 @@ class TestFoldMonotonicity:
 
 @functools.cache
 def _candidate_tables():
-    """Complete candidate tables, valid and invalid, from the low-index
-    descent over the level-0 and level-1 covers of both groups."""
+    """Complete candidate tables, valid and invalid, conjugates included,
+    from the plain low-index descent over the level-0 and level-1 covers of
+    both groups."""
     out = []
     for lp in (grigorchuk(), basilica()):
         for level in (0, 1):
-            tables, _ = _low_index_tables(lp.covering(level), 6)
+            tables = plain_low_index_tables(lp.covering(level), 6)
             out.extend((lp, t) for t in tables)
     return tuple(out)
 

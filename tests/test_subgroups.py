@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import lpcoset.subgroups
 from lpcoset import (
+    CosetTable,
     FiniteIndexSubgroup,
     InputError,
     LowIndexIncomplete,
@@ -37,13 +38,15 @@ from lpcoset import (
     to_perm_rep,
 )
 from lpcoset.presentations import FinitePresentation
-from lpcoset.subgroups import _fold_by_class, _low_index_tables, _split_relators
+from lpcoset.subgroups import _fold_by_class, _split_relators
 from lpcoset.words import Alphabet
 
 from helpers import (
+    conjugates,
     contains_by_generators,
     fold_and_dedup,
     is_normal_table,
+    low_index_classes,
     plain_low_index,
     plain_low_index_tables,
     transitive_tables_by_exhaustion,
@@ -301,9 +304,9 @@ class TestFromTable:
     def test_invalid_table_is_an_input_error(self, bas):
         # a level-0 candidate that folding would shrink: it satisfies the
         # relators of the cover but is not a coset table of the group
-        tables, _ = _low_index_tables(bas.covering(0), 6)
+        classes, _ = low_index_classes(bas.covering(0), 6)
         invalid = next(
-            t for t in tables if not decide_validity(bas, to_perm_rep(t)).valid
+            t for t, _ in classes if not decide_validity(bas, to_perm_rep(t)).valid
         )
         with pytest.raises(InputError, match="does not define a subgroup"):
             FiniteIndexSubgroup.from_table(bas, invalid)
@@ -349,40 +352,107 @@ class TestDerivedOnRead:
         assert bas_u.rep is bas_u.rep
 
 
+def _classes_in_descent_order(tables):
+    """Partition complete standardized tables, given in descent order, into
+    conjugacy classes, each class at the position of its first member."""
+    classes = []
+    for t in tables:
+        if not any(t.rows in cls for cls in classes):
+            classes.append(conjugates(t))
+    return classes
+
+
+def _descent_key(rows):
+    """Descent order: the generator columns read row by row."""
+    return tuple(d for row in rows for d in row[0::2])
+
+
+@st.composite
+def _small_presentations(draw):
+    """Two generators, up to three short relators (generator powers mixed
+    in, so that small non-normal subgroups survive), ``max_index`` <= 5."""
+    abc = Alphabet(("a", "b"))
+    letters = st.sampled_from([1, -1, 2, -2])
+    powers = st.builds(lambda x, k: [x] * k, st.sampled_from([1, 2]), st.integers(2, 4))
+    relators = draw(
+        st.lists(
+            st.one_of(powers, st.lists(letters, min_size=2, max_size=8)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in relators))
+    return fp, draw(st.integers(1, 5))
+
+
 class TestLowIndexSearch:
     def test_candidates_are_standardized_and_closed(self, bas):
-        tables, capped = _low_index_tables(bas.covering(1), 4)
+        classes, capped = low_index_classes(bas.covering(1), 4)
         assert not capped
-        for t in tables:
+        for t, _ in classes:
             assert t.is_closed
             assert standardize(t).rows == t.rows
 
     def test_no_duplicate_candidates(self, bas):
-        tables, _ = _low_index_tables(bas.covering(1), 4)
-        keys = [t.rows for t in tables]
+        classes, _ = low_index_classes(bas.covering(1), 4)
+        keys = [t.rows for t, _ in classes]
         assert len(keys) == len(set(keys))
 
+    @settings(max_examples=100, deadline=None)
+    @given(_small_presentations())
+    def test_representatives_against_plain_descent(self, case):
+        # reference: the plain descent keeps every complete table, so its
+        # leaves are every member of every class, in descent order
+        fp, max_index = case
+        plain = plain_low_index_tables(fp, max_index)
+        classes, capped = low_index_classes(fp, max_index)
+        assert not capped
+        expanded = [conjugates(t) for t, _ in classes]
+        assert set().union(*expanded) == {t.rows for t in plain}
+        for (t, size), members in zip(classes, expanded):
+            assert size == len(members)
+            assert _descent_key(t.rows) == min(map(_descent_key, members))
+        keys = [_descent_key(t.rows) for t, _ in classes]
+        assert keys == sorted(set(keys))
+        assert sum(size for _, size in classes) == len(plain)
+
     def test_max_tables_counts_only_tables_satisfying_every_relator(self):
-        # in the infinite dihedral group the index-3 actions with ab of order
-        # 3 satisfy the scanned involution relators but not the deferred
-        # (ab)^4, and come before accepted tables in descent order
+        # in the infinite dihedral group the actions of degree at most 5 in
+        # which ab has order 4 or 5 satisfy the scanned involution relators
+        # but not the deferred (ab)^6, and come before accepted tables in
+        # descent order; the three Klein four-subgroups of the dihedral
+        # group of order 12 form a class of three tables
         abc = Alphabet(("a", "b"))
-        fp = FinitePresentation(abc, tuple(parse_words(abc, "a^2 b^2 (a*b)^4")))
-        assert _split_relators(fp, 3)[1]
-        full = [t.rows for t in plain_low_index_tables(fp, 3)]
+        fp = FinitePresentation(abc, tuple(parse_words(abc, "a^2 b^2 (a*b)^6")))
+        assert _split_relators(fp, 5)[1]
+        full = plain_low_index_tables(fp, 5)
         dihedral = FinitePresentation(abc, tuple(parse_words(abc, "a^2 b^2")))
-        unfiltered = [t.rows for t in plain_low_index_tables(dihedral, 3)]
-        first_rejected = next(i for i, rows in enumerate(unfiltered) if rows not in full)
+        unfiltered = [t.rows for t in plain_low_index_tables(dihedral, 5)]
+        full_rows = [t.rows for t in full]
+        first_rejected = next(
+            i for i, rows in enumerate(unfiltered) if rows not in full_rows
+        )
         assert first_rejected < len(full)
+        whole = _classes_in_descent_order(full)
+        assert any(len(cls) > 1 for cls in whole)
         for k in range(len(full) + 1):
-            tables, capped = _low_index_tables(fp, 3, max_tables=k)
-            assert [t.rows for t in tables] == full[:k]
+            prefix = []
+            for cls in whole:
+                if sum(map(len, prefix)) + len(cls) > k:
+                    break
+                prefix.append(cls)
+            classes, capped = low_index_classes(fp, 5, max_tables=k)
+            assert [conjugates(t) for t, _ in classes] == prefix
+            assert [size for _, size in classes] == [len(cls) for cls in prefix]
             assert capped == (k < len(full))
 
     def test_level_zero_needs_folding(self, bas):
         # at level 0 some degree-6 candidates are quotients in disguise:
         # folding plus deduplication strictly shrinks the list
-        tables, _ = _low_index_tables(bas.covering(0), 6)
+        classes, _ = low_index_classes(bas.covering(0), 6)
+        tables = [
+            CosetTable(bas.alphabet, rows) for t, _ in classes for rows in conjugates(t)
+        ]
         folded = fold_and_dedup(bas, tables)
         assert len(folded) < len(tables)
 
@@ -457,10 +527,12 @@ class TestLowIndex:
     @pytest.mark.parametrize("group,level", [("s3", 0), ("basilica", 0), ("grigorchuk", 1)])
     def test_class_folds_equal_folding_each_candidate(self, grig, bas, group, level):
         lp = {"s3": _s3_as_l_presentation(), "basilica": bas, "grigorchuk": grig}[group]
-        tables, _ = _low_index_tables(lp.covering(level), 6)
-        folds, classes = _fold_by_class(lp, tables, 10**5, None)
-        assert [f.rows for f in folds] == [fold_to_valid(lp, t)[0].rows for t in tables]
-        assert classes < len(tables)
+        fp = lp.covering(level)
+        classes, _ = low_index_classes(fp, 6)
+        folds = _fold_by_class(lp, [t for t, _ in classes], 10**5, None)
+        plain = plain_low_index_tables(fp, 6)
+        assert {f.rows for f in folds} == {fold_to_valid(lp, t)[0].rows for t in plain}
+        assert len(classes) < len(plain)
 
     def test_grigorchuk_level_two_defers_long_relators(self, grig):
         events = []
