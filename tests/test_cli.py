@@ -155,6 +155,17 @@ class TestLowIndexCommand:
             assert code == EXIT_OK
             assert "verdict: valid" in out2
 
+    def test_json_normal_and_maximal_counts_with_list(self):
+        code, out, _ = run_cli(
+            "low-index", "builtin:basilica", "--max-index", "3", "--format", "json",
+            "--normal", "--maximal", "--list",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["normal_counts"] == {"1": 1, "2": 3, "3": 4}
+        assert payload["maximal_counts"] == {"1": 0, "2": 3, "3": 7}
+        assert sum(e["normal"] for e in payload["subgroups"]) == 8
+
     def test_deterministic_output(self):
         first = run_cli("low-index", "builtin:basilica", "--max-index", "4", "--normal")
         second = run_cli("low-index", "builtin:basilica", "--max-index", "4", "--normal")

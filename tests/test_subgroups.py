@@ -5,7 +5,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lpcoset.subgroups
@@ -13,6 +13,7 @@ from lpcoset import (
     CosetTable,
     FiniteIndexSubgroup,
     InputError,
+    LPresentation,
     LowIndexIncomplete,
     SubgroupSpec,
     Word,
@@ -38,7 +39,7 @@ from lpcoset import (
     to_perm_rep,
 )
 from lpcoset.presentations import FinitePresentation
-from lpcoset.subgroups import _fold_by_class, _split_relators
+from lpcoset.subgroups import _fold_by_class, _is_normal_table, _split_relators
 from lpcoset.words import Alphabet
 
 from helpers import (
@@ -51,6 +52,8 @@ from helpers import (
     plain_low_index_tables,
     transitive_tables_by_exhaustion,
 )
+
+_FREE2 = LPresentation.from_finite(FinitePresentation(Alphabet(("a", "b")), ()))
 
 PUBLISHED_CORE_GENERATORS = (
     "b^2, a^3, a^2*b*a^-1*b^-1, a*b*a*b^-1, a*b^2*a^-1, b*a^2*b^-1*a^-1, b*a*b*a^-2"
@@ -152,6 +155,44 @@ class TestIsNormal:
             sub = e.subgroup
             regular = image_group(sub.rep, 10**4).order == sub.index
             assert sub.is_normal() == regular
+
+    @pytest.mark.parametrize(
+        "group,max_index,level",
+        [("grigorchuk", 8, 1), ("grigorchuk", 8, 2), ("basilica", 6, 1)],
+    )
+    def test_table_test_agrees_with_conjugation_and_reference(
+        self, grig, bas, group, max_index, level
+    ):
+        lp = grig if group == "grigorchuk" else bas
+        for e in low_index(lp, max_index, level=level).entries:
+            t = e.subgroup.table
+            assert _is_normal_table(t) == e.subgroup.is_normal() == is_normal_table(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_table_test_on_random_transitive_tables(self, data):
+        # tables of the free group on two generators: every transitive pair
+        # of permutations is one
+        n = data.draw(st.integers(1, 7))
+        a, b = (data.draw(st.permutations(range(1, n + 1))) for _ in range(2))
+        rows = [[0] * 4 for _ in range(n)]
+        for c in range(1, n + 1):
+            for col, p in ((0, a), (2, b)):
+                rows[c - 1][col] = p[c - 1]
+                rows[p[c - 1] - 1][col + 1] = c
+        raw = CosetTable(_FREE2.alphabet, tuple(tuple(r) for r in rows))
+        orbit = {1}
+        frontier = [1]
+        while frontier:
+            c = frontier.pop()
+            for d in raw.rows[c - 1]:
+                if d not in orbit:
+                    orbit.add(d)
+                    frontier.append(d)
+        assume(len(orbit) == n)
+        sub = FiniteIndexSubgroup.from_table(_FREE2, raw)
+        regular = image_group(sub.rep, 10**4).order == n
+        assert _is_normal_table(sub.table) == is_normal_table(sub.table) == regular
 
 
 class TestIntersect:
@@ -297,6 +338,19 @@ class TestConstructedTablesAreValid:
 
 
 class TestFromTable:
+    def test_library_tables_are_standardized(self, grig, bas, bas_u, bas_core):
+        # from_table(..., revalidate=False) wraps these tables as given
+        built = [e.subgroup for e in low_index(grig, 8, level=2).entries]
+        built += [e.subgroup for e in low_index(bas, 6).entries]
+        conjugates_of_u = [
+            FiniteIndexSubgroup.from_table(bas, standardize(bas_u.table, base=c))
+            for c in range(2, bas_u.index + 1)
+        ]
+        built += [core(bas_u), intersect(bas_u, bas_core)]
+        built += [intersect(bas_u, v) for v in conjugates_of_u]
+        for sub in built:
+            assert standardize(sub.table).rows == sub.table.rows
+
     def test_fields_are_owner_and_table(self):
         fields = [f.name for f in dataclasses.fields(FiniteIndexSubgroup)]
         assert fields == ["owner", "table"]
@@ -337,14 +391,12 @@ class TestDerivedOnRead:
         with pytest.raises(AssertionError, match="Schreier"):
             slist.entries[-1].subgroup.generators
 
-    def test_maximality(self, bas, monkeypatch):
+    def test_normal_and_maximal_flags(self, bas, monkeypatch):
         expected = mark_normal_and_maximal(low_index(bas, 5))
         monkeypatch.setattr(lpcoset.subgroups, "schreier_generators", self._refuse)
-        # normality still tests conjugated generators; stub it to isolate maximality
-        monkeypatch.setattr(FiniteIndexSubgroup, "is_normal", lambda self: None)
         marked = mark_normal_and_maximal(low_index(bas, 5))
-        assert [e.maximal for e in marked.entries] == [
-            e.maximal for e in expected.entries
+        assert [(e.normal, e.maximal) for e in marked.entries] == [
+            (e.normal, e.maximal) for e in expected.entries
         ]
 
     def test_generators_are_cached(self, bas_u):
