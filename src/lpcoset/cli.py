@@ -219,7 +219,7 @@ def _cmd_intersect(args, cfg: RunConfig, out, err) -> int:
     trace = _trace_printer(cfg, err)
     u = _subgroup(lp, args.subgroup, cfg, trace)
     v = _subgroup(lp, args.subgroup2, cfg, trace)
-    result = intersect(u, v, cfg.enumeration.reduction_cap)
+    result = intersect(u, v)
     _emit_payload(cfg, _subgroup_payload(result, cfg), out)
     return EXIT_OK
 

@@ -6,8 +6,10 @@ the index; it is the true index exactly when every image of every iterated
 relator under the endomorphism monoid dies in the representation.  The
 decision procedure walks the monoid breadth first, pruning every
 endomorphism word whose kernel already contains the kernel of a previously
-kept word.  Kernel containment is decided through Schreier generators of
-the image group, with a generator-image equality fast path that also
+kept word before it tests that word's relators; with a single endomorphism
+the walk stops at the first power that reduces to an earlier one, the
+reduction pair.  Kernel containment is decided through Schreier generators
+of the image group, with a generator-image equality fast path that also
 guarantees termination.  A failed check hands back a witness whose
 coincidences fold the table down without another enumeration.
 """
@@ -15,6 +17,7 @@ coincidences fold the table down without another enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .coset_enum import (
@@ -135,11 +138,16 @@ def is_valid_perm_rep(
 ) -> ValidityOutcome:
     """Decide whether the coset count of ``phi`` is the true index.
 
-    Breadth-first walk over the endomorphism monoid: dequeue a word, test
-    the iterated relators under it, and unless its kernel contains the
-    kernel of a kept word, keep it and enqueue its one-step extensions.
-    The queue drains because representations repeat once the finitely many
-    generator-image tuples are exhausted, and repeats always reduce.
+    Breadth-first walk over the endomorphism monoid: dequeue a word and
+    prune it if its kernel contains the kernel of a kept word sigma (equal
+    generator images, then :func:`kernel_contained`); its relator images
+    then die with sigma's, so it needs no relator test.  Otherwise test the
+    iterated relators under it, keep it, and enqueue its one-step
+    extensions.  The queue drains because representations repeat once the
+    finitely many generator-image tuples are exhausted, and repeats always
+    reduce.  With one endomorphism the walk stops at the first pruned
+    power j, reducing to the i-th; a valid outcome records ``(i, j)`` as
+    ``reduction_pair``.
     """
     _require_same_alphabet(lp.alphabet, phi.alphabet)
     if cap < 1:
@@ -154,41 +162,42 @@ def is_valid_perm_rep(
     head = 0
     checks: list[EndoWord] = []
     witness = None
+    pair = None
     while head < len(queue):
         delta, rep_d = queue[head]
         head += 1
+        kept = by_images.get(rep_d.generator_images())
+        if kept is None:
+            for i, entry in enumerate(visited):
+                group = entry.group(cap)
+                # an image group past the cap gives a conservative "no reduction"
+                if group is not None and kernel_contained(entry.rep, rep_d, cap, group):
+                    kept = i
+                    break
+        if kept is not None:
+            if len(delta.family) == 1:
+                pair = (kept, delta.length)
+            continue
         checks.append(delta)
         witness = _relator_witness(lp, rep_d, delta)
         if witness is not None:
             break
-        if rep_d.generator_images() in by_images:
-            continue
-        reduced = False
-        for entry in visited:
-            group = entry.group(cap)
-            if group is None:
-                # image group past the cap: conservative "no reduction";
-                # generator-image equality was already ruled out above
-                continue
-            if kernel_contained(entry.rep, rep_d, cap, group):
-                reduced = True
-                break
-        if not reduced:
-            by_images[rep_d.generator_images()] = len(visited)
-            visited.append(_Visited(delta, rep_d))
-            for k in range(len(delta.family)):
-                child = EndoWord(
-                    delta.alphabet,
-                    delta.family,
-                    (k,) + delta.factors,
-                    delta.family[k].then(delta.composite),
-                )
-                queue.append((child, rep_d.precompose(delta.family[k])))
+        by_images[rep_d.generator_images()] = len(visited)
+        visited.append(_Visited(delta, rep_d))
+        for k in range(len(delta.family)):
+            child = EndoWord(
+                delta.alphabet,
+                delta.family,
+                (k,) + delta.factors,
+                delta.family[k].then(delta.composite),
+            )
+            queue.append((child, rep_d.precompose(delta.family[k])))
     return ValidityOutcome(
         valid=witness is None,
         witness=witness,
         visited=tuple(v.endo for v in visited),
         relator_checks=tuple(checks),
+        reduction_pair=pair,
     )
 
 
@@ -204,6 +213,10 @@ def cyclic_reduction_pair(
     Such a pair always exists because there are finitely many candidate
     representations.  When the image-group enumeration overruns the cap the
     test retries with a doubled cap up to ``cap_ceiling``.
+
+    The validity decision does not call this: :func:`is_valid_perm_rep`
+    finds the same pair where a one-endomorphism walk stops.  It stays as
+    public API and as the reference that the walk's pair is tested against.
     """
     if len(lp.endomorphisms) != 1:
         raise InputError("cyclic reduction needs exactly one endomorphism")
@@ -236,52 +249,18 @@ def cyclic_reduction_pair(
                 return (i, j)
 
 
-def _power_word(lp: LPresentation, k: int) -> EndoWord:
-    return EndoWord(lp.alphabet, lp.endomorphisms, (0,) * k)
-
-
-def _single_endo_validity(
-    lp: LPresentation,
-    phi: PermutationRep,
-    cap: int,
-    trace: Trace | None = None,
-) -> ValidityOutcome:
-    """Validity via the reduction pair: with the j-th power reducing to an
-    earlier power, it is enough to test relator images at powers below j."""
-    _check_level_zero(lp, phi)
-    i, j = cyclic_reduction_pair(lp, phi, cap)
-    _emit(trace, "reduction-pair", i=i, j=j)
-    checks = []
-    rep = phi
-    powers = [_power_word(lp, k) for k in range(j)]
-    witness = None
-    for k in range(1, j):
-        rep = rep.precompose(lp.endomorphisms[0])
-        checks.append(powers[k])
-        witness = _relator_witness(lp, rep, powers[k])
-        if witness is not None:
-            break
-    return ValidityOutcome(
-        valid=witness is None,
-        witness=witness,
-        visited=tuple(powers),
-        relator_checks=tuple(checks),
-        reduction_pair=(i, j),
-    )
-
-
 def decide_validity(
     lp: LPresentation,
     phi: PermutationRep,
     cap: int = DEFAULT_REDUCTION_CAP,
     trace: Trace | None = None,
 ) -> ValidityOutcome:
-    """Dispatch: the reduction-pair shortcut for a single endomorphism, the
-    general monoid walk otherwise."""
-    if len(lp.endomorphisms) == 1:
-        outcome = _single_endo_validity(lp, phi, cap, trace)
-    else:
-        outcome = is_valid_perm_rep(lp, phi, cap)
+    """:func:`is_valid_perm_rep`, with the reduction pair (valid
+    one-endomorphism outcomes only) and the verdict sent to ``trace``."""
+    outcome = is_valid_perm_rep(lp, phi, cap)
+    if outcome.reduction_pair is not None:
+        i, j = outcome.reduction_pair
+        _emit(trace, "reduction-pair", i=i, j=j)
     if outcome.valid:
         _emit(trace, "validity", verdict="valid", visited=len(outcome.visited))
     else:
@@ -361,14 +340,20 @@ class EnumerationConfig:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """A closed, valid, standardized table for the subgroup, with the
-    permutation representation it defines and how hard it was to get."""
+    """A closed, valid, standardized table for the subgroup and how hard it
+    was to get; ``rep`` is built from the table on first read."""
 
     table: CosetTable
-    rep: PermutationRep
-    index: int
     level_used: int
     escalations: int
+
+    @cached_property
+    def rep(self) -> PermutationRep:
+        return to_perm_rep(self.table)
+
+    @property
+    def index(self) -> int:
+        return self.table.size
 
 
 def _attempts(config: EnumerationConfig) -> Iterator[tuple[int, int]]:
@@ -436,13 +421,7 @@ def enumerate_cosets(
             continue
         _emit(trace, "tc-closed", level=level, cosets=table.size)
         table, _ = fold_to_valid(lp, table, config.reduction_cap, trace)
-        return EnumerationResult(
-            table=table,
-            rep=to_perm_rep(table),
-            index=table.size,
-            level_used=level,
-            escalations=escalations,
-        )
+        return EnumerationResult(table=table, level_used=level, escalations=escalations)
     raise GaveUp(
         f"no closed table within {limit} cosets at level {level}",
         level=level,

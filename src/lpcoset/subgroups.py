@@ -142,7 +142,8 @@ def subgroup_equal(u: FiniteIndexSubgroup, v: FiniteIndexSubgroup) -> bool:
 def contains_subgroup(v: FiniteIndexSubgroup, u: FiniteIndexSubgroup) -> bool:
     """Is u a subgroup of v?  Exactly when a map of tables sends coset 1 of
     u to coset 1 of v (see :func:`_quotient_map`)."""
-    _require_same_alphabet(v.owner.alphabet, u.owner.alphabet)
+    if u.owner != v.owner:
+        raise InputError("subgroups of different presentations")
     return _quotient_map(u.table, v.table) is not None
 
 
@@ -158,9 +159,7 @@ def finite_index_subgroup(
     return FiniteIndexSubgroup(lp, enumerate_cosets(lp, sub, config, trace).table)
 
 
-def intersect(
-    u: FiniteIndexSubgroup, v: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP
-) -> FiniteIndexSubgroup:
+def intersect(u: FiniteIndexSubgroup, v: FiniteIndexSubgroup) -> FiniteIndexSubgroup:
     """Intersection via the action on pairs of cosets reachable from (1, 1);
     the stabilizer of the base pair is exactly the intersection."""
     if u.owner != v.owner:
@@ -187,7 +186,7 @@ def intersect(
         for g in range(ngens):
             rows[row[2 * g] - 1][2 * g + 1] = c
     table = CosetTable(u.owner.alphabet, tuple(tuple(r) for r in rows))
-    return FiniteIndexSubgroup.from_table(u.owner, table, cap, revalidate=False)
+    return FiniteIndexSubgroup.from_table(u.owner, table, revalidate=False)
 
 
 def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteIndexSubgroup:
@@ -205,7 +204,7 @@ def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteInde
             rows[i][2 * g] = row[g] + 1
             rows[row[g]][2 * g + 1] = i + 1
     table = CosetTable(u.owner.alphabet, tuple(tuple(r) for r in rows))
-    return FiniteIndexSubgroup.from_table(u.owner, table, cap, revalidate=False)
+    return FiniteIndexSubgroup.from_table(u.owner, table, revalidate=False)
 
 
 # --- low-index enumeration -------------------------------------------------

@@ -13,9 +13,12 @@ import random
 from lpcoset import (
     CosetTable,
     EndoWord,
+    InvalidWitness,
     Permutation,
     PermutationRep,
     SubgroupSpec,
+    ValidityOutcome,
+    cyclic_reduction_pair,
     dump_table,
     fold_to_valid,
     standardize,
@@ -38,6 +41,28 @@ from lpcoset.words import Word, _require_same_alphabet
 def sigma_power(lp, k: int) -> EndoWord:
     """The k-th power of the single endomorphism of ``lp`` as an endomorphism word."""
     return EndoWord(lp.alphabet, lp.endomorphisms, (0,) * k)
+
+
+def shortcut_validity(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutcome:
+    """Validity of ``phi`` for a one-endomorphism family by the reduction
+    pair: find (i, j) with :func:`cyclic_reduction_pair`, then test the
+    iterated relators at the powers 1..j-1 only.  ``phi`` must kill every
+    relator at the identity.  Reference for the monoid walk's pruning,
+    which must reach the same verdict, witness and reduction pair."""
+    i, j = cyclic_reduction_pair(lp, phi, cap)
+    powers = tuple(sigma_power(lp, k) for k in range(j))
+    rep = phi
+    checks = []
+    for k in range(1, j):
+        rep = rep.precompose(lp.endomorphisms[0])
+        checks.append(powers[k])
+        for r in lp.iterated:
+            img = word_image(rep, r)
+            if not img.is_identity:
+                coset = next(c for c in range(1, img.degree + 1) if img.apply(c) != c)
+                witness = InvalidWitness(r, powers[k], img, coset)
+                return ValidityOutcome(False, witness, powers, tuple(checks), (i, j))
+    return ValidityOutcome(True, None, powers, tuple(checks), (i, j))
 
 
 def random_raw_letters(rng: random.Random, ngens: int, max_len: int) -> list[int]:

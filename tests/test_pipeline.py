@@ -41,7 +41,7 @@ from lpcoset.coset_enum import DEFAULT_MAX_COSETS, coset_representatives, table_
 from lpcoset.pipeline import _attempts
 from lpcoset.subgroups import _quotient_map
 
-from helpers import plain_low_index_tables, reroot, sigma_power
+from helpers import plain_low_index_tables, reroot, shortcut_validity, sigma_power
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +77,10 @@ class TestIsValidPermRep:
         assert outcome.valid
         assert [v.factors for v in outcome.visited] == [(), (0,), (0, 0)]
         # the walk dequeues sigma, sigma^2, sigma^3 and tests the relator at
-        # each; the relator itself is covered by the level-zero precondition
-        assert [c.factors for c in outcome.relator_checks] == [(0,), (0, 0), (0, 0, 0)]
+        # the two it keeps; sigma^3 reduces to sigma, so its relator image
+        # dies with sigma's, and the relator itself is covered by the
+        # level-zero precondition
+        assert [c.factors for c in outcome.relator_checks] == [(0,), (0, 0)]
 
     def test_empty_family_is_immediately_valid(self):
         abc = Alphabet(("x",))
@@ -477,3 +479,93 @@ class TestConjugationInvariance:
         assert _quotient_map(table, folded)[c] == d
         rerooted_fold, _ = fold_to_valid(lp, standardize(table, base=c))
         assert rerooted_fold.rows == standardize(folded, base=d).rows
+
+
+@functools.cache
+def _candidate_pools():
+    """The candidate tables of the plain descent up to index 6, one pool per
+    family and cover: Grigorchuk, Basilica, B(1,3) and B(2,2) at levels 0
+    and 1."""
+    pools = []
+    for lp in (grigorchuk(), basilica(), burnside(1, 3), burnside(2, 2)):
+        for level in (0, 1):
+            tables = plain_low_index_tables(lp.covering(level), 6)
+            pools.append(tuple((lp, t) for t in tables))
+    return tuple(pools)
+
+
+class TestOneValidityWalk:
+    """The walk prunes a word before testing its relators; with a single
+    endomorphism it then tests what ``helpers.shortcut_validity`` tests."""
+
+    @pytest.mark.parametrize(
+        "group, level, max_index, verdicts",
+        [
+            ("grig", 2, 8, {True}),
+            ("grig", 1, 8, {True, False}),
+            ("bas", 1, 6, {True}),
+            ("bas", 0, 6, {True, False}),
+        ],
+    )
+    def test_walk_matches_the_shortcut(self, request, group, level, max_index, verdicts):
+        # every candidate of the cover, and every invalid one down its folds
+        lp = request.getfixturevalue(group)
+        seen = set()
+        for table in plain_low_index_tables(lp.covering(level), max_index):
+            while True:
+                rep = to_perm_rep(table)
+                walk = is_valid_perm_rep(lp, rep)
+                ref = shortcut_validity(lp, rep)
+                seen.add(walk.valid)
+                assert walk.valid == ref.valid
+                if walk.valid:
+                    assert walk == ref
+                    break
+                assert walk.witness == ref.witness
+                assert walk.relator_checks == ref.relator_checks
+                # the shortcut lists every power below j, the walk stops at
+                # the witness
+                assert walk.visited == ref.visited[: len(walk.visited)]
+                assert walk.reduction_pair is None
+                table = fold_invalid(table, walk.witness)
+        assert seen == verdicts
+
+    def test_no_pair_for_several_endomorphisms(self, burnside_fold_fixture):
+        lp, _, table = burnside_fold_fixture
+        folded, outcome = fold_to_valid(lp, table)
+        assert outcome.valid and len(lp.endomorphisms) > 1
+        assert outcome.reduction_pair is None
+
+    def test_invalid_decision_logs_no_pair(self, bas, invalid_basilica_rep):
+        events = []
+        outcome = decide_validity(bas, invalid_basilica_rep, trace=events.append)
+        assert not outcome.valid
+        assert [e.kind for e in events] == ["validity"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pruned_words_need_no_relator_check(self, data):
+        # a valid verdict holds beyond the walk's horizon: every iterated
+        # relator dies under every endomorphism word up to two factors past
+        # the longest kept word, pruned words included
+        # indexes, not sampled_from: hypothesis labels a sampled_from
+        # strategy by its elements, which costs seconds on these pools
+        pools = _candidate_pools()
+        pool = pools[data.draw(st.integers(0, len(pools) - 1))]
+        lp, table = pool[data.draw(st.integers(0, len(pool) - 1))]
+        phi = to_perm_rep(table)
+        outcome = is_valid_perm_rep(lp, phi)
+        if not outcome.valid:
+            w = outcome.witness
+            replay = word_image(phi, w.endo.composite.apply(w.relator))
+            assert replay == w.image
+            assert replay.apply(w.coset) != w.coset
+            return
+        horizon = max(v.length for v in outcome.visited) + 2
+        layer = [phi]
+        for length in range(horizon + 1):
+            if length:
+                layer = [rep.precompose(e) for rep in layer for e in lp.endomorphisms]
+            for rep in layer:
+                for r in lp.iterated:
+                    assert word_image(rep, r).is_identity

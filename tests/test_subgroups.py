@@ -134,6 +134,20 @@ class TestContainsSubgroup:
         with pytest.raises(InputError):
             contains_subgroup(whole, bas_u)
 
+    def test_owner_mismatch_over_the_same_alphabet(self, bas):
+        # one table of index 2, once as a subgroup of the Basilica group and
+        # once of <a, b | a^2, b^2>: the letters agree, the groups do not
+        u = next(e.subgroup for e in low_index(bas, 2).entries if e.subgroup.index == 2)
+        a2, b2 = (parse_word(bas.alphabet, w) for w in ("a^2", "b^2"))
+        other = LPresentation(bas.alphabet, (a2, b2), (), ())
+        v = FiniteIndexSubgroup.from_table(other, u.table)
+        assert not subgroup_equal(u, v)
+        for left, right in ((u, v), (v, u)):
+            with pytest.raises(InputError, match="different presentations"):
+                contains_subgroup(left, right)
+            with pytest.raises(InputError, match="different presentations"):
+                intersect(left, right)
+
 
 class TestIsNormal:
     def test_whole_group(self, bas_whole):
