@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .coset_enum import parse_table_dump, to_perm_rep
 from .errors import InputError, ParseError, ResourceLimitError
@@ -50,21 +49,6 @@ EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 
 HARD_CEILING_ENV = "LPCOSET_HARD_CEILING"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The enumeration settings plus output preferences, validated."""
-
-    enumeration: EnumerationConfig = EnumerationConfig()
-    output_format: str = "table"
-    verbosity: int = 0
-
-    def __post_init__(self):
-        if self.output_format not in ("table", "csv", "json"):
-            raise InputError(f"unknown output format {self.output_format!r}")
-        if self.verbosity < 0:
-            raise InputError("verbosity must be >= 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args) -> RunConfig:
+def _enumeration_config(args) -> EnumerationConfig:
     ceiling = args.hard_ceiling
     if ceiling is None:
         raw = os.environ.get(HARD_CEILING_ENV, EnumerationConfig().hard_ceiling)
@@ -124,22 +108,17 @@ def _run_config(args) -> RunConfig:
             ceiling = int(raw)
         except ValueError:
             raise ParseError(f"{HARD_CEILING_ENV}={raw!r} is not an integer") from None
-    enumeration = EnumerationConfig(
+    return EnumerationConfig(
         initial_level=0 if args.level is None else args.level,
         initial_max_cosets=args.max_cosets,
         escalation_factor=args.escalation_factor,
         hard_ceiling=ceiling,
         reduction_cap=args.reduction_cap,
     )
-    return RunConfig(
-        enumeration=enumeration,
-        output_format=args.format,
-        verbosity=args.verbose,
-    )
 
 
-def _trace_printer(cfg: RunConfig, err):
-    if cfg.verbosity < 1:
+def _trace_printer(args, err):
+    if args.verbose < 1:
         return None
 
     def emit(event: TraceEvent) -> None:
@@ -148,11 +127,11 @@ def _trace_printer(cfg: RunConfig, err):
     return emit
 
 
-def _emit_payload(cfg: RunConfig, payload: dict, out) -> None:
+def _emit_payload(args, payload: dict, out) -> None:
     """Uniform scalar output: aligned text, key,value CSV, or JSON."""
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         for key, value in payload.items():
             if isinstance(value, (list, dict)):
                 continue
@@ -164,86 +143,86 @@ def _emit_payload(cfg: RunConfig, payload: dict, out) -> None:
             print(f"{key}: {value}", file=out)
 
 
-def _subgroup(lp: LPresentation, text: str, cfg: RunConfig, trace) -> FiniteIndexSubgroup:
+def _subgroup(lp: LPresentation, text: str, cfg: EnumerationConfig, trace) -> FiniteIndexSubgroup:
     spec = parse_subgroup(lp.alphabet, text)
-    return finite_index_subgroup(lp, spec, cfg.enumeration, trace)
+    return finite_index_subgroup(lp, spec, cfg, trace)
 
 
-def _subgroup_payload(result: FiniteIndexSubgroup, cfg: RunConfig) -> dict:
+def _subgroup_payload(result: FiniteIndexSubgroup, args) -> dict:
     """Index, generators and table of a computed subgroup; outside JSON the
     generators are one comma-separated string."""
     gens = [str(g) for g in result.generators]
     return {
         "index": result.index,
-        "generators": gens if cfg.output_format == "json" else ", ".join(gens),
+        "generators": gens if args.format == "json" else ", ".join(gens),
         "table": [list(row) for row in result.table.rows],
     }
 
 
-def _cmd_index(args, cfg: RunConfig, out, err) -> int:
+def _cmd_index(args, cfg: EnumerationConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
     spec = parse_subgroup(lp.alphabet, args.subgroup)
-    result = enumerate_cosets(lp, spec, cfg.enumeration, _trace_printer(cfg, err))
+    result = enumerate_cosets(lp, spec, cfg, _trace_printer(args, err))
     payload = {
         "index": result.index,
         "level": result.level_used,
         "escalations": result.escalations,
         "table": [list(row) for row in result.table.rows],
     }
-    _emit_payload(cfg, payload, out)
+    _emit_payload(args, payload, out)
     return EXIT_OK
 
 
-def _cmd_member(args, cfg: RunConfig, out, err) -> int:
+def _cmd_member(args, cfg: EnumerationConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
-    sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(cfg, err))
+    sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(args, err))
     w = parse_word(lp.alphabet, args.word)
     member = sub.contains(w)
-    if cfg.output_format == "json":
-        _emit_payload(cfg, {"member": member}, out)
+    if args.format == "json":
+        _emit_payload(args, {"member": member}, out)
     else:
-        _emit_payload(cfg, {"member": str(member).lower()}, out)
+        _emit_payload(args, {"member": str(member).lower()}, out)
     return EXIT_OK
 
 
-def _cmd_core(args, cfg: RunConfig, out, err) -> int:
+def _cmd_core(args, cfg: EnumerationConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
-    sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(cfg, err))
-    result = core(sub, cfg.enumeration.reduction_cap)
-    _emit_payload(cfg, _subgroup_payload(result, cfg), out)
+    sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(args, err))
+    result = core(sub, cfg.reduction_cap)
+    _emit_payload(args, _subgroup_payload(result, args), out)
     return EXIT_OK
 
 
-def _cmd_intersect(args, cfg: RunConfig, out, err) -> int:
+def _cmd_intersect(args, cfg: EnumerationConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
-    trace = _trace_printer(cfg, err)
+    trace = _trace_printer(args, err)
     u = _subgroup(lp, args.subgroup, cfg, trace)
     v = _subgroup(lp, args.subgroup2, cfg, trace)
     result = intersect(u, v)
-    _emit_payload(cfg, _subgroup_payload(result, cfg), out)
+    _emit_payload(args, _subgroup_payload(result, args), out)
     return EXIT_OK
 
 
-def _cmd_low_index(args, cfg: RunConfig, out, err) -> int:
+def _cmd_low_index(args, cfg: EnumerationConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
     level = 1 if args.level is None else args.level
     slist = low_index(
         lp,
         args.max_index,
         level=level,
-        cap=cfg.enumeration.reduction_cap,
+        cap=cfg.reduction_cap,
         max_tables=args.max_tables,
-        trace=_trace_printer(cfg, err),
+        trace=_trace_printer(args, err),
     )
     mark = args.normal or args.maximal or args.list
     if mark:
         slist = mark_normal_and_maximal(slist)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(report_json(slist, include_entries=args.list), sort_keys=True, indent=2),
             file=out,
         )
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         out.write(format_csv(slist, show_normal=args.normal, show_maximal=args.maximal))
     else:
         out.write(format_report(slist, show_normal=args.normal, show_maximal=args.maximal))
@@ -260,7 +239,7 @@ def _cmd_low_index(args, cfg: RunConfig, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args, cfg: RunConfig, out, err) -> int:
+def _cmd_validate(args, cfg: EnumerationConfig, out, err) -> int:
     lp = load_presentation(args.presentation)
     try:
         with open(args.table, "r", encoding="utf-8") as handle:
@@ -269,7 +248,7 @@ def _cmd_validate(args, cfg: RunConfig, out, err) -> int:
         raise ParseError(f"cannot read table dump {args.table!r}: {exc}") from exc
     table = parse_table_dump(lp.alphabet, text)
     outcome = decide_validity(
-        lp, to_perm_rep(table), cfg.enumeration.reduction_cap, _trace_printer(cfg, err)
+        lp, to_perm_rep(table), cfg.reduction_cap, _trace_printer(args, err)
     )
     payload: dict = {"verdict": "valid" if outcome.valid else "invalid"}
     if not outcome.valid:
@@ -278,7 +257,7 @@ def _cmd_validate(args, cfg: RunConfig, out, err) -> int:
         payload["endomorphism"] = w.endo.describe(lp.endomorphism_names)
         payload["coset"] = w.coset
     payload["table"] = [list(row) for row in table.rows]
-    _emit_payload(cfg, payload, out)
+    _emit_payload(args, payload, out)
     return EXIT_OK
 
 
@@ -298,7 +277,7 @@ def main(argv=None, out=None, err=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _run_config(args)
+        cfg = _enumeration_config(args)
         return _COMMANDS[args.command](args, cfg, out, err)
     except ParseError as exc:
         print(f"error: {exc}", file=err)

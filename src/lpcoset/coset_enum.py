@@ -9,8 +9,8 @@ reused within a run, and snapshots are compressed back to 1..n preserving
 id order.
 
 The enumeration is relator driven (HLT, Havas, "Coset enumeration
-strategies", ISSAC 1991): it sweeps the relators coset by coset, defining
-cosets wherever a scan gets stuck, until a sweep changes nothing.
+strategies", ISSAC 1991): one HLT pass scans the relators coset by coset,
+defining cosets wherever a scan gets stuck.
 """
 
 from __future__ import annotations
@@ -277,12 +277,15 @@ def todd_coxeter(
 ) -> CosetTable | None:
     """Enumerate the cosets of ``sub`` modulo the relators of ``fp``.
 
-    Each sweep scans the subgroup generators from coset 1, then every
+    One HLT pass: scan the subgroup generators from coset 1, then every
     relator from every live coset in id order, defining the missing
-    entries of a coset's row once its relators are scanned.  Sweeps repeat
-    until one changes nothing.  Only :meth:`_Engine.define` reads
-    ``max_cosets``, and the run is otherwise deterministic, so a run that
-    overflows is a prefix of the same run with a larger limit.
+    entries of a coset's row once its relators are scanned.  A second pass
+    could only confirm: a relator cycle closed at a coset stays closed
+    when coincidences identify cosets, and a merge keeps the smaller id, so
+    every coset alive at the end was processed while alive.  Only
+    :meth:`_Engine.define` reads ``max_cosets``, and the run is otherwise
+    deterministic, so a run that overflows is a prefix of the same run
+    with a larger limit.
 
     Returns the closed table, or ``None`` when the limit was hit (a normal
     outcome that callers treat as a signal to escalate).  The closed table
@@ -293,29 +296,22 @@ def todd_coxeter(
     if max_cosets < 1:
         raise InputError("max_cosets must be positive")
     relators = _prepared_relators(fp)
-    subgens = [w for w in (_col_word(g) for g in sub.generators) if w]
     eng = _Engine(2 * len(fp.alphabet), max_cosets)
     try:
-        while True:
-            before = (len(eng.tab), eng.ndead)
-            for w in subgens:
-                eng.scan_fill(1, w)
-            a = 1
-            while a < len(eng.tab):
+        for g in sub.generators:
+            eng.scan_fill(1, _col_word(g))
+        a = 1
+        while a < len(eng.tab):
+            if eng.p[a] == a:
+                for w in relators:
+                    eng.scan_fill(a, w)
+                    if eng.p[a] != a:
+                        break
                 if eng.p[a] == a:
-                    for w in relators:
-                        eng.scan_fill(a, w)
-                        if eng.p[a] != a:
-                            break
-                    if eng.p[a] == a:
-                        for col in range(eng.ncols):
-                            if eng.tab[a][col] == 0:
-                                eng.define(a, col)
-                a += 1
-            # Coincidences can graft unscanned edges onto already-swept
-            # rows; sweep again until a pass changes nothing.
-            if (len(eng.tab), eng.ndead) == before:
-                break
+                    for col in range(eng.ncols):
+                        if eng.tab[a][col] == 0:
+                            eng.define(a, col)
+            a += 1
     except _Overflow:
         return None
     table = eng.snapshot(fp.alphabet)
@@ -326,9 +322,14 @@ def todd_coxeter(
 def _verify_closed(table: CosetTable, fp: FinitePresentation, sub: SubgroupSpec) -> None:
     if not table.is_closed:
         raise RuntimeError("enumeration stopped with an incomplete table")
+    rows = table.rows
+    relators = [(r, _col_word(r)) for r in fp.relators]
     for c in range(1, table.size + 1):
-        for r in fp.relators:
-            if trace(table, c, r) != c:
+        for r, w in relators:
+            d = c
+            for col in w:
+                d = rows[d - 1][col]
+            if d != c:
                 raise RuntimeError(f"relator {r} does not close from coset {c}")
     for g in sub.generators:
         if trace(table, 1, g) != 1:

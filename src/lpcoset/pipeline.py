@@ -184,13 +184,7 @@ def is_valid_perm_rep(
             break
         by_images[rep_d.generator_images()] = len(visited)
         visited.append(_Visited(delta, rep_d))
-        for k in range(len(delta.family)):
-            child = EndoWord(
-                delta.alphabet,
-                delta.family,
-                (k,) + delta.factors,
-                delta.family[k].then(delta.composite),
-            )
+        for k, child in enumerate(delta.descendants()):
             queue.append((child, rep_d.precompose(delta.family[k])))
     return ValidityOutcome(
         valid=witness is None,
@@ -397,14 +391,6 @@ def enumerate_cosets(
       so the overflows before an unclamped attempt cost at most 1/15 of
       that attempt's budget, and at most 16/15 of it before a clamped one
       (0.07 at the default ceiling).
-    - At the default ceiling of 10^6 the limits are 2^8, 2^12, 2^16, 10^6
-      at levels 0-3, each no larger than under the former schedule (2^14,
-      then x4: 2^14, 2^16, 2^18, 10^6), with the same final attempt, so no
-      input that gives up costs more than it did.  At smaller ceilings the
-      last attempt can sit one level higher than under that schedule, and
-      a subgroup whose enumeration at some level needs between 2^8 and
-      2^14 cosets closed there before and now overflows there and is
-      retried one level deeper.
 
     Termination is guaranteed only when the index is finite; hitting the
     hard ceiling raises :class:`GaveUp`, which asserts nothing about the

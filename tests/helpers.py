@@ -435,6 +435,42 @@ def felsch_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     return table
 
 
+def sweeping_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
+    """Relator-driven (HLT) Todd-Coxeter that repeats its sweep (subgroup
+    generators from coset 1, then every relator from every live coset in id
+    order, filling each row after its scans) until a sweep defines and
+    merges nothing.  Reference for the library's single-pass
+    ``todd_coxeter``; None on overflow."""
+    _require_same_alphabet(fp.alphabet, sub.alphabet)
+    relators = _prepared_relators(fp)
+    subgens = [w for w in (_col_word(g) for g in sub.generators) if w]
+    eng = _Engine(2 * len(fp.alphabet), max_cosets)
+    try:
+        while True:
+            before = (len(eng.tab), eng.ndead)
+            for w in subgens:
+                eng.scan_fill(1, w)
+            a = 1
+            while a < len(eng.tab):
+                if eng.p[a] == a:
+                    for w in relators:
+                        eng.scan_fill(a, w)
+                        if eng.p[a] != a:
+                            break
+                    if eng.p[a] == a:
+                        for col in range(eng.ncols):
+                            if eng.tab[a][col] == 0:
+                                eng.define(a, col)
+                a += 1
+            if (len(eng.tab), eng.ndead) == before:
+                break
+    except _Overflow:
+        return None
+    table = eng.snapshot(fp.alphabet)
+    _verify_closed(table, fp, sub)
+    return table
+
+
 def enumeration_fixtures():
     """Ten (presentation name, finite presentation, subgroup) triples on
     which ``todd_coxeter`` is checked against ``felsch_todd_coxeter``."""

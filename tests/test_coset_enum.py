@@ -31,7 +31,12 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset.coset_enum import _Engine, coset_representatives, table_from_rep
+from lpcoset.coset_enum import (
+    _Engine,
+    _verify_closed,
+    coset_representatives,
+    table_from_rep,
+)
 
 from helpers import (
     congruence_quotient_size,
@@ -39,6 +44,7 @@ from helpers import (
     felsch_todd_coxeter,
     random_word,
     reroot,
+    sweeping_todd_coxeter,
 )
 
 
@@ -47,6 +53,21 @@ def cyclic_table(n: int) -> CosetTable:
     abc = Alphabet(("a",))
     perm = Permutation(tuple((i % n) + 1 for i in range(1, n + 1)))
     return table_from_rep(PermutationRep(abc, n, (perm,)))
+
+
+@st.composite
+def finite_presentations(draw):
+    """2-3 generators, random relators with or without generator powers
+    beside them, and 0-2 subgroup words."""
+    n = draw(st.integers(2, 3))
+    abc = Alphabet(("x", "y", "z")[:n])
+    letter = st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)])
+    exponents = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    powers = [Word.reduce(abc, [g] * e) for g, e in enumerate(exponents, 1) if e >= 2]
+    rels = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=3))
+    gens = draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=2))
+    fp = FinitePresentation(abc, tuple(powers + [Word.reduce(abc, r) for r in rels]))
+    return fp, SubgroupSpec(abc, tuple(Word.reduce(abc, g) for g in gens))
 
 
 class TestToddCoxeter:
@@ -103,6 +124,20 @@ class TestToddCoxeter:
         hlt = todd_coxeter(fp, sub)
         assert felsch is not None and hlt is not None, name
         assert standardize(felsch).rows == standardize(hlt).rows, name
+        # the sweep-until-stable reference gives the same table, and
+        # overflows at the same limit
+        assert sweeping_todd_coxeter(fp, sub) == hlt, name
+        limited = todd_coxeter(fp, sub, max_cosets=8)
+        assert sweeping_todd_coxeter(fp, sub, max_cosets=8) == limited, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_presentations(), st.sampled_from((50, 500, 5000)))
+    def test_one_pass_matches_the_sweeping_driver(self, case, limit):
+        # a second sweep could only confirm the first: the same closed
+        # table, or an overflow at the same limit
+        fp, sub = case
+        one_pass = todd_coxeter(fp, sub, max_cosets=limit)
+        assert sweeping_todd_coxeter(fp, sub, max_cosets=limit) == one_pass
 
     def test_dead_rows_are_freed(self, bas_u_result):
         # every engine that todd_coxeter or merge_coincidence builds holds a
@@ -203,6 +238,46 @@ class TestToddCoxeter:
         sub = SubgroupSpec(lp.alphabet, tuple(parse_words(lp.alphabet, "a1^3")))
         assert todd_coxeter(lp.covering(0), sub).size == 3
         assert todd_coxeter(lp.covering(1), sub).size == 1
+
+
+class TestVerifyClosed:
+    """The check on every closed table that ``todd_coxeter`` returns."""
+
+    def s3(self, relators: str, subgroup: str):
+        # a = (1 2), b = (2 3) acting on three cosets
+        abc = Alphabet(("a", "b"))
+        perms = (Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+        table = table_from_rep(PermutationRep(abc, 3, perms))
+        fp = FinitePresentation(abc, tuple(parse_words(abc, relators)))
+        return table, fp, SubgroupSpec(abc, tuple(parse_words(abc, subgroup)))
+
+    def test_accepts_the_closed_table(self):
+        _verify_closed(*self.s3("a^2, b^2, (a*b)^3", "b"))
+
+    def test_incomplete_table(self):
+        abc = Alphabet(("a",))
+        table = CosetTable(abc, ((0, 0),))
+        fp = FinitePresentation(abc, ())
+        with pytest.raises(RuntimeError, match="incomplete table"):
+            _verify_closed(table, fp, SubgroupSpec(abc, ()))
+
+    def test_names_the_relator_and_the_first_coset_it_fails_from(self):
+        # b fails from cosets 2 and 3, a*b*a from 1; cosets are checked in
+        # order, each against every relator
+        table, fp, sub = self.s3("a^2, b, a*b*a", "")
+        with pytest.raises(RuntimeError) as err:
+            _verify_closed(table, fp, sub)
+        assert str(err.value) == f"relator {fp.relators[2]} does not close from coset 1"
+        table, fp, sub = self.s3("a^2, b", "")
+        with pytest.raises(RuntimeError) as err:
+            _verify_closed(table, fp, sub)
+        assert str(err.value) == f"relator {fp.relators[1]} does not close from coset 2"
+
+    def test_subgroup_generator_moving_coset_one(self):
+        table, fp, sub = self.s3("a^2, b^2, (a*b)^3", "b, a")
+        with pytest.raises(RuntimeError) as err:
+            _verify_closed(table, fp, sub)
+        assert str(err.value) == f"subgroup generator {sub.generators[1]} does not fix coset 1"
 
 
 class TestTrace:

@@ -195,13 +195,6 @@ class TestCyclicReductionPair:
         with pytest.raises(ResourceLimitError):
             cyclic_reduction_pair(bas, bas_index3_rep, cap=1, cap_ceiling=1)
 
-    def test_shortcut_agrees_with_general_walk(self, bas, bas_index3_rep, invalid_basilica_rep):
-        # the shortcut and the generic walk agree on single-endomorphism input
-        for rep in (bas_index3_rep, invalid_basilica_rep):
-            assert (
-                decide_validity(bas, rep).valid == is_valid_perm_rep(bas, rep).valid
-            )
-
     def test_shortcut_checks_exactly_the_needed_powers(self, bas, bas_index3_rep):
         events = []
         outcome = decide_validity(bas, bas_index3_rep, trace=events.append)
@@ -459,7 +452,8 @@ class TestConjugationInvariance:
     def test_rerooted_table_has_the_same_verdict(self, data):
         # a conjugate subgroup is the same action seen from another coset,
         # so the representation has the same kernel
-        lp, table = data.draw(st.sampled_from(_candidate_tables()))
+        tables = _candidate_tables()
+        lp, table = tables[data.draw(st.integers(0, len(tables) - 1))]
         rerooted = reroot(table, data.draw(st.integers(1, table.size)))
         assert (
             decide_validity(lp, to_perm_rep(rerooted)).valid
@@ -472,7 +466,8 @@ class TestConjugationInvariance:
         # the fold of the conjugate candidate rooted at c is the fold of the
         # candidate rooted at the image d of c, which is reached from coset 1
         # of the fold by the same word that reaches c in the candidate
-        lp, table = data.draw(st.sampled_from(_candidate_tables()))
+        tables = _candidate_tables()
+        lp, table = tables[data.draw(st.integers(0, len(tables) - 1))]
         c = data.draw(st.integers(1, table.size))
         folded, _ = fold_to_valid(lp, table)
         d = trace(folded, 1, coset_representatives(table)[c - 1])
