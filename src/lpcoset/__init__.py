@@ -82,7 +82,6 @@ from .words import (
     FreeEndomorphism,
     Word,
     commutator,
-    compare,
     free_reduce,
 )
 

@@ -34,10 +34,6 @@ def _col_word(w: Word) -> tuple[int, ...]:
     return tuple(_col_of(x) for x in w.letters)
 
 
-def _inverse_col_word(w: Sequence[int]) -> tuple[int, ...]:
-    return tuple(c ^ 1 for c in reversed(w))
-
-
 def _cyclically_reduce(w: Sequence[int]) -> tuple[int, ...]:
     w = list(w)
     while len(w) >= 2 and w[0] == w[-1] ^ 1:
@@ -242,20 +238,6 @@ class _Engine:
                 row.append(newid[self.find(d)] if d else 0)
             rows.append(tuple(row))
         return CosetTable(alphabet, tuple(rows))
-
-
-def _rotation_index(ncols: int, relators: Iterable[tuple[int, ...]]):
-    """Rotations of each relator and its inverse, bucketed by first column."""
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
-    seen: list[set] = [set() for _ in range(ncols)]
-    for w in relators:
-        for u in (w, _inverse_col_word(w)):
-            for i in range(len(u)):
-                rot = u[i:] + u[:i]
-                if rot not in seen[rot[0]]:
-                    seen[rot[0]].add(rot)
-                    buckets[rot[0]].append(rot)
-    return buckets
 
 
 def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:

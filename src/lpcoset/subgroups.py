@@ -14,8 +14,8 @@ Presented Groups*, 1994, section 5.6) cuts every branch whose partial
 table is not the least of its re-rootings, so one table per conjugacy
 class of candidates comes out, with the size of its class.  Each
 representative is folded to validity against the L-presentation, the
-other members of its class take the fold re-rooted at each of its cosets,
-and the folds are deduplicated; this yields all subgroups of the
+other members of its class take the fold re-rooted once per conjugate of
+the fold, and the folds are deduplicated; this yields all subgroups of the
 L-presented group regardless of the covering level, because a subgroup of
 index at most n pulls back to one of the same index in every covering
 group.
@@ -26,12 +26,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coset_enum import (
     CosetTable,
     _prepared_relators,
-    _rotation_index,
     dump_table,
     schreier_generators,
     standardize,
@@ -79,8 +78,7 @@ class FiniteIndexSubgroup:
         raises :class:`InputError`.  ``revalidate=False`` wraps the table as
         given: it must already be valid and standardized, as the tables of
         ``low_index``, ``core`` and ``intersect`` are.  A valid table that
-        is not standardized would break equality, sorting and
-        :func:`_is_normal_table`."""
+        is not standardized would break equality and sorting."""
         if revalidate:
             table = standardize(table)
             outcome = decide_validity(owner, to_perm_rep(table), cap)
@@ -227,9 +225,9 @@ def _split_relators(
     gets that far before the table is complete, while every rotation of it
     is rescanned after each new entry.  On the level-2 Grigorchuk cover at
     index 15 the descent then reaches 149 complete tables instead of 90,
-    and the deferred relators reject the other 59 at the leaves: 0.23-0.29 s
-    on a 2-vCPU host, against 0.77-0.81 s when every relator is scanned
-    during the descent.
+    and the deferred relators reject the other 59 at the leaves: the
+    descent takes 0.18 s on a 2-vCPU host, against 0.44-0.51 s when every
+    relator is scanned during it (medians of two batches of seven runs).
     """
     bound = 2 * max_index
     scanned: list[tuple[int, ...]] = []
@@ -237,6 +235,22 @@ def _split_relators(
     for w in _prepared_relators(fp):
         (scanned if len(w) <= bound else deferred).append(w)
     return scanned, deferred
+
+
+def _rotation_index(ncols: int, relators: Iterable[tuple[int, ...]]):
+    """Rotations of each relator and its inverse, bucketed by first column:
+    ``buckets[col]`` holds every relator cycle through an edge in column
+    ``col``, read forwards from the edge's source."""
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
+    seen: list[set] = [set() for _ in range(ncols)]
+    for w in relators:
+        for u in (w, tuple(c ^ 1 for c in reversed(w))):
+            for i in range(len(u)):
+                rot = u[i:] + u[:i]
+                if rot not in seen[rot[0]]:
+                    seen[rot[0]].add(rot)
+                    buckets[rot[0]].append(rot)
+    return buckets
 
 
 def _low_index_tables(
@@ -257,19 +271,28 @@ def _low_index_tables(
     generator columns.  Consequences of the scanned relators propagate
     through rotation scans; a scan that closes wrongly kills the branch,
     since the merged table is found on another branch with the smaller
-    assignment made directly.
+    assignment made directly.  Each new edge a -col-> b is scanned once per
+    relator cycle through it, forwards from a: the rotation index holds the
+    inverse relators too, so a cycle that crosses the edge backwards is in
+    ``rot_by_col[col]`` read the other way, and a scan that meets in the
+    middle deduces the same entry from either end.
 
     After each propagation the partial table is compared with itself
-    re-rooted at every coset c >= 2 (Sims, *Computation with Finitely
+    re-rooted at cosets c >= 2 (Sims, *Computation with Finitely
     Presented Groups*, 1994, section 5.6): cosets are renumbered
     breadth-first from c and rows compared in row-major order over the
     generator columns, up to the first entry undefined on either side.  A
     re-rooting that is smaller there is smaller in every completion, so
-    the branch is cut.  At a complete table the roots that tie all the way
-    give the class size, n / (1 + ties).  A complete table is kept when the
-    deferred relators close at every coset, which holds for all of its
-    conjugates or none.  ``max_tables`` counts complete tables, conjugates
-    included, and the search stops before the class that would pass it.
+    the branch is cut.  One that is larger at a defined entry stays larger
+    in every completion, since entries are only added below a node, so it
+    is dropped for the whole subtree; only the roots still undecided (an
+    undefined entry came first) and each fresh coset are compared again
+    further down.  At a complete table every remaining root is decided,
+    and those that tie all the way give the class size, n / (1 + ties).
+    A complete table is kept when the deferred relators close at every
+    coset, which holds for all of its conjugates or none.  ``max_tables``
+    counts complete tables, conjugates included, and the search stops
+    before the class that would pass it.
     """
     if max_index < 1:
         raise InputError("max_index must be >= 1")
@@ -325,16 +348,12 @@ def _low_index_tables(
             for w in rot_by_col[col]:
                 if not scan(a, w, trail, queue):
                     return False
-            b = tab[a * ncols + col]
-            for w in rot_by_col[col ^ 1]:
-                if not scan(b, w, trail, queue):
-                    return False
         return True
 
-    def compare_rerooted(root: int) -> int:
+    def compare_rerooted(root: int) -> int | None:
         """-1 when the table re-rooted at ``root`` is smaller at the first
-        entry where the two differ, 0 when they agree everywhere, 1 when it
-        is larger or an undefined entry comes first."""
+        entry where the two differ, 1 when it is larger there, 0 when they
+        agree everywhere, ``None`` when an undefined entry comes first."""
         newid = [0] * (n + 1)
         newid[root] = 1
         order = [0, root]
@@ -345,7 +364,7 @@ def _low_index_tables(
                 t = tab[src + col]
                 u = tab[dst + col]
                 if t == 0 or u == 0:
-                    return 1
+                    return None
                 m = newid[t]
                 if m == 0:
                     m = newid[t] = len(order)
@@ -365,7 +384,7 @@ def _low_index_tables(
 
     n = 1
 
-    def descend(c0: int, g0: int, ties: int) -> None:
+    def descend(c0: int, g0: int, roots: list[int], ties: int) -> None:
         nonlocal n, capped, total
         c, gi = c0, g0
         slot = None
@@ -409,35 +428,44 @@ def _low_index_tables(
             tab[s2] = a
             trail = [s1, s2]
             if propagate([(a, col)], trail):
+                undecided = []
                 ties = 0
-                for root in range(2, n + 1):
+                for root in (roots + [b] if is_new else roots):
                     verdict = compare_rerooted(root)
-                    if verdict < 0:
+                    if verdict is None:
+                        undecided.append(root)
+                    elif verdict < 0:
                         break
-                    if verdict == 0:
+                    elif verdict == 0:
                         ties += 1
                 else:
-                    descend(c, gi, ties)
+                    descend(c, gi, undecided, ties)
             for s in trail:
                 tab[s] = 0
             if is_new:
                 n -= 1
 
     try:
-        descend(1, 0, 0)
+        descend(1, 0, [], 0)
     except _SearchCapped:
         pass
     return results, capped
 
 
-def _quotient_map(table: CosetTable, quotient: CosetTable) -> list[int] | None:
+def _quotient_map(
+    table: CosetTable, quotient: CosetTable, start: int = 1
+) -> list[int] | None:
     """Image of each coset of ``table`` (1-based, slot 0 unused) under the
-    homomorphism of tables onto ``quotient`` that sends coset 1 to coset 1,
-    found by walking both tables in lockstep; ``None`` when an edge
-    disagrees, i.e. when the subgroup of ``table`` is not inside that of
-    ``quotient``."""
+    homomorphism of tables onto ``quotient`` that sends coset 1 to coset
+    ``start``, found by walking both tables in lockstep; ``None`` when an
+    edge disagrees, i.e. when the subgroup of ``table`` is not inside the
+    stabilizer of ``start`` in ``quotient``.
+
+    With ``table`` as its own quotient a map is an automorphism of the
+    table, and one sending 1 to c exists exactly when the table re-rooted
+    at c is the table itself: c lies in the normalizer of the subgroup."""
     image = [0] * (table.size + 1)
-    image[1] = 1
+    image[1] = start
     order = [1]
     for c in order:
         row, qrow = table.rows[c - 1], quotient.rows[image[c] - 1]
@@ -463,12 +491,30 @@ def _fold_by_class(
     conjugate folds to the representative's fold re-rooted at the image of
     c under the quotient map.  That map is onto, so the folds of a class
     are its representative's fold re-rooted at each of its cosets.
+
+    Re-rooting at d and at d' gives the same table exactly when an
+    automorphism of the fold sends d to d'.  The automorphisms are the
+    successful walks of :func:`_quotient_map` from 1 to each coset, and
+    they form a group, so the cosets fall into orbits of their images and
+    the fold is re-rooted once per orbit, i.e. once per conjugate; each
+    representative yields each of its tables once.
     """
     folds = []
     for t in reps:
         folded, _ = fold_to_valid(lp, t, cap, trace)
-        folds.append(folded)
-        folds.extend(standardize(folded, base=d) for d in range(2, folded.size + 1))
+        n = folded.size
+        autos = [
+            m
+            for m in (_quotient_map(folded, folded, c) for c in range(1, n + 1))
+            if m is not None
+        ]
+        covered = [False] * (n + 1)
+        for d in range(1, n + 1):
+            if covered[d]:
+                continue
+            folds.append(folded if d == 1 else standardize(folded, base=d))
+            for m in autos:
+                covered[m[d]] = True
     return folds
 
 
@@ -551,11 +597,13 @@ def low_index(
 
 
 def _is_normal_table(table: CosetTable) -> bool:
-    """Is the subgroup of the standardized ``table`` normal?  Re-rooting the
-    table at coset 1·x gives the table of x^-1 H x, so H is normal exactly
-    when that re-rooting gives the same rows for every generator x."""
+    """Is the subgroup H of ``table`` normal?  The table re-rooted at coset
+    1·x is the table of x^-1 H x, and it is the table itself exactly when
+    the self-walk of :func:`_quotient_map` from 1 to 1·x succeeds; so H is
+    normal exactly when that walk succeeds for every generator x.  No table
+    is re-rooted."""
     return all(
-        standardize(table, base=table.rows[0][col]).rows == table.rows
+        _quotient_map(table, table, table.rows[0][col]) is not None
         for col in range(0, 2 * len(table.alphabet), 2)
     )
 
@@ -567,26 +615,28 @@ def mark_normal_and_maximal(slist: SubgroupList) -> SubgroupList:
     Normality is the table test :func:`_is_normal_table`.  Maximality is
     decided inside the list: any subgroup strictly between U and the whole
     group has index a proper divisor of U's, hence at most ``max_index``,
-    hence present.  The whole group's maximal flag stays blank by
-    convention.
+    hence present, so only the subgroups of those indexes are tested.  The
+    whole group's maximal flag stays blank by convention.
     """
-    subs = [e.subgroup for e in slist.entries]
+    by_index: dict[int, list[FiniteIndexSubgroup]] = {}
+    for e in slist.entries:
+        by_index.setdefault(e.subgroup.index, []).append(e.subgroup)
     marked = []
-    for u in subs:
-        normal = _is_normal_table(u.table)
-        if u.index == 1:
+    for e in slist.entries:
+        u = e.subgroup
+        k = u.index
+        if k == 1:
             maximal = None
         else:
-            maximal = True
-            for v in subs:
-                if v.index == 1 or v.index >= u.index:
-                    continue
-                if u.index % v.index != 0:
-                    continue
-                if contains_subgroup(v, u):
-                    maximal = False
-                    break
-        marked.append(SubgroupEntry(u, normal=normal, maximal=maximal))
+            maximal = not any(
+                contains_subgroup(v, u)
+                for d, vs in by_index.items()
+                if 1 < d < k and k % d == 0
+                for v in vs
+            )
+        marked.append(
+            SubgroupEntry(u, normal=_is_normal_table(u.table), maximal=maximal)
+        )
     return replace(slist, entries=tuple(marked))
 
 

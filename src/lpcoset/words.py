@@ -302,10 +302,3 @@ class EndoWord:
             i = j
         return "*".join(parts)
 
-
-def compare(u: EndoWord, v: EndoWord) -> int:
-    """Three-way comparison in the monoid ordering: -1, 0, or 1."""
-    if u.family != v.family:
-        raise InputError("cannot compare endomorphism words over different families")
-    ku, kv = u.sort_key(), v.sort_key()
-    return (ku > kv) - (ku < kv)

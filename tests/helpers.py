@@ -30,11 +30,10 @@ from lpcoset.coset_enum import (
     _Engine,
     _Overflow,
     _prepared_relators,
-    _rotation_index,
     _verify_closed,
     table_from_rep,
 )
-from lpcoset.subgroups import _low_index_tables, _split_relators
+from lpcoset.subgroups import _low_index_tables, _rotation_index, _split_relators
 from lpcoset.words import Word, _require_same_alphabet
 
 
@@ -201,10 +200,25 @@ def fold_and_dedup(lp, tables, cap: int = 10**5):
     return folded
 
 
+def fold_every_coset(lp, reps, cap: int = 10**5) -> list[CosetTable]:
+    """Each representative's fold re-rooted at every one of its cosets,
+    repeats included.  Reference for ``_fold_by_class``, which re-roots
+    the fold once per conjugate."""
+    folds = []
+    for t in reps:
+        folded, _ = fold_to_valid(lp, t, cap)
+        folds.append(folded)
+        folds.extend(standardize(folded, base=d) for d in range(2, folded.size + 1))
+    return folds
+
+
 def plain_low_index_tables(fp, max_index: int) -> list[CosetTable]:
     """The low-index descent without classes or deferred relators: every
     relator of ``fp`` is scanned after every deduction, and each complete
-    table is kept.  Reference for the library's ``_low_index_tables``."""
+    table is kept, and ``propagate`` scans the cycles through each new edge
+    from both of its ends.  Reference for the library's
+    ``_low_index_tables``, which scans each cycle once and decides each
+    re-rooting once per subtree."""
     ncols = 2 * len(fp.alphabet)
     rot_by_col = _rotation_index(ncols, _prepared_relators(fp))
     tab = [0] * ((max_index + 2) * ncols)

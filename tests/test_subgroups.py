@@ -39,17 +39,24 @@ from lpcoset import (
     to_perm_rep,
 )
 from lpcoset.presentations import FinitePresentation
-from lpcoset.subgroups import _fold_by_class, _is_normal_table, _split_relators
+from lpcoset.subgroups import (
+    _fold_by_class,
+    _is_normal_table,
+    _quotient_map,
+    _split_relators,
+)
 from lpcoset.words import Alphabet
 
 from helpers import (
     conjugates,
     contains_by_generators,
     fold_and_dedup,
+    fold_every_coset,
     is_normal_table,
     low_index_classes,
     plain_low_index,
     plain_low_index_tables,
+    reroot,
     transitive_tables_by_exhaustion,
 )
 
@@ -207,6 +214,24 @@ class TestIsNormal:
         sub = FiniteIndexSubgroup.from_table(_FREE2, raw)
         regular = image_group(sub.rep, 10**4).order == n
         assert _is_normal_table(sub.table) == is_normal_table(sub.table) == regular
+
+    @pytest.mark.parametrize(
+        "group,max_index,level", [("s3", 6, 0), ("basilica", 6, 1), ("grigorchuk", 8, 1)]
+    )
+    def test_self_walk_succeeds_exactly_at_the_normalizer(
+        self, grig, bas, group, max_index, level
+    ):
+        # reference: re-rooting at c gives the table itself exactly when c
+        # lies in the normalizer
+        lp = {"s3": _s3_as_l_presentation(), "basilica": bas, "grigorchuk": grig}[group]
+        for e in low_index(lp, max_index, level=level).entries:
+            t = e.subgroup.table
+            for c in range(1, t.size + 1):
+                image = _quotient_map(t, t, c)
+                assert (image is not None) == (reroot(t, c).rows == t.rows)
+                if image is not None:
+                    assert image[1] == c
+                    assert sorted(image[1:]) == list(range(1, t.size + 1))
 
 
 class TestIntersect:
@@ -599,6 +624,20 @@ class TestLowIndex:
         plain = plain_low_index_tables(fp, 6)
         assert {f.rows for f in folds} == {fold_to_valid(lp, t)[0].rows for t in plain}
         assert len(classes) < len(plain)
+
+    @pytest.mark.parametrize(
+        "group,max_index,level", [("s3", 6, 0), ("basilica", 6, 1), ("grigorchuk", 8, 1)]
+    )
+    def test_class_folds_rerooted_once_per_conjugate(
+        self, grig, bas, group, max_index, level
+    ):
+        # reference: the fold re-rooted at every one of its cosets
+        lp = {"s3": _s3_as_l_presentation(), "basilica": bas, "grigorchuk": grig}[group]
+        classes, _ = low_index_classes(lp.covering(level), max_index)
+        for t, _ in classes:
+            folds = [f.rows for f in _fold_by_class(lp, [t], 10**5, None)]
+            assert len(folds) == len(set(folds))
+            assert set(folds) == {f.rows for f in fold_every_coset(lp, [t])}
 
     def test_grigorchuk_level_two_defers_long_relators(self, grig):
         events = []

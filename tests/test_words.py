@@ -14,7 +14,6 @@ from lpcoset import (
     InputError,
     Word,
     commutator,
-    compare,
     free_reduce,
 )
 
@@ -167,26 +166,25 @@ def bfs_words(family, max_len: int) -> list[EndoWord]:
 
 class TestOrdering:
     def test_shorter_wins(self):
-        assert compare(endo_word(0), endo_word(0, 0)) == -1
+        assert endo_word(0) < endo_word(0, 0)
 
     def test_rightmost_position_decides(self):
         # factors apply left to right, so (1, 0) is "phi2 then phi1" and its
         # rightmost factor phi1 precedes phi2.
-        assert compare(endo_word(1, 0), endo_word(0, 1)) == -1
+        assert endo_word(1, 0) < endo_word(0, 1)
 
     def test_identity_is_minimum(self):
         ident = EndoWord.identity(AB, FAMILY)
         for w in bfs_words(FAMILY, 3):
             if w.factors:
-                assert compare(ident, w) == -1
+                assert ident < w
 
     def test_total_order_axioms(self):
         sample = bfs_words(FAMILY, 4)
         for u, v in itertools.combinations(sample, 2):
-            cu, cv = compare(u, v), compare(v, u)
-            assert cu in (-1, 1) and cv == -cu
+            assert (u < v) != (v < u)
         for u in sample:
-            assert compare(u, u) == 0
+            assert not u < u
         keys = [w.sort_key() for w in sample]
         for u, v, w in itertools.combinations(sorted(sample), 3):
             assert u < v < w
@@ -194,7 +192,7 @@ class TestOrdering:
     def test_family_mismatch(self):
         other = EndoWord(AB, (BAS_SIGMA,), (0,))
         with pytest.raises(InputError):
-            compare(endo_word(0), other)
+            endo_word(0) < other
 
 
 class TestDescendants:
@@ -203,7 +201,7 @@ class TestDescendants:
             kids = w.descendants()
             assert len(kids) == len(FAMILY)
             assert all(k.length == w.length + 1 for k in kids)
-            assert all(compare(w, k) == -1 for k in kids)
+            assert all(w < k for k in kids)
 
     def test_descendants_prepend(self):
         w = endo_word(0, 1)
