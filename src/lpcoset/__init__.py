@@ -3,7 +3,6 @@
 from .coset_enum import (
     CosetTable,
     dump_table,
-    merge_coincidence,
     merge_coincidences,
     parse_table_dump,
     schreier_generators,
@@ -25,13 +24,8 @@ from .perms import (
     ImageGroup,
     Permutation,
     PermutationRep,
-    ReductionResult,
-    ReductionWitness,
-    endo_image,
     image_group,
     kernel_contained,
-    parse_cycles,
-    reduces_to,
     word_image,
 )
 from .pipeline import (

@@ -244,7 +244,7 @@ def _cmd_validate(args, cfg: EnumerationConfig, out, err) -> int:
     try:
         with open(args.table, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read table dump {args.table!r}: {exc}") from exc
     table = parse_table_dump(lp.alphabet, text)
     outcome = decide_validity(

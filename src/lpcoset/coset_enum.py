@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, ParseError, PreconditionError
 from .perms import Permutation, PermutationRep
 from .presentations import FinitePresentation, SubgroupSpec
 from .words import Alphabet, Word, _require_same_alphabet
@@ -78,10 +78,6 @@ class CosetTable:
     @property
     def is_closed(self) -> bool:
         return all(all(d != 0 for d in row) for row in self.rows)
-
-    def entry(self, coset: int, letter: int) -> int:
-        """Raw table entry (0 when undefined)."""
-        return self.rows[coset - 1][_col_of(letter)]
 
 
 def trace(table: CosetTable, start: int, w: Word) -> int | None:
@@ -318,11 +314,6 @@ def _verify_closed(table: CosetTable, fp: FinitePresentation, sub: SubgroupSpec)
             raise RuntimeError(f"subgroup generator {g} does not fix coset 1")
 
 
-def merge_coincidence(table: CosetTable, c: int, d: int) -> CosetTable:
-    """Identify cosets c and d and close under the induced identifications."""
-    return merge_coincidences(table, [(c, d)])
-
-
 def merge_coincidences(
     table: CosetTable, pairs: Iterable[tuple[int, int]]
 ) -> CosetTable:
@@ -380,18 +371,6 @@ def to_perm_rep(table: CosetTable) -> PermutationRep:
     return PermutationRep(table.alphabet, table.size, tuple(perms))
 
 
-def table_from_rep(rep: PermutationRep) -> CosetTable:
-    """The closed table whose generator actions are the given permutations."""
-    rows = []
-    for c in range(1, rep.degree + 1):
-        row = []
-        for g in range(len(rep.alphabet)):
-            row.append(rep.perms[g].apply(c))
-            row.append(rep.perms[g].inverse().apply(c))
-        rows.append(tuple(row))
-    return CosetTable(rep.alphabet, tuple(rows))
-
-
 def coset_representatives(table: CosetTable) -> list[Word]:
     """Shortest transversal words, breadth-first, generators before inverses."""
     if not table.is_closed:
@@ -445,8 +424,6 @@ def dump_table(table: CosetTable) -> str:
 
 
 def parse_table_dump(alphabet: Alphabet, text: str) -> CosetTable:
-    from .errors import ParseError
-
     ngens = len(alphabet)
     cols = [2 * g for g in range(ngens)] + [2 * g + 1 for g in range(ngens)]
     rows = []
@@ -467,6 +444,8 @@ def parse_table_dump(alphabet: Alphabet, text: str) -> CosetTable:
         for col, v in zip(cols, values):
             row[col] = v
         rows.append(tuple(row))
+    if not rows:
+        raise ParseError("table dump has no rows")
     try:
         return CosetTable(alphabet, tuple(rows))
     except InputError as exc:

@@ -1,6 +1,6 @@
 """Permutations of {1..n}, representations of a free group by permutations,
-image-group enumeration with Schreier words, and the kernel-containment
-test between two composed representations.
+image-group enumeration, and the kernel-containment test between two
+representations.
 
 Permutations act on the right and compose left to right: ``(p * q)`` means
 apply ``p`` first.  This matches the convention of tracing a word through a
@@ -9,13 +9,11 @@ coset table letter by letter, so taking images of words is a homomorphism.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Literal, Sequence
+from typing import Sequence
 
-from .errors import InputError, ParseError
-from .words import Alphabet, EndoWord, Word, _require_same_alphabet
+from .errors import InputError
+from .words import Alphabet, Word, _require_same_alphabet
 
 
 @dataclass(frozen=True)
@@ -70,54 +68,6 @@ class Permutation:
             inv[img - 1] = i + 1
         return Permutation(tuple(inv))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point."""
-        seen = [False] * len(self.images)
-        out = []
-        for i in range(1, len(self.images) + 1):
-            if seen[i - 1] or self.images[i - 1] == i:
-                continue
-            cycle = [i]
-            seen[i - 1] = True
-            j = self.images[i - 1]
-            while j != i:
-                cycle.append(j)
-                seen[j - 1] = True
-                j = self.images[j - 1]
-            out.append(tuple(cycle))
-        return out
-
-    def __str__(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(str(p) for p in c) + ")" for c in cycles)
-
-
-_CYCLE_RE = re.compile(r"\(\s*([0-9,\s]*?)\s*\)")
-
-
-def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse cycle notation such as ``(1,2,3)`` or ``()``."""
-    rest = text.strip()
-    if not rest:
-        raise ParseError(f"cannot parse permutation {text!r}")
-    cycles = []
-    pos = 0
-    while pos < len(rest):
-        m = _CYCLE_RE.match(rest, pos)
-        if not m:
-            raise ParseError(f"cannot parse permutation {text!r}")
-        body = m.group(1).strip()
-        if body:
-            points = [int(p) for p in re.split(r"[,\s]+", body)]
-            if len(points) > 1:
-                cycles.append(points)
-        pos = m.end()
-        while pos < len(rest) and rest[pos].isspace():
-            pos += 1
-    return Permutation.from_cycles(degree, cycles)
-
 
 @dataclass(frozen=True)
 class PermutationRep:
@@ -139,11 +89,6 @@ class PermutationRep:
         for p in perms:
             if p.degree != self.degree:
                 raise InputError("permutation degree mismatch")
-
-    @classmethod
-    def trivial(cls, alphabet: Alphabet, degree: int = 1) -> "PermutationRep":
-        ident = Permutation.identity(degree)
-        return cls(alphabet, degree, tuple(ident for _ in alphabet.names))
 
     def letter_image(self, letter: int) -> Permutation:
         p = self.perms[abs(letter) - 1]
@@ -178,59 +123,22 @@ def word_image(phi: PermutationRep, w: Word) -> Permutation:
     return Permutation(tuple(images))
 
 
-def endo_image(phi: PermutationRep, e: EndoWord) -> PermutationRep:
-    """The representation of the composite ``e`` followed by ``phi``.
-
-    Built by peeling factors off the left, so the image words that get
-    traced are the short single-factor images rather than the full
-    composite, whose letter count can grow geometrically in ``e.length``.
-    """
-    _require_same_alphabet(phi.alphabet, e.alphabet)
-    rep = phi
-    for k in reversed(e.factors):
-        rep = rep.precompose(e.family[k])
-    return rep
-
-
 @dataclass(frozen=True)
 class ImageGroup:
-    """Closure of the generator images under products, with Schreier data.
+    """Closure of the generator images under products, as a transition table.
 
-    Only the breadth-first closure is stored.  ``closure[i]`` is element i
-    (identity first) in the 0-based encoding of :func:`_encoding`;
-    ``transitions[i][g]`` is the index of ``elements[i] * perms[g]`` and
-    ``parents[i]`` is the (element, generator) edge that discovered element
-    i.  As elements are numbered in discovery order, the transitions alone
-    let products along representative words be replayed under any other
-    representation without building the words.
-
-    ``order`` is read off the closure.  ``elements`` (as :class:`Permutation`)
-    and ``words`` are built on first access and cached; ``words[i]`` is the
-    shortest positive representative word for ``elements[i]``, ties broken
-    by generator order.
+    Elements are numbered in breadth-first discovery order, identity first;
+    ``transitions[i][g]`` is the number of element i times generator g.  The
+    discovery edge of element j is the first edge in breadth-first order
+    that reaches j, so the transitions alone let the closure be replayed
+    under any other representation without storing elements or words.
     """
 
-    rep: PermutationRep
-    closure: tuple
     transitions: tuple[tuple[int, ...], ...]
-    parents: tuple[tuple[int, int], ...]
 
     @property
     def order(self) -> int:
-        return len(self.parents)
-
-    @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(tuple(x + 1 for x in e)) for e in self.closure)
-
-    @cached_property
-    def words(self) -> tuple[Word, ...]:
-        # representative words use positive letters only, so concatenation
-        # never needs a reduction pass
-        words = [Word.identity(self.rep.alphabet)]
-        for i, g in self.parents[1:]:
-            words.append(Word(self.rep.alphabet, words[i].letters + (g + 1,)))
-        return tuple(words)
+        return len(self.transitions)
 
 
 def _compose_tuples(e: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
@@ -253,16 +161,14 @@ def _encoding(perms: Sequence[Permutation], degree: int):
 
 
 def _closure(tables, ident, compose, cap: int):
-    """Breadth-first closure of ``ident`` under right multiplication by
-    ``tables``: ``(elements, transitions, parents)``, or ``None`` once past
-    ``cap`` elements."""
+    """Transitions of the breadth-first closure of ``ident`` under right
+    multiplication by ``tables``, or ``None`` once past ``cap`` elements."""
     elements = [ident]
     index = {ident: 0}
-    parents: list[tuple[int, int]] = [(-1, -1)]
     transitions: list[tuple[int, ...]] = []
-    for i, e in enumerate(elements):
+    for e in elements:
         row = []
-        for g, t in enumerate(tables):
+        for t in tables:
             x = compose(e, t)
             j = index.get(x)
             if j is None:
@@ -271,10 +177,9 @@ def _closure(tables, ident, compose, cap: int):
                 j = len(elements)
                 index[x] = j
                 elements.append(x)
-                parents.append((i, g))
             row.append(j)
         transitions.append(tuple(row))
-    return elements, transitions, parents
+    return transitions
 
 
 def _replay_consistent(transitions, tables, ident, compose) -> bool:
@@ -300,35 +205,10 @@ def image_group(phi: PermutationRep, cap: int) -> ImageGroup | None:
     """Enumerate the image group of ``phi``; ``None`` once past ``cap`` elements."""
     if cap < 1:
         raise InputError("cap must be positive")
-    found = _closure(*_encoding(phi.perms, phi.degree), cap)
-    if found is None:
+    transitions = _closure(*_encoding(phi.perms, phi.degree), cap)
+    if transitions is None:
         return None
-    elements, transitions, parents = found
-    return ImageGroup(phi, tuple(elements), tuple(transitions), tuple(parents))
-
-
-@dataclass(frozen=True)
-class ReductionWitness:
-    """Certificate for a successful kernel-containment test.
-
-    ``generator_images[g]`` pairs the images of generator g under the
-    target and source representations; mapping the first onto the second
-    extends to a homomorphism of the image groups.
-    """
-
-    source: EndoWord
-    target: EndoWord
-    generator_images: tuple[tuple[Permutation, Permutation], ...]
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    verdict: Literal["yes", "no", "unknown"]
-    witness: ReductionWitness | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.verdict == "yes"
+    return ImageGroup(tuple(transitions))
 
 
 def kernel_contained(
@@ -353,25 +233,3 @@ def kernel_contained(
     return _replay_consistent(
         ig.transitions, *_encoding(rep_source.perms, rep_source.degree)
     )
-
-
-def reduces_to(
-    delta: EndoWord, sigma: EndoWord, phi: PermutationRep, cap: int
-) -> ReductionResult:
-    """Decide whether the relator checks for ``delta`` are subsumed by ``sigma``.
-
-    Yes exactly when ker(sigma-then-phi) <= ker(delta-then-phi); unknown is
-    the conservative answer when the image-group enumeration overruns
-    ``cap``.
-    """
-    rep_d = endo_image(phi, delta)
-    rep_s = endo_image(phi, sigma)
-    answer = kernel_contained(rep_s, rep_d, cap)
-    if answer is None:
-        return ReductionResult("unknown")
-    if not answer:
-        return ReductionResult("no")
-    pairs = tuple(
-        (rep_s.perms[g], rep_d.perms[g]) for g in range(len(phi.alphabet))
-    )
-    return ReductionResult("yes", ReductionWitness(delta, sigma, pairs))

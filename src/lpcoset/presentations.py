@@ -83,12 +83,6 @@ class SubgroupSpec:
                 gens.append(g)
         object.__setattr__(self, "generators", tuple(gens))
 
-    @classmethod
-    def whole_group(cls, alphabet: Alphabet) -> "SubgroupSpec":
-        return cls(
-            alphabet,
-            tuple(Word.generator(alphabet, i + 1) for i in range(len(alphabet))),
-        )
 
 
 @dataclass(frozen=True)
@@ -149,9 +143,6 @@ class LPresentation:
                 relators.append(endo.composite.apply(r))
         return FinitePresentation(self.alphabet, tuple(relators))
 
-    @property
-    def is_finite_presentation(self) -> bool:
-        return not self.endomorphisms
 
 
 def grigorchuk() -> LPresentation:
@@ -430,9 +421,12 @@ def parse_lpresentation(text: str) -> LPresentation:
             if "->" not in part:
                 raise ParseError(f"bad mapping {part.strip()!r} in endomorphism {name}")
             lhs, rhs = part.split("->", 1)
-            code = alphabet.code(lhs.strip())
+            lhs = lhs.strip()
+            if lhs not in alphabet:
+                raise ParseError(f"unknown generator {lhs!r} in endomorphism {name}")
+            code = alphabet.code(lhs)
             if code in images:
-                raise ParseError(f"generator {lhs.strip()!r} mapped twice in {name}")
+                raise ParseError(f"generator {lhs!r} mapped twice in {name}")
             images[code] = parse_word(alphabet, rhs)
         missing = [alphabet.names[i] for i in range(len(alphabet)) if i + 1 not in images]
         if missing:
@@ -457,5 +451,5 @@ def load_presentation(source: str) -> LPresentation:
     try:
         with open(source, "r", encoding="utf-8") as handle:
             return parse_lpresentation(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read presentation file {source!r}: {exc}") from exc

@@ -186,10 +186,6 @@ class FreeEndomorphism:
         images = tuple(Word.generator(alphabet, i + 1) for i in range(len(alphabet)))
         return cls(alphabet, images)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(img.letters == (i + 1,) for i, img in enumerate(self.images))
-
     def apply(self, w: Word) -> Word:
         """Substitute every letter by its image and freely reduce."""
         _require_same_alphabet(self.alphabet, w.alphabet)
@@ -204,9 +200,6 @@ class FreeEndomorphism:
                 else:
                     out.append(y)
         return Word(self.alphabet, tuple(out))
-
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
 
     def then(self, other: "FreeEndomorphism") -> "FreeEndomorphism":
         """Composite that applies ``self`` first, then ``other``."""
@@ -257,10 +250,6 @@ class EndoWord:
     @property
     def length(self) -> int:
         return len(self.factors)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.factors
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Key realizing the length-then-rightmost-lexicographic order."""

@@ -13,6 +13,7 @@ import random
 from lpcoset import (
     CosetTable,
     EndoWord,
+    ImageGroup,
     InvalidWitness,
     Permutation,
     PermutationRep,
@@ -21,6 +22,7 @@ from lpcoset import (
     cyclic_reduction_pair,
     dump_table,
     fold_to_valid,
+    kernel_contained,
     standardize,
     word_image,
 )
@@ -31,7 +33,6 @@ from lpcoset.coset_enum import (
     _Overflow,
     _prepared_relators,
     _verify_closed,
-    table_from_rep,
 )
 from lpcoset.subgroups import _low_index_tables, _rotation_index, _split_relators
 from lpcoset.words import Word, _require_same_alphabet
@@ -40,6 +41,64 @@ from lpcoset.words import Word, _require_same_alphabet
 def sigma_power(lp, k: int) -> EndoWord:
     """The k-th power of the single endomorphism of ``lp`` as an endomorphism word."""
     return EndoWord(lp.alphabet, lp.endomorphisms, (0,) * k)
+
+
+def endo_image(phi: PermutationRep, e: EndoWord) -> PermutationRep:
+    """The representation of the composite ``e`` followed by ``phi``, built
+    by peeling factors off the left.  Reference for the chain of
+    :meth:`PermutationRep.precompose` calls that the validity walk makes."""
+    _require_same_alphabet(phi.alphabet, e.alphabet)
+    rep = phi
+    for k in reversed(e.factors):
+        rep = rep.precompose(e.family[k])
+    return rep
+
+
+def reduces(delta: EndoWord, sigma: EndoWord, phi: PermutationRep, cap: int = 1000):
+    """Does ``delta`` reduce to ``sigma`` under ``phi``, that is, does
+    ker(sigma-then-phi) lie inside ker(delta-then-phi)?  ``None`` when the
+    image-group enumeration overruns ``cap``."""
+    return kernel_contained(endo_image(phi, sigma), endo_image(phi, delta), cap)
+
+
+def table_from_rep(rep: PermutationRep) -> CosetTable:
+    """The closed table whose generator actions are the given permutations."""
+    rows = []
+    for c in range(1, rep.degree + 1):
+        row = []
+        for g in range(len(rep.alphabet)):
+            row.append(rep.perms[g].apply(c))
+            row.append(rep.perms[g].inverse().apply(c))
+        rows.append(tuple(row))
+    return CosetTable(rep.alphabet, tuple(rows))
+
+
+def whole_group(alphabet) -> SubgroupSpec:
+    """The subgroup generated by every generator."""
+    return SubgroupSpec(
+        alphabet, tuple(Word.generator(alphabet, i + 1) for i in range(len(alphabet)))
+    )
+
+
+def trivial_rep(alphabet, degree: int = 1) -> PermutationRep:
+    """Every generator acts as the identity on ``degree`` points."""
+    ident = Permutation.identity(degree)
+    return PermutationRep(alphabet, degree, tuple(ident for _ in alphabet.names))
+
+
+def replay_image_group(ig: ImageGroup, phi: PermutationRep):
+    """``(elements, words)`` of the image group of ``phi`` rebuilt from
+    ``ig.transitions``: element j is discovered by the first edge in
+    breadth-first order that reaches j, and ``words[j]`` is the shortest
+    positive word for element j, ties broken by generator order."""
+    elements = [Permutation.identity(phi.degree)]
+    words = [Word.identity(phi.alphabet)]
+    for i, row in enumerate(ig.transitions):
+        for g, j in enumerate(row):
+            if j == len(elements):
+                elements.append(elements[i] * phi.perms[g])
+                words.append(Word(phi.alphabet, words[i].letters + (g + 1,)))
+    return tuple(elements), tuple(words)
 
 
 def shortcut_validity(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutcome:

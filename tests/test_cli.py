@@ -217,7 +217,7 @@ class TestValidateCommand:
         # transitive degree-6 representation of the level-0 cover whose
         # substituted relator survives; validity must fail at sigma
         from lpcoset import Permutation, PermutationRep, basilica, dump_table
-        from lpcoset.coset_enum import table_from_rep
+        from helpers import table_from_rep
 
         bas = basilica()
         rep = PermutationRep(
@@ -261,6 +261,26 @@ class TestValidateCommand:
         code, _, _ = run_cli("validate", "builtin:basilica", "--table", "/nonexistent")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("text", ["", "# no rows\n\n"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_dump_without_rows_is_parse_error(self, tmp_path, text, fmt):
+        dump = tmp_path / "empty.dump"
+        dump.write_text(text)
+        code, out, err = run_cli(
+            "validate", "builtin:basilica", "--table", str(dump), "--format", fmt
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "table dump has no rows" in err
+
+    def test_dump_not_utf8_is_parse_error(self, tmp_path):
+        dump = tmp_path / "binary.dump"
+        dump.write_bytes(b"\xff")
+        code, out, err = run_cli("validate", "builtin:basilica", "--table", str(dump))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "cannot read table dump" in err
+
 
 class TestErrorPaths:
     def test_unknown_builtin(self):
@@ -275,6 +295,22 @@ class TestErrorPaths:
     def test_missing_file(self):
         code, _, _ = run_cli("index", "/no/such/file.lp", "--subgroup", "")
         assert code == EXIT_PARSE
+
+    def test_presentation_file_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.lp"
+        path.write_bytes(b"\xff")
+        code, out, err = run_cli("index", str(path), "--subgroup", "")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "cannot read presentation file" in err
+
+    def test_unknown_generator_in_endomorphism(self, tmp_path):
+        path = tmp_path / "bad.lp"
+        path.write_text("generators: a b\nendomorphism s: z -> a, a -> b\n")
+        code, out, err = run_cli("index", str(path), "--subgroup", "")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "unknown generator 'z' in endomorphism s" in err
 
     def test_resource_ceiling(self):
         code, _, err = run_cli(

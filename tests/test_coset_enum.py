@@ -19,7 +19,6 @@ from lpcoset import (
     SubgroupSpec,
     Word,
     dump_table,
-    merge_coincidence,
     merge_coincidences,
     parse_table_dump,
     parse_word,
@@ -31,12 +30,7 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset.coset_enum import (
-    _Engine,
-    _verify_closed,
-    coset_representatives,
-    table_from_rep,
-)
+from lpcoset.coset_enum import _Engine, _verify_closed, coset_representatives
 
 from helpers import (
     congruence_quotient_size,
@@ -45,6 +39,8 @@ from helpers import (
     random_word,
     reroot,
     sweeping_todd_coxeter,
+    table_from_rep,
+    whole_group,
 )
 
 
@@ -80,7 +76,7 @@ class TestToddCoxeter:
 
     def test_whole_group_gives_one_coset(self, bas, grig):
         for lp in (bas, grig):
-            table = todd_coxeter(lp.covering(1), SubgroupSpec.whole_group(lp.alphabet))
+            table = todd_coxeter(lp.covering(1), whole_group(lp.alphabet))
             assert table.size == 1
 
     def test_cyclic_group_against_direct_enumeration(self):
@@ -140,7 +136,7 @@ class TestToddCoxeter:
         assert sweeping_todd_coxeter(fp, sub, max_cosets=limit) == one_pass
 
     def test_dead_rows_are_freed(self, bas_u_result):
-        # every engine that todd_coxeter or merge_coincidence builds holds a
+        # every engine that todd_coxeter or merge_coincidences builds holds a
         # row for its live cosets only, once its coincidences are processed
         engines = []
 
@@ -152,7 +148,7 @@ class TestToddCoxeter:
         with mock.patch("lpcoset.coset_enum._Engine", Recording):
             for _, fp, sub in enumeration_fixtures():
                 todd_coxeter(fp, sub)
-            merge_coincidence(bas_u_result.table, 1, 2)
+            merge_coincidences(bas_u_result.table, [(1, 2)])
         assert sum(eng.ndead for eng in engines) > 0
         for eng in engines:
             assert sum(row is not None for row in eng.tab) == eng.alive
@@ -285,8 +281,8 @@ class TestTrace:
         table = bas_u_result.table
         a = Word.generator(table.alphabet, 1)
         assert trace(table, 1, a) == 2
-        assert table.entry(1, 1) == 2
-        assert table.entry(2, -1) == 1
+        assert table.rows[0][0] == 2  # a from coset 1
+        assert table.rows[1][1] == 1  # a^-1 from coset 2
         assert trace(table, 1, Word.identity(table.alphabet)) == 1
 
     def test_partial_table_returns_none(self, bas):
@@ -312,12 +308,12 @@ class TestTrace:
 class TestMergeCoincidence:
     def test_merge_with_itself_is_identity(self, bas_u_result):
         table = bas_u_result.table
-        assert merge_coincidence(table, 2, 2).rows == table.rows
+        assert merge_coincidences(table, [(2, 2)]).rows == table.rows
 
     @pytest.mark.parametrize("other", [2, 3, 4, 5, 6])
     def test_regular_action_quotient_oracle(self, other):
         table = cyclic_table(6)
-        merged = merge_coincidence(table, 1, other)
+        merged = merge_coincidences(table, [(1, other)])
         expected = congruence_quotient_size(table, [(1, other)])
         assert merged.size == expected
         assert 6 % merged.size == 0
@@ -335,11 +331,11 @@ class TestMergeCoincidence:
             assert 6 % merged.size == 0
 
     def test_basilica_merge_collapses_to_point(self, bas_u_result):
-        merged = merge_coincidence(bas_u_result.table, 1, 2)
+        merged = merge_coincidences(bas_u_result.table, [(1, 2)])
         assert merged.size == 1
 
     def test_merged_table_stays_closed_and_reachable(self, bas_u_result):
-        merged = merge_coincidence(bas_u_result.table, 1, 2)
+        merged = merge_coincidences(bas_u_result.table, [(1, 2)])
         assert merged.is_closed
         standardize(merged)  # raises if some coset is unreachable
 
@@ -382,7 +378,7 @@ class TestStandardize:
 
 class TestPermRepExtraction:
     def test_one_coset_table(self, grig):
-        table = todd_coxeter(grig.covering(0), SubgroupSpec.whole_group(grig.alphabet))
+        table = todd_coxeter(grig.covering(0), whole_group(grig.alphabet))
         rep = to_perm_rep(table)
         assert all(p.is_identity for p in rep.perms)
 

@@ -22,7 +22,6 @@ from lpcoset import (
     burnside,
     cyclic_reduction_pair,
     decide_validity,
-    endo_image,
     enumerate_cosets,
     fold_invalid,
     fold_to_valid,
@@ -37,11 +36,20 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset.coset_enum import DEFAULT_MAX_COSETS, coset_representatives, table_from_rep
+from lpcoset.coset_enum import DEFAULT_MAX_COSETS, coset_representatives
 from lpcoset.pipeline import _attempts
 from lpcoset.subgroups import _quotient_map
 
-from helpers import plain_low_index_tables, reroot, shortcut_validity, sigma_power
+from helpers import (
+    endo_image,
+    plain_low_index_tables,
+    reroot,
+    shortcut_validity,
+    sigma_power,
+    table_from_rep,
+    trivial_rep,
+    whole_group,
+)
 
 
 @pytest.fixture(scope="module")
@@ -183,12 +191,12 @@ class TestCyclicReductionPair:
         assert cyclic_reduction_pair(bas, bas_index3_rep) == (1, 3)
 
     def test_trivial_representation(self, bas):
-        assert cyclic_reduction_pair(bas, PermutationRep.trivial(bas.alphabet)) == (0, 1)
+        assert cyclic_reduction_pair(bas, trivial_rep(bas.alphabet)) == (0, 1)
 
     def test_requires_single_endomorphism(self, bas_index3_rep):
         lp = burnside(1, 2)
         with pytest.raises(InputError):
-            cyclic_reduction_pair(lp, PermutationRep.trivial(lp.alphabet))
+            cyclic_reduction_pair(lp, trivial_rep(lp.alphabet))
 
     def test_cap_ceiling_is_a_resource_limit(self, bas, bas_index3_rep):
         # the index-3 rep's image group has 6 elements, past a ceiling of 1
@@ -260,7 +268,7 @@ class TestEnumerate:
         assert res.level_used == level
 
     def test_whole_group(self, grig):
-        res = enumerate_cosets(grig, SubgroupSpec.whole_group(grig.alphabet))
+        res = enumerate_cosets(grig, whole_group(grig.alphabet))
         assert res.index == 1
 
     def test_grigorchuk_index_two(self, grig):

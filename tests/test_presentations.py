@@ -233,7 +233,7 @@ class TestPresentationFiles:
 
     def test_plain_finite_presentation(self):
         lp = parse_lpresentation("generators: x y\nfixed: x^2 y^2 [x,y]\n")
-        assert lp.is_finite_presentation
+        assert lp.endomorphisms == ()
         assert len(lp.fixed) == 3
 
     def test_multiple_endomorphisms_keep_file_order(self):

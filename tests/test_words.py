@@ -223,7 +223,7 @@ class TestDescendants:
     def test_empty_family(self):
         ident = EndoWord.identity(AB, ())
         assert ident.descendants() == []
-        assert ident.composite.is_identity
+        assert ident.composite == FreeEndomorphism.identity(AB)
 
 
 class TestBreadthFirstOrder:
