@@ -10,11 +10,17 @@ id order.
 
 The enumeration is relator driven (HLT, Havas, "Coset enumeration
 strategies", ISSAC 1991): one HLT pass scans the relators coset by coset,
-defining cosets wherever a scan gets stuck.
+defining cosets wherever a scan gets stuck.  Its cost grows with the total
+length of the relators it scans, so the presentation is simplified first
+(:func:`_prepared_relators`): a generator that is itself a relator leaves
+the other relators, and one relator is kept per class under rotation and
+inversion.  The low-index descent reads the same prepared relators.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,11 +40,19 @@ def _col_word(w: Word) -> tuple[int, ...]:
     return tuple(_col_of(x) for x in w.letters)
 
 
-def _cyclically_reduce(w: Sequence[int]) -> tuple[int, ...]:
-    w = list(w)
-    while len(w) >= 2 and w[0] == w[-1] ^ 1:
-        w = w[1:-1]
-    return tuple(w)
+def _cyclically_reduce(w: Iterable[int]) -> tuple[int, ...]:
+    """Free and then cyclic reduction of a column word."""
+    out: list[int] = []
+    for c in w:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == out[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    return tuple(out[i:j])
 
 
 @dataclass(frozen=True)
@@ -237,13 +251,49 @@ class _Engine:
 
 
 def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:
+    """The relators of ``fp`` as column words after one Tietze pass
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005, section 5.1), in the order of the relators they come from:
+
+    1. cyclically reduce every relator;
+    2. a generator g whose reduced relator is the single letter g^±1 acts
+       as the identity in every table satisfying that relator: keep that
+       relator, delete g's letters from every other relator, and free- and
+       cyclically reduce what is left;
+    3. drop empty words, and keep the first relator of each class under
+       rotation and inversion, since a relator-driven scan from every coset
+       meets every rotation of a kept one and its inverse anyway.
+
+    A closed table satisfies the prepared relators exactly when it
+    satisfies those of ``fp``.  The enumeration relies on that, so
+    :func:`_verify_closed` checks ``fp.relators`` as given: a fault here
+    raises there instead of returning a wrong table.
+    """
+    words = [_cyclically_reduce(_col_word(r)) for r in fp.relators]
+    trivial = {w[0] >> 1 for w in words if len(w) == 1}
+    if trivial:
+        words = [
+            w if len(w) == 1 else _cyclically_reduce(c for c in w if c >> 1 not in trivial)
+            for w in words
+        ]
+    # a class holds words of one length, so a word of unique length needs no key
+    lengths = Counter(map(len, words))
     out = []
     seen = set()
-    for r in fp.relators:
-        w = _cyclically_reduce(_col_word(r))
-        if w and w not in seen:
-            seen.add(w)
-            out.append(w)
+    for w in words:
+        n = len(w)
+        if n == 0:
+            continue
+        if lengths[n] > 1:
+            fwd = array("L", w) * 2
+            inv = array("L", [c ^ 1 for c in reversed(w)]) * 2
+            low = min(min(fwd), min(inv))
+            key = min(u[i : i + n] for u in (fwd, inv) for i in range(n) if u[i] == low)
+            key = key.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(w)
     return out
 
 

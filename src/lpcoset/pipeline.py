@@ -386,11 +386,12 @@ def enumerate_cosets(
       only reader of ``max_cosets`` in :func:`todd_coxeter`, so an
       overflowing run is a prefix of the same run with a larger limit.
     - Each limit is 16 times the one before until the ceiling clamps it,
-      and covering relators only grow with the level (total relator
-      length: Grigorchuk 43, 107, 235 at levels 0-2; B(4,2) 3, 35, 371),
-      so the overflows before an unclamped attempt cost at most 1/15 of
-      that attempt's budget, and at most 16/15 of it before a clamped one
-      (0.07 at the default ceiling).
+      and the relators that :func:`todd_coxeter` scans only grow with the
+      level (total prepared length: Grigorchuk 43, 107, 235 at levels 0-2;
+      B(4,2) 1, 9, 73, 433, 2,913 at levels 0-4), so the overflows before
+      an unclamped attempt cost at most 1/15 of that attempt's budget, and
+      at most 16/15 of it before a clamped one (0.07 at the default
+      ceiling).
 
     Termination is guaranteed only when the index is finite; hitting the
     hard ceiling raises :class:`GaveUp`, which asserts nothing about the

@@ -41,6 +41,7 @@ from .words import (
     Word,
     _require_same_alphabet,
     commutator,
+    free_reduce,
 )
 
 
@@ -268,14 +269,14 @@ class _WordParser:
         return w
 
     def expr(self, stop=(")", "]", ",")) -> Word:
-        out = Word.identity(self.alphabet)
+        letters: list[int] = []
         first = True
         while True:
             kind, val = self.peek()
             if kind is None or (kind == "sym" and val in stop):
                 if first:
                     self.fail("empty word expression")
-                return out
+                return Word(self.alphabet, free_reduce(letters))
             if kind == "sym" and val == "*":
                 if first:
                     self.fail("leading '*'")
@@ -283,7 +284,7 @@ class _WordParser:
                 kind, val = self.peek()
                 if kind is None or kind == "sym" and val in stop:
                     self.fail("dangling '*'")
-            out = out * self.factor()
+            letters += self.factor().letters
             first = False
 
     def factor(self) -> Word:

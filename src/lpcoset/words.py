@@ -132,10 +132,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word.identity(self.alphabet)
-        for _ in range(n):
-            out = out * self
-        return out
+        return Word(self.alphabet, free_reduce(self.letters * n))
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g^-1 * self * g."""

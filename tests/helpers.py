@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 from lpcoset import (
     CosetTable,
@@ -24,16 +25,20 @@ from lpcoset import (
     fold_to_valid,
     kernel_contained,
     standardize,
+    todd_coxeter,
     word_image,
 )
+from lpcoset import coset_enum
 from lpcoset.coset_enum import (
     DEFAULT_MAX_COSETS,
     _col_word,
+    _cyclically_reduce,
     _Engine,
     _Overflow,
     _prepared_relators,
     _verify_closed,
 )
+from lpcoset.presentations import _WordParser
 from lpcoset.subgroups import _low_index_tables, _rotation_index, _split_relators
 from lpcoset.words import Word, _require_same_alphabet
 
@@ -277,7 +282,8 @@ def plain_low_index_tables(fp, max_index: int) -> list[CosetTable]:
     table is kept, and ``propagate`` scans the cycles through each new edge
     from both of its ends.  Reference for the library's
     ``_low_index_tables``, which scans each cycle once and decides each
-    re-rooting once per subtree."""
+    re-rooting once per subtree.  It reads the library's
+    ``_prepared_relators``, so it tests the descent alone."""
     ncols = 2 * len(fp.alphabet)
     rot_by_col = _rotation_index(ncols, _prepared_relators(fp))
     tab = [0] * ((max_index + 2) * ncols)
@@ -481,7 +487,8 @@ def felsch_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     """Deduction-driven (Felsch) Todd-Coxeter: cosets are defined in row
     order, and the consequences of each new edge are propagated through
     every relator rotation before the next definition.  Reference for the
-    library's relator-driven ``todd_coxeter``; None on overflow."""
+    library's relator-driven ``todd_coxeter``; None on overflow.  It reads
+    the library's ``_prepared_relators``, so it tests the driver alone."""
     _require_same_alphabet(fp.alphabet, sub.alphabet)
     eng = _FelschEngine(2 * len(fp.alphabet), max_cosets)
     rot_by_col = _rotation_index(eng.ncols, _prepared_relators(fp))
@@ -513,7 +520,8 @@ def sweeping_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     generators from coset 1, then every relator from every live coset in id
     order, filling each row after its scans) until a sweep defines and
     merges nothing.  Reference for the library's single-pass
-    ``todd_coxeter``; None on overflow."""
+    ``todd_coxeter``; None on overflow.  It reads the library's
+    ``_prepared_relators``, so it tests the driver alone."""
     _require_same_alphabet(fp.alphabet, sub.alphabet)
     relators = _prepared_relators(fp)
     subgens = [w for w in (_col_word(g) for g in sub.generators) if w]
@@ -542,6 +550,89 @@ def sweeping_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     table = eng.snapshot(fp.alphabet)
     _verify_closed(table, fp, sub)
     return table
+
+
+def raw_prepared_relators(fp) -> list[tuple[int, ...]]:
+    """Every relator of ``fp`` as a cyclically reduced column word, empty
+    words and exact repeats dropped, in order.  Reference for the Tietze
+    pass of the library's ``_prepared_relators``."""
+    out = []
+    seen = set()
+    for r in fp.relators:
+        w = _cyclically_reduce(_col_word(r))
+        if w and w not in seen:
+            seen.add(w)
+            out.append(w)
+    return out
+
+
+def raw_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
+    """The library's ``todd_coxeter`` scanning ``raw_prepared_relators``
+    in place of the simplified relators; None on overflow."""
+    with mock.patch.object(coset_enum, "_prepared_relators", raw_prepared_relators):
+        return todd_coxeter(fp, sub, max_cosets=max_cosets)
+
+
+def power_by_products(w: Word, n: int) -> Word:
+    """``w ** n`` one factor at a time, every product reducing the whole
+    prefix again.  Reference for ``Word.__pow__``."""
+    if n < 0:
+        return power_by_products(w.inverse(), -n)
+    out = Word.identity(w.alphabet)
+    for _ in range(n):
+        out = out * w
+    return out
+
+
+class _ProductParser(_WordParser):
+    """The word grammar with every product and power formed one factor at
+    a time.  Reference for ``_WordParser``, which collects the letters of
+    a product and reduces them once."""
+
+    def expr(self, stop=(")", "]", ",")) -> Word:
+        out = Word.identity(self.alphabet)
+        first = True
+        while True:
+            kind, val = self.peek()
+            if kind is None or (kind == "sym" and val in stop):
+                if first:
+                    self.fail("empty word expression")
+                return out
+            if kind == "sym" and val == "*":
+                if first:
+                    self.fail("leading '*'")
+                self.take()
+                kind, val = self.peek()
+                if kind is None or kind == "sym" and val in stop:
+                    self.fail("dangling '*'")
+            out = out * self.factor()
+            first = False
+
+    def factor(self) -> Word:
+        w = self.primary()
+        while self.peek() == ("sym", "^"):
+            self.take()
+            kind, val = self.peek()
+            if kind == "int" or (kind == "sym" and val == "-"):
+                sign = 1
+                if kind == "sym":
+                    self.take()
+                    sign = -1
+                    kind, val = self.peek()
+                    if kind != "int":
+                        self.fail("expected integer exponent after '-'")
+                self.take()
+                w = power_by_products(w, sign * int(val))
+            else:
+                w = w.conjugated_by(self.primary())
+        return w
+
+
+def parse_word_by_products(alphabet, text: str) -> Word:
+    """``parse_word`` through :class:`_ProductParser`."""
+    if not text.strip():
+        return Word.identity(alphabet)
+    return _ProductParser(alphabet, text).parse()
 
 
 def enumeration_fixtures():

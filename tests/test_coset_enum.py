@@ -18,8 +18,13 @@ from lpcoset import (
     PreconditionError,
     SubgroupSpec,
     Word,
+    basilica,
+    burnside,
+    coset_enum,
     dump_table,
+    grigorchuk,
     merge_coincidences,
+    parse_subgroup,
     parse_table_dump,
     parse_word,
     parse_words,
@@ -30,13 +35,21 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset.coset_enum import _Engine, _verify_closed, coset_representatives
+from lpcoset.coset_enum import (
+    _col_of,
+    _Engine,
+    _prepared_relators,
+    _verify_closed,
+    coset_representatives,
+)
 
 from helpers import (
     congruence_quotient_size,
     enumeration_fixtures,
     felsch_todd_coxeter,
     random_word,
+    raw_prepared_relators,
+    raw_todd_coxeter,
     reroot,
     sweeping_todd_coxeter,
     table_from_rep,
@@ -64,6 +77,134 @@ def finite_presentations(draw):
     gens = draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=2))
     fp = FinitePresentation(abc, tuple(powers + [Word.reduce(abc, r) for r in rels]))
     return fp, SubgroupSpec(abc, tuple(Word.reduce(abc, g) for g in gens))
+
+
+@st.composite
+def presentations_with_a_spare_generator(draw):
+    """2-3 generators and a spare one, t, which is a relator (possibly
+    conjugated) in most examples: generator powers, random relators with t
+    mixed in, rotated or inverted copies of some of them, and 0-2 subgroup
+    words."""
+    n = draw(st.integers(2, 3))
+    abc = Alphabet(("x", "y", "z")[:n] + ("t",))
+    t = n + 1
+    letter = st.sampled_from([s * g for g in range(1, n + 2) for s in (1, -1)])
+    rels = []
+    if draw(st.integers(0, 3)):
+        conj = draw(st.lists(letter, max_size=2))
+        rels.append([-x for x in reversed(conj)] + [draw(st.sampled_from((t, -t)))] + conj)
+    for g, e in enumerate(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), 1):
+        if e >= 2:
+            rels.append([g] * e)
+    rels += draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=3))
+    for r in draw(st.lists(st.sampled_from(rels), max_size=3)):
+        k = draw(st.integers(0, len(r)))
+        r = r[k:] + r[:k]
+        rels.append([-x for x in reversed(r)] if draw(st.booleans()) else r)
+    gens = draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=2))
+    fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in rels))
+    return fp, SubgroupSpec(abc, tuple(Word.reduce(abc, g) for g in gens))
+
+
+def relator_class(w) -> frozenset:
+    """Every rotation of the column word ``w`` and of its inverse."""
+    inv = tuple(c ^ 1 for c in reversed(w))
+    return frozenset(u[i:] + u[:i] for u in (w, inv) for i in range(len(w)))
+
+
+BURNSIDE_LETTERS = [
+    # (n, m, level, raw prepared letters, simplified prepared letters)
+    (2, 3, 3, 568, 85),
+    (2, 3, 5, 8020, 631),
+    (2, 4, 3, 757, 113),
+    (3, 2, 4, 8907, 853),
+    (4, 2, 0, 3, 1),
+    (4, 2, 1, 35, 9),
+    (4, 2, 2, 371, 73),
+    (4, 2, 3, 3507, 433),
+    (4, 2, 4, 30947, 2913),
+]
+
+
+class TestPreparedRelators:
+    @pytest.mark.parametrize("n,m,level,raw,simplified", BURNSIDE_LETTERS)
+    def test_burnside_letter_totals(self, n, m, level, raw, simplified):
+        fp = burnside(n, m).covering(level)
+        assert sum(map(len, raw_prepared_relators(fp))) == raw
+        prepared = _prepared_relators(fp)
+        assert sum(map(len, prepared)) == simplified
+        # the spare letter keeps exactly its own relator
+        t = _col_of(n + 1)
+        assert [w for w in prepared if t in w or t ^ 1 in w] == [(t,)]
+
+    @pytest.mark.parametrize(
+        "lp,level",
+        [(burnside(2, 3), 4), (burnside(3, 2), 3), (grigorchuk(), 2), (basilica(), 2)],
+        ids=["B(2,3)", "B(3,2)", "grigorchuk", "basilica"],
+    )
+    def test_one_relator_per_class(self, lp, level):
+        classes = [relator_class(w) for w in _prepared_relators(lp.covering(level))]
+        assert len(set(classes)) == len(classes)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_self_similar_coverings_are_unchanged(self, level):
+        # nothing shrinks on the low-index workloads' presentations, so the
+        # descent and _split_relators see exactly the relators they saw
+        for lp in (grigorchuk(), basilica()):
+            fp = lp.covering(level)
+            assert _prepared_relators(fp) == raw_prepared_relators(fp)
+
+    def test_burnside_24_level_four_closes(self):
+        # B(2,4) has order 2^12 and <a1> order 4; the raw relators
+        # overflow this limit
+        lp = burnside(2, 4)
+        table = todd_coxeter(
+            lp.covering(4), parse_subgroup(lp.alphabet, "a1, t"), max_cosets=4096
+        )
+        assert table is not None and table.size == 1024
+
+    @pytest.mark.parametrize(
+        "subgroup,index", [("1", 4), ("a1, a2, t^2, t*a1*t^-1, t*a2*t^-1", 1)]
+    )
+    def test_the_raw_relators_guard_the_simplification(self, subgroup, index):
+        # without its relator t is a free generator: the enumeration either
+        # overflows or closes on a table in which t moves a coset, and the
+        # check against the raw relators rejects that table
+        lp = burnside(2, 2)
+        fp = lp.covering(2)
+        sub = parse_subgroup(lp.alphabet, subgroup)
+        assert todd_coxeter(fp, sub).size == index
+        t = (_col_of(3),)
+
+        def without_t(fp):
+            return [w for w in _prepared_relators(fp) if w != t]
+
+        with mock.patch.object(coset_enum, "_prepared_relators", without_t):
+            try:
+                assert todd_coxeter(fp, sub, max_cosets=1000) is None
+            except RuntimeError as exc:
+                assert "relator t does not close" in str(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations_with_a_spare_generator(), st.sampled_from((50, 500, 5000)))
+    def test_matches_the_raw_relators(self, case, limit):
+        # the same subgroup, so the same standardized table whenever both
+        # close; the shorter relators may close within a limit that the raw
+        # ones overflow (or the reverse), and then the other side closes
+        # on the same table with more room
+        fp, sub = case
+        tables = [todd_coxeter(fp, sub, max_cosets=limit),
+                  raw_todd_coxeter(fp, sub, max_cosets=limit)]
+        if tables.count(None) == 1:
+            if tables[0] is None:
+                tables[0] = todd_coxeter(fp, sub, max_cosets=20 * limit)
+            else:
+                tables[1] = raw_todd_coxeter(fp, sub, max_cosets=20 * limit)
+            assert None not in tables
+        if None not in tables:
+            assert standardize(tables[0]).rows == standardize(tables[1]).rows
+        prepared = _prepared_relators(fp)
+        assert len(set(map(relator_class, prepared))) == len(prepared)
 
 
 class TestToddCoxeter:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcoset import (
     Alphabet,
@@ -16,6 +20,8 @@ from lpcoset import (
     parse_word,
     parse_words,
 )
+
+from helpers import parse_word_by_products
 
 
 def letters(lp, text):
@@ -208,6 +214,39 @@ class TestWordGrammar:
             w = random_word(rng, grig.alphabet, 14)
             assert parse_word(grig.alphabet, str(w)) == w
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.recursive(
+            st.sampled_from(["a", "b", "1", "a^-1", "b^2"]),
+            lambda inner: st.one_of(
+                st.tuples(inner, st.integers(-4, 4)).map(lambda p: f"({p[0]})^{p[1]}"),
+                st.tuples(inner, inner).map(lambda p: f"{p[0]}*{p[1]}"),
+                st.tuples(inner, inner).map(lambda p: f"{p[0]} {p[1]}"),
+                st.tuples(inner, inner).map(lambda p: f"[{p[0]},{p[1]}]"),
+                st.tuples(inner, inner).map(lambda p: f"({p[0]})^({p[1]})"),
+            ),
+            max_leaves=12,
+        )
+    )
+    def test_matches_the_product_by_product_parser(self, text):
+        assert parse_word(AB, text) == parse_word_by_products(AB, text)
+
+    @pytest.mark.parametrize(
+        "text,pairs",
+        [("(a*b)^6000", 6000), ("*".join(["a", "b"] * 3000), 3000)],
+        ids=["power", "product"],
+    )
+    def test_long_input_parses_in_linear_time(self, text, pairs):
+        # multiplying factor by factor re-reduces the whole prefix every
+        # time, which takes about 10 s and 20 s on these inputs
+        start = time.perf_counter()
+        w = parse_word(AB, text)
+        assert time.perf_counter() - start < 2
+        assert w.letters == (1, 2) * pairs
+
+
+AB = Alphabet(("a", "b"))
 
 GRIG_FILE = """
 # the first Grigorchuk group

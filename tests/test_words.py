@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpcoset import (
@@ -17,7 +17,7 @@ from lpcoset import (
     free_reduce,
 )
 
-from helpers import brute_force_reduce, random_word
+from helpers import brute_force_reduce, power_by_products, random_word
 
 ABC = Alphabet(("a", "b", "c", "d"))
 AB = Alphabet(("a", "b"))
@@ -89,6 +89,12 @@ class TestArithmetic:
         assert (word(AB, 1) ** 3).letters == (1, 1, 1)
         assert (word(AB, 1) ** -2).letters == (-1, -1)
         assert (word(AB, 1) ** 0).is_identity
+
+    @settings(max_examples=200)
+    @given(letters_strategy, st.integers(-6, 6))
+    def test_power_matches_repeated_products(self, letters, n):
+        w = Word.reduce(ABC, letters)
+        assert w**n == power_by_products(w, n)
 
 
 GRIG_SIGMA = FreeEndomorphism(
