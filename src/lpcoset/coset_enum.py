@@ -13,8 +13,9 @@ strategies", ISSAC 1991): one HLT pass scans the relators coset by coset,
 defining cosets wherever a scan gets stuck.  Its cost grows with the total
 length of the relators it scans, so the presentation is simplified first
 (:func:`_prepared_relators`): a generator that is itself a relator leaves
-the other relators, and one relator is kept per class under rotation and
-inversion.  The low-index descent reads the same prepared relators.
+the other relators, one relator is kept per class under rotation and
+inversion, and a proper power of a kept relator goes.  The low-index
+descent reads the same prepared relators.
 """
 
 from __future__ import annotations
@@ -262,7 +263,10 @@ def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:
        cyclically reduce what is left;
     3. drop empty words, and keep the first relator of each class under
        rotation and inversion, since a relator-driven scan from every coset
-       meets every rotation of a kept one and its inverse anyway.
+       meets every rotation of a kept one and its inverse anyway;
+    4. drop a relator u^k when another relator lies in the class of u^d
+       for a proper divisor d of k (a1^6 beside a1^3), in either order:
+       u^k closes wherever u^d does.
 
     A closed table satisfies the prepared relators exactly when it
     satisfies those of ``fp``.  The enumeration relies on that, so
@@ -276,25 +280,42 @@ def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:
             w if len(w) == 1 else _cyclically_reduce(c for c in w if c >> 1 not in trivial)
             for w in words
         ]
-    # a class holds words of one length, so a word of unique length needs no key
-    lengths = Counter(map(len, words))
+    words = [w for w in words if w]
+    roots = [_root_length(w) for w in words]
+    # the class of u^k is the class of its root u together with k, so a
+    # word whose root length no other word shares needs no key
+    shared = Counter(roots)
+    keys = [_power_key(w, p) if shared[p] > 1 else None for w, p in zip(words, roots)]
+    present = set(keys)
     out = []
     seen = set()
-    for w in words:
-        n = len(w)
-        if n == 0:
-            continue
-        if lengths[n] > 1:
-            fwd = array("L", w) * 2
-            inv = array("L", [c ^ 1 for c in reversed(w)]) * 2
-            low = min(min(fwd), min(inv))
-            key = min(u[i : i + n] for u in (fwd, inv) for i in range(n) if u[i] == low)
-            key = key.tobytes()
-            if key in seen:
+    for w, key in zip(words, keys):
+        if key is not None:
+            root, k = key
+            if key in seen or any((root, d) in present for d in range(1, k) if k % d == 0):
                 continue
             seen.add(key)
         out.append(w)
     return out
+
+
+def _power_key(w: tuple[int, ...], p: int) -> tuple[bytes, int]:
+    """The class of ``w`` = u^k under rotation and inversion, as the least
+    rotation of u or its inverse together with k, for u of length ``p``."""
+    fwd = array("L", w[:p]) * 2
+    inv = array("L", [c ^ 1 for c in reversed(w[:p])]) * 2
+    low = min(min(fwd), min(inv))
+    root = min(u[i : i + p] for u in (fwd, inv) for i in range(p) if u[i] == low)
+    return root.tobytes(), len(w) // p
+
+
+def _root_length(w: tuple[int, ...]) -> int:
+    """The length p of the shortest u with ``w`` = u^(len(w) / p)."""
+    n = len(w)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and w[:p] * (n // p) == w:
+            return p
+    return n
 
 
 def todd_coxeter(

@@ -17,12 +17,13 @@ coincidences fold the table down without another enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
 
 from .coset_enum import (
     DEFAULT_MAX_COSETS,
     CosetTable,
+    _prepared_relators,
     merge_coincidences,
     standardize,
     to_perm_rep,
@@ -350,21 +351,86 @@ class EnumerationResult:
         return self.table.size
 
 
-def _attempts(config: EnumerationConfig) -> Iterator[tuple[int, int]]:
-    """The ``(level, max_cosets)`` pair of every Todd-Coxeter attempt.
+def _limits(config: EnumerationConfig) -> list[int]:
+    """The coset limits: ``initial_max_cosets`` times successive powers of
+    ``escalation_factor``, each clamped to ``hard_ceiling``, which is the
+    last."""
+    limits = [min(config.initial_max_cosets, config.hard_ceiling)]
+    while limits[-1] < config.hard_ceiling:
+        limits.append(min(limits[-1] * config.escalation_factor, config.hard_ceiling))
+    return limits
 
-    Each attempt is one level deeper and has ``escalation_factor`` times
-    the coset limit of the one before; every limit, the first included, is
-    clamped to ``hard_ceiling``, and the attempt at the ceiling is the last.
+
+def _deepest_level(config: EnumerationConfig, endomorphisms: int, generators: int) -> int:
+    """The deepest covering level an attempt may use: ``initial_level``
+    plus one level per limit past the first, lowered to the deepest level
+    whose covering has at most ``hard_ceiling / (2 * generators)``
+    endomorphism words, the entries of a table at the ceiling, but not
+    below ``initial_level``.
+
+    Level L has ``sum(e**i for i <= L)`` words for e endomorphisms, so this
+    is known before any covering is built.
     """
+    e = endomorphisms
     level = config.initial_level
-    limit = min(config.initial_max_cosets, config.hard_ceiling)
-    while True:
-        yield level, limit
-        if limit >= config.hard_ceiling:
-            return
+    top = level + len(_limits(config)) - 1
+    words = sum(e**i for i in range(level + 1))
+    while level < top:
+        words += e ** (level + 1)
+        if words * 2 * generators > config.hard_ceiling:
+            break
         level += 1
-        limit = min(limit * config.escalation_factor, config.hard_ceiling)
+    return level
+
+
+def _attempts(
+    config: EnumerationConfig,
+    endomorphisms: int,
+    generators: int,
+    weight: Callable[[int], int],
+) -> Iterator[tuple[int, int]]:
+    """The ``(level, max_cosets)`` pair of every Todd-Coxeter attempt for
+    a presentation with the given numbers of endomorphisms and generators.
+
+    The first pair is ``initial_level`` at the first limit, and the last is
+    the deepest level (:func:`_deepest_level`) at the ceiling, the only
+    attempt there.  In between come the pairs of the levels from
+    ``initial_level`` to the deepest with the limits below the ceiling, in
+    increasing estimated work ``limit * weight(level)``, ties to the
+    shallower level.  A level counts as at least as heavy as the one
+    before, so no pair comes after one at a level as deep or deeper with a
+    limit as large or larger, whose overflow would have implied its own.
+
+    Neither weights nor the deepest level are computed before the first
+    pair.  ``weight`` is read once per level, in level order: the next
+    level is weighed only when its least possible work, the weight of the
+    level before at the first limit, is the least open one.
+    """
+    limits = _limits(config)
+    first = config.initial_level
+    yield first, limits[0]
+    if len(limits) == 1:
+        return
+    deepest = _deepest_level(config, endomorphisms, generators)
+    below = limits[:-1]
+    weights = [weight(first)]
+    tried = [1]
+    while True:
+        open_pairs = [
+            (below[k] * w, i) for i, (w, k) in enumerate(zip(weights, tried)) if k < len(below)
+        ]
+        if first + len(weights) <= deepest:
+            open_pairs.append((below[0] * weights[-1], len(weights)))
+        if not open_pairs:
+            break
+        _, i = min(open_pairs)
+        if i == len(weights):
+            weights.append(max(weight(first + i), weights[-1]))
+            tried.append(0)
+            continue
+        yield first + i, below[tried[i]]
+        tried[i] += 1
+    yield deepest, limits[-1]
 
 
 def enumerate_cosets(
@@ -377,32 +443,44 @@ def enumerate_cosets(
     coset limit on overflow and folding coincidences on invalid tables.
 
     The attempts follow :func:`_attempts`: by default 2^8 cosets at the
-    initial level, then one level deeper and 16 times the limit each time,
-    up to the hard ceiling.  An attempt at a level whose covering group
-    gives the subgroup infinite index overflows whatever its limit, so the
-    schedule keeps those overflows cheap:
+    initial level, then the levels up to three deeper at 2^8, 2^12 and
+    2^16 cosets in increasing estimated work, then the deepest level at
+    the hard ceiling.  A level whose covering group gives the subgroup
+    infinite index overflows at every limit, so the order keeps the
+    overflows cheap:
 
     - Overflow cost is monotone in the limit.  ``_Engine.define`` is the
       only reader of ``max_cosets`` in :func:`todd_coxeter`, so an
-      overflowing run is a prefix of the same run with a larger limit.
-    - Each limit is 16 times the one before until the ceiling clamps it,
-      and the relators that :func:`todd_coxeter` scans only grow with the
-      level (total prepared length: Grigorchuk 43, 107, 235 at levels 0-2;
-      B(4,2) 1, 9, 73, 433, 2,913 at levels 0-4), so the overflows before
-      an unclamped attempt cost at most 1/15 of that attempt's budget, and
-      at most 16/15 of it before a clamped one (0.07 at the default
-      ceiling).
+      overflowing run is a prefix of the same run with a larger limit, and
+      a closing run is the same whatever limit lets it close.
+    - A run at limit N over a covering of weight w (prepared relator
+      letters plus two columns per generator) does about N * w work.
+      Attempts come in increasing estimated work, and on one level the
+      limits grow by ``escalation_factor`` f, so the overflows before an
+      attempt cost at most f / (f - 1) of its estimated work per level
+      tried (16/15 by default).
+    - A covering is built only when its level's cheapest attempt is the
+      cheapest open one, and none has more than ``hard_ceiling / (2 *
+      generators)`` endomorphism words (:func:`_deepest_level`), so a
+      small ``escalation_factor`` cannot build coverings beyond the memory
+      of a table at the ceiling.
 
     Termination is guaranteed only when the index is finite; hitting the
     hard ceiling raises :class:`GaveUp`, which asserts nothing about the
     index.
     """
     _require_same_alphabet(lp.alphabet, sub.alphabet)
-    for escalations, (level, limit) in enumerate(_attempts(config)):
+    covering = cache(lp.covering)
+    columns = 2 * len(lp.alphabet)
+
+    def weight(level: int) -> int:
+        return sum(map(len, _prepared_relators(covering(level)))) + columns
+
+    attempts = _attempts(config, len(lp.endomorphisms), len(lp.alphabet), weight)
+    for escalations, (level, limit) in enumerate(attempts):
         if escalations:
             _emit(trace, "escalate", level=level, max_cosets=limit)
-        fp = lp.covering(level)
-        table = todd_coxeter(fp, sub, max_cosets=limit)
+        table = todd_coxeter(covering(level), sub, max_cosets=limit)
         if table is None:
             _emit(trace, "tc-overflow", level=level, max_cosets=limit)
             continue

@@ -119,29 +119,31 @@ class LPresentation:
     def identity_endo_word(self) -> EndoWord:
         return EndoWord.identity(self.alphabet, self.endomorphisms)
 
-    def endo_words_up_to(self, level: int) -> list[EndoWord]:
-        """All endomorphism words of length <= level, in increasing order."""
-        if level < 0:
-            raise InputError("level must be >= 0")
-        queue = [self.identity_endo_word()]
-        i = 0
-        while i < len(queue):
-            if queue[i].length < level:
-                queue.extend(queue[i].descendants())
-            i += 1
-        return queue
-
     def covering(self, level: int) -> FinitePresentation:
         """The finite presentation truncated at composite length ``level``.
 
         Relators are the fixed ones followed by the images of each iterated
         relator under every endomorphism word of length at most ``level``,
         in increasing word order; level 0 keeps just fixed plus iterated.
+        No composite is formed: the images under a word are those under the
+        word without its last factor, mapped by that factor, so each level
+        applies one endomorphism to the images of the level before.
         """
-        relators = list(self.fixed)
-        for endo in self.endo_words_up_to(level):
-            for r in self.iterated:
-                relators.append(endo.composite.apply(r))
+        if level < 0:
+            raise InputError("level must be >= 0")
+        family = self.endomorphisms
+        relators = list(self.fixed) + list(self.iterated)
+        # factor tuple -> images of the iterated relators, in increasing word order
+        images = {(): self.iterated}
+        for _ in range(level):
+            shorter = images
+            images = {}
+            for factors in shorter:
+                for k in range(len(family)):
+                    longer = (k,) + factors
+                    last = family[longer[-1]]
+                    images[longer] = tuple(last.apply(r) for r in shorter[longer[:-1]])
+                    relators.extend(images[longer])
         return FinitePresentation(self.alphabet, tuple(relators))
 
 

@@ -22,13 +22,14 @@ from lpcoset import (
     ValidityOutcome,
     cyclic_reduction_pair,
     dump_table,
+    enumerate_cosets,
     fold_to_valid,
     kernel_contained,
     standardize,
     todd_coxeter,
     word_image,
 )
-from lpcoset import coset_enum
+from lpcoset import coset_enum, pipeline
 from lpcoset.coset_enum import (
     DEFAULT_MAX_COSETS,
     _col_word,
@@ -38,7 +39,7 @@ from lpcoset.coset_enum import (
     _prepared_relators,
     _verify_closed,
 )
-from lpcoset.presentations import _WordParser
+from lpcoset.presentations import FinitePresentation, _WordParser
 from lpcoset.subgroups import _low_index_tables, _rotation_index, _split_relators
 from lpcoset.words import Word, _require_same_alphabet
 
@@ -689,3 +690,47 @@ def enumeration_fixtures():
     )
     add("grig_l1", grig.covering(1), parse_words(grig.alphabet, "b, c, a*d"))
     return out
+
+
+def ladder_attempts(config):
+    """The ``(level, max_cosets)`` pair of every Todd-Coxeter attempt on
+    the ladder that ties depth to the limit.
+
+    Each attempt is one level deeper and has ``escalation_factor`` times
+    the coset limit of the one before; every limit, the first included, is
+    clamped to ``hard_ceiling``, and the attempt at the ceiling is the last.
+    Reference for the cost-ordered ``pipeline._attempts``.
+    """
+    level = config.initial_level
+    limit = min(config.initial_max_cosets, config.hard_ceiling)
+    while True:
+        yield level, limit
+        if limit >= config.hard_ceiling:
+            return
+        level += 1
+        limit = min(limit * config.escalation_factor, config.hard_ceiling)
+
+
+def ladder_enumerate_cosets(lp, sub, config, trace=None):
+    """The library's ``enumerate_cosets`` on :func:`ladder_attempts`."""
+    with mock.patch.object(
+        pipeline, "_attempts", lambda config, *counts_and_weight: ladder_attempts(config)
+    ):
+        return enumerate_cosets(lp, sub, config, trace)
+
+
+def composite_covering(lp, level: int):
+    """The covering presentation at ``level`` built by composing every
+    endomorphism word of length at most ``level``, in increasing order, and
+    applying the composite to each iterated relator.  Reference for
+    ``LPresentation.covering``, which composes nothing."""
+    words = [lp.identity_endo_word()]
+    i = 0
+    while i < len(words):
+        if words[i].length < level:
+            words.extend(words[i].descendants())
+        i += 1
+    relators = list(lp.fixed)
+    for endo in words:
+        relators.extend(endo.composite.apply(r) for r in lp.iterated)
+    return FinitePresentation(lp.alphabet, tuple(relators))

@@ -334,13 +334,43 @@ class TestErrorPaths:
         assert "no closed table within 100 cosets at level 0" in err
 
     def test_gives_up_at_a_real_ceiling(self):
-        # <b,c,d> has infinite index in the Grigorchuk group: the attempts at
-        # 2^8 and 2^12 cosets overflow, and level 2 overflows the ceiling
+        # <b,c,d> has infinite index in the Grigorchuk group: levels 0-2
+        # overflow 2^8 and 2^12 cosets, and level 2 overflows the ceiling
         code, _, err = run_cli(
             "index", "builtin:grigorchuk", "--subgroup", "b,c,d", "--hard-ceiling", "65536"
         )
         assert code == EXIT_RESOURCE
         assert "no closed table within 65536 cosets at level 2" in err
+
+    def test_small_escalation_factor_closes(self):
+        # one level per doubling died building the covering of level 10;
+        # cheap attempts at deeper levels close at level 2
+        code, out, err = run_cli(
+            "index", "builtin:burnside(2,3)", "--subgroup", "a1",
+            "--max-cosets", "4", "--escalation-factor", "2",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "index: 9" in out
+        assert "level: 2" in out
+
+    def test_small_escalation_factor_gives_up_within_memory(self):
+        # B(3,3) has order 3^7 > 2000: the run gives up, building no covering
+        # beyond level 2, and a 1 GB address space is plenty
+        import resource
+        import subprocess
+        import sys
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpcoset.cli", "index", "builtin:burnside(3,3)",
+             "--subgroup", "1", "--max-cosets", "4", "--escalation-factor", "2",
+             "--hard-ceiling", "2000"],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=300,
+        )
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stderr == "error: no closed table within 2000 cosets at level 2\n"
 
     def test_env_var_ceiling(self, monkeypatch):
         code, _, _ = run_cli(

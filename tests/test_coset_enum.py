@@ -83,8 +83,8 @@ def finite_presentations(draw):
 def presentations_with_a_spare_generator(draw):
     """2-3 generators and a spare one, t, which is a relator (possibly
     conjugated) in most examples: generator powers, random relators with t
-    mixed in, rotated or inverted copies of some of them, and 0-2 subgroup
-    words."""
+    mixed in, rotated or inverted copies of some of them, powers of some of
+    them, and 0-2 subgroup words."""
     n = draw(st.integers(2, 3))
     abc = Alphabet(("x", "y", "z")[:n] + ("t",))
     t = n + 1
@@ -101,6 +101,8 @@ def presentations_with_a_spare_generator(draw):
         k = draw(st.integers(0, len(r)))
         r = r[k:] + r[:k]
         rels.append([-x for x in reversed(r)] if draw(st.booleans()) else r)
+    for r in draw(st.lists(st.sampled_from(rels), max_size=2)):
+        rels.append(r * draw(st.integers(2, 3)))
     gens = draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=2))
     fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in rels))
     return fp, SubgroupSpec(abc, tuple(Word.reduce(abc, g) for g in gens))
@@ -112,17 +114,38 @@ def relator_class(w) -> frozenset:
     return frozenset(u[i:] + u[:i] for u in (w, inv) for i in range(len(w)))
 
 
+def proper_root_powers(w) -> list[tuple[int, ...]]:
+    """u^d for every proper divisor d of k, where ``w`` = u^k with u primitive."""
+    n = len(w)
+    p = next(p for p in range(1, n + 1) if n % p == 0 and w == w[:p] * (n // p))
+    k = n // p
+    return [w[:p] * d for d in range(1, k) if k % d == 0]
+
+
+def assert_no_proper_powers(prepared) -> None:
+    kept = set().union(*map(relator_class, prepared))
+    for w in prepared:
+        assert not any(u in kept for u in proper_root_powers(w)), w
+
+
+def t_free(w, ngens: int) -> bool:
+    """Whether the column word ``w`` avoids the last generator (Burnside's t)."""
+    return all(c >> 1 != ngens - 1 for c in w)
+
+
 BURNSIDE_LETTERS = [
     # (n, m, level, raw prepared letters, simplified prepared letters)
-    (2, 3, 3, 568, 85),
-    (2, 3, 5, 8020, 631),
-    (2, 4, 3, 757, 113),
-    (3, 2, 4, 8907, 853),
+    (2, 3, 3, 568, 55),
+    (2, 3, 5, 8020, 523),
+    (2, 4, 3, 757, 73),
+    (2, 4, 4, 2917, 217),
+    (2, 4, 6, 37909, 2089),
+    (3, 2, 4, 8907, 751),
     (4, 2, 0, 3, 1),
     (4, 2, 1, 35, 9),
-    (4, 2, 2, 371, 73),
-    (4, 2, 3, 3507, 433),
-    (4, 2, 4, 30947, 2913),
+    (4, 2, 2, 371, 57),
+    (4, 2, 3, 3507, 393),
+    (4, 2, 4, 30947, 2745),
 ]
 
 
@@ -145,6 +168,22 @@ class TestPreparedRelators:
     def test_one_relator_per_class(self, lp, level):
         classes = [relator_class(w) for w in _prepared_relators(lp.covering(level))]
         assert len(set(classes)) == len(classes)
+
+    @pytest.mark.parametrize(
+        "lp,level",
+        [(burnside(2, 3), 5), (burnside(2, 4), 4), (burnside(3, 2), 4)],
+        ids=["B(2,3)", "B(2,4)", "B(3,2)"],
+    )
+    def test_no_proper_power_of_a_kept_relator(self, lp, level):
+        fp = lp.covering(level)
+        prepared = _prepared_relators(fp)
+        assert_no_proper_powers(prepared)
+        # every raw relator that went is a proper power of a kept one or
+        # shares a kept one's class
+        kept = set().union(*map(relator_class, prepared))
+        for w in raw_prepared_relators(fp):
+            if t_free(w, len(lp.alphabet)) and w not in kept:
+                assert any(c in kept for c in proper_root_powers(w)), w
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_self_similar_coverings_are_unchanged(self, level):
@@ -205,6 +244,7 @@ class TestPreparedRelators:
             assert standardize(tables[0]).rows == standardize(tables[1]).rows
         prepared = _prepared_relators(fp)
         assert len(set(map(relator_class, prepared))) == len(prepared)
+        assert_no_proper_powers(prepared)
 
 
 class TestToddCoxeter:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +38,15 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset.coset_enum import DEFAULT_MAX_COSETS, coset_representatives
-from lpcoset.pipeline import _attempts
+from lpcoset import coset_enum, pipeline
+from lpcoset.coset_enum import DEFAULT_MAX_COSETS, _prepared_relators, coset_representatives
+from lpcoset.pipeline import _attempts, _deepest_level, _limits
 from lpcoset.subgroups import _quotient_map
 
 from helpers import (
     endo_image,
+    ladder_attempts,
+    ladder_enumerate_cosets,
     plain_low_index_tables,
     reroot,
     shortcut_validity,
@@ -334,15 +339,49 @@ BURNSIDE_INDEXES = (
 )
 
 
+def prepared_weight(lp):
+    """The level weight that ``enumerate_cosets`` orders attempts by."""
+
+    def weight(level):
+        return sum(map(len, _prepared_relators(lp.covering(level)))) + 2 * len(lp.alphabet)
+
+    return weight
+
+
+def schedule(lp, config):
+    return list(_attempts(config, len(lp.endomorphisms), len(lp.alphabet), prepared_weight(lp)))
+
+
+def deepest_level(lp, config):
+    return _deepest_level(config, len(lp.endomorphisms), len(lp.alphabet))
+
+
+def covering_words(endomorphisms: int, level: int) -> int:
+    """Endomorphism words of length at most ``level``."""
+    return sum(endomorphisms**i for i in range(level + 1))
+
+
 class TestEscalationSchedule:
     def test_default_schedule(self):
-        attempts = list(_attempts(EnumerationConfig()))
-        assert attempts == [(0, 2**8), (1, 2**12), (2, 2**16), (3, 10**6)]
-        former = list(_attempts(FORMER_SCHEDULE))
-        assert len(former) == len(attempts)
-        for (level, limit), (old_level, old_limit) in zip(attempts, former):
-            assert level == old_level
-            assert limit <= old_limit
+        config = EnumerationConfig()
+        assert _limits(config) == [2**8, 2**12, 2**16, 10**6]
+        former = _limits(FORMER_SCHEDULE)
+        assert len(former) == len(_limits(config))
+        assert all(new <= old for new, old in zip(_limits(config), former))
+        b23, b42 = burnside(2, 3), burnside(4, 2)
+        assert [prepared_weight(b23)(level) for level in range(4)] == [7, 13, 25, 61]
+        assert schedule(b23, config) == [
+            (0, 256), (1, 256), (2, 256), (3, 256),
+            (0, 4096), (1, 4096), (2, 4096), (3, 4096),
+            (0, 65536), (1, 65536), (2, 65536), (3, 65536),
+            (3, 10**6),
+        ]
+        assert [prepared_weight(b42)(level) for level in range(4)] == [11, 19, 67, 403]
+        assert schedule(b42, config) == [
+            (0, 256), (1, 256), (2, 256), (0, 4096), (1, 4096), (3, 256),
+            (2, 4096), (0, 65536), (1, 65536), (3, 4096), (2, 65536), (3, 65536),
+            (3, 10**6),
+        ]
 
     def test_one_default_ceiling(self):
         assert EnumerationConfig().hard_ceiling == DEFAULT_MAX_COSETS
@@ -354,19 +393,92 @@ class TestEscalationSchedule:
         hard_ceiling=st.integers(1, 10**7),
     )
     @settings(max_examples=200, deadline=None)
-    def test_schedule_properties(self, **fields):
+    def test_limits_are_the_ladder(self, **fields):
         config = EnumerationConfig(**fields)
-        attempts = list(_attempts(config))
-        levels = [level for level, _ in attempts]
-        limits = [limit for _, limit in attempts]
-        start = config.initial_level
-        assert levels == list(range(start, start + len(attempts)))
+        limits = _limits(config)
+        assert limits == [limit for _, limit in ladder_attempts(config)]
         assert limits[0] == min(config.initial_max_cosets, config.hard_ceiling)
         for before, after in zip(limits, limits[1:]):
             assert after == min(before * config.escalation_factor, config.hard_ceiling)
-        assert max(limits) <= config.hard_ceiling
         assert limits[-1] == config.hard_ceiling
         assert all(limit < config.hard_ceiling for limit in limits[:-1])
+
+    @given(
+        config=st.builds(
+            EnumerationConfig,
+            initial_level=st.integers(0, 4),
+            initial_max_cosets=st.integers(1, 5000),
+            escalation_factor=st.integers(2, 8),
+            hard_ceiling=st.integers(1, 10**5),
+        ),
+        endomorphisms=st.integers(0, 8),
+        generators=st.integers(1, 5),
+        weights=st.lists(st.integers(1, 10**4), min_size=30, max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_properties(self, config, endomorphisms, generators, weights):
+        limits = _limits(config)
+        first = config.initial_level
+        deepest = _deepest_level(config, endomorphisms, generators)
+        # the budget: at most one level per limit past the first, and no
+        # covering of more endomorphism words than a table at the ceiling
+        # has entries, unless that is the initial level
+        assert first <= deepest <= first + len(limits) - 1
+        entries = 2 * generators
+
+        def fits(level):
+            return covering_words(endomorphisms, level) * entries <= config.hard_ceiling
+
+        assert deepest == first or fits(deepest)
+        assert deepest == first + len(limits) - 1 or not fits(deepest + 1)
+
+        read = []
+
+        def weight(level):
+            read.append(level)
+            return weights[level]
+
+        attempts = _attempts(config, endomorphisms, generators, weight)
+        assert next(attempts) == (first, limits[0])
+        assert read == []
+        pairs = [(first, limits[0])] + list(attempts)
+        # each level is weighed once, in level order, up to the deepest
+        assert read == list(range(first, first + len(read)))
+        assert len(read) <= deepest - first + 1
+        assert len(set(pairs)) == len(pairs)
+        assert all(limit <= config.hard_ceiling for _, limit in pairs)
+        # every level up to the deepest at every limit below the ceiling,
+        # then the deepest at the ceiling, last
+        below = {(level, limit) for level in range(first, deepest + 1) for limit in limits[:-1]}
+        assert pairs[-1] == (deepest, config.hard_ceiling)
+        assert set(pairs[:-1]) == below
+        # estimated work never decreases, a level weighing at least as much
+        # as the one before
+        heaviest = {}
+        for level in range(first, deepest + 1):
+            heaviest[level] = max(weights[level], heaviest.get(level - 1, 0))
+        work = [(limit * heaviest[level], level) for level, limit in pairs]
+        assert work == sorted(work)
+        # no pair after one that is as deep or deeper with a limit as large
+        for i, (level, limit) in enumerate(pairs):
+            assert not any(l >= level and n >= limit for l, n in pairs[:i])
+
+    def test_the_budget_stops_small_escalation_factors(self):
+        # one level per doubling would reach level 18; the 87,381 words of
+        # level 8 fit a 10^6-coset table over three generators, level 9
+        # does not
+        lp = burnside(2, 3)
+        config = EnumerationConfig(initial_max_cosets=4, escalation_factor=2)
+        assert len(_limits(config)) == 19
+        assert deepest_level(lp, config) == 8
+        words = sum(1 for i in range(9) for _ in itertools.product(range(4), repeat=i))
+        assert words == covering_words(4, 8) == 87381
+        small = EnumerationConfig(initial_max_cosets=4, escalation_factor=2, hard_ceiling=2000)
+        assert deepest_level(burnside(3, 3), small) == 2
+        # the initial level is never cut
+        deep = EnumerationConfig(initial_level=5, initial_max_cosets=4, hard_ceiling=100)
+        assert len(_limits(deep)) == 3
+        assert deepest_level(burnside(3, 3), deep) == 5
 
     def test_first_attempt_honours_the_ceiling(self):
         lp = burnside(1, 3)
@@ -391,10 +503,17 @@ class TestEscalationSchedule:
         overflows = [
             (e.get("level"), e.get("max_cosets")) for e in events if e.kind == "tc-overflow"
         ]
-        expected = [(0, 256)] if n == 1 else [(0, 256), (1, 4096)]
+        expected = [(0, 256)] if n == 1 else [(0, 256), (1, 256)]
         assert overflows == expected
         assert res.level_used == len(expected)
         assert res.escalations == len(expected)
+        # the ladder overflowed at 4,096 cosets on level 1, then closed the
+        # same run at level 2
+        old = ladder_enumerate_cosets(lp, parse_subgroup(lp.alphabet, gens), EnumerationConfig())
+        assert (old.index, old.level_used, old.escalations) == (
+            index, res.level_used, res.escalations
+        )
+        assert old.table.rows == res.table.rows
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_burnside_same_answer_as_former_schedule(self, m):
@@ -409,15 +528,39 @@ class TestEscalationSchedule:
         )
         assert new.table.rows == old.table.rows
 
+    def test_first_attempt_closing_builds_one_covering(self, bas):
+        # the subgroup queries close on the first attempt: one covering and
+        # one relator preparation, the enumeration's own
+        calls = []
+        prepare = coset_enum._prepared_relators
+        cover = LPresentation.covering
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+
+            return wrapper
+
+        with mock.patch.object(LPresentation, "covering", counted("covering", cover)), \
+                mock.patch.object(coset_enum, "_prepared_relators", counted("prepare", prepare)), \
+                mock.patch.object(pipeline, "_prepared_relators", counted("prepare", prepare)):
+            res = enumerate_cosets(bas, parse_subgroup(bas.alphabet, "a^3, b, a*b*a"))
+        assert (res.index, res.escalations) == (3, 0)
+        assert calls == ["covering", "prepare"]
+
     @pytest.mark.parametrize("group", ["grig", "bas"])
     def test_small_index_subgroups_close_at_level_zero(self, group, request):
         lp = request.getfixturevalue(group)
         for entry in low_index(lp, 4).entries:
             u = entry.subgroup
-            res = enumerate_cosets(lp, SubgroupSpec(lp.alphabet, u.generators))
+            sub = SubgroupSpec(lp.alphabet, u.generators)
+            res = enumerate_cosets(lp, sub)
             assert res.index == u.index
             assert res.table.rows == u.table.rows
             assert (res.level_used, res.escalations) == (0, 0)
+            old = ladder_enumerate_cosets(lp, sub, EnumerationConfig())
+            assert (old.table.rows, old.level_used, old.escalations) == (u.table.rows, 0, 0)
 
 
 class TestFoldMonotonicity:

@@ -21,7 +21,7 @@ from lpcoset import (
     parse_words,
 )
 
-from helpers import parse_word_by_products
+from helpers import composite_covering, parse_word_by_products
 
 
 def letters(lp, text):
@@ -145,6 +145,24 @@ class TestCovering:
         for endo in grig.endomorphisms:
             for r in this_level:
                 assert endo.apply(r).letters in next_level
+
+    @pytest.mark.parametrize(
+        "name",
+        ["grigorchuk", "basilica", "burnside(1,3)", "burnside(2,2)", "burnside(3,2)",
+         "burnside(4,2)", "burnside(2,3)", "burnside(2,4)", "burnside(3,3)"],
+    )
+    def test_matches_the_composite_covering(self, name):
+        lp = builtin_presentation(name)
+        for level in range(5):
+            assert lp.covering(level) == composite_covering(lp, level)
+
+    def test_finite_matches_the_composite_covering(self):
+        abc = Alphabet(("x", "y"))
+        lp = LPresentation.from_finite(
+            FinitePresentation(abc, tuple(parse_words(abc, "x^2 y^3 (x*y)^5 x^2")))
+        )
+        for level in range(5):
+            assert lp.covering(level) == composite_covering(lp, level)
 
     def test_negative_level_rejected(self, bas):
         from lpcoset import InputError
