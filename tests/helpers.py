@@ -567,6 +567,26 @@ def raw_prepared_relators(fp) -> list[tuple[int, ...]]:
     return out
 
 
+def class_prepared_relators(fp) -> list[tuple[int, ...]]:
+    """Steps 1-3 of the library's ``_prepared_relators``: cyclically
+    reduce, delete every generator whose reduced relator is that single
+    letter from the other relators, and keep the first relator of each
+    class under rotation and inversion.  Reference for what step 4, the
+    proper-power drop, removes."""
+    words = [_cyclically_reduce(_col_word(r)) for r in fp.relators]
+    trivial = {w[0] >> 1 for w in words if len(w) == 1}
+    out = []
+    seen = set()
+    for w in words:
+        if len(w) > 1:
+            w = _cyclically_reduce(c for c in w if c >> 1 not in trivial)
+        if w and w not in seen:
+            inv = tuple(c ^ 1 for c in reversed(w))
+            seen.update(u[i:] + u[:i] for u in (w, inv) for i in range(len(w)))
+            out.append(w)
+    return out
+
+
 def raw_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     """The library's ``todd_coxeter`` scanning ``raw_prepared_relators``
     in place of the simplified relators; None on overflow."""

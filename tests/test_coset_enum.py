@@ -44,6 +44,7 @@ from lpcoset.coset_enum import (
 )
 
 from helpers import (
+    class_prepared_relators,
     congruence_quotient_size,
     enumeration_fixtures,
     felsch_todd_coxeter,
@@ -134,18 +135,32 @@ def t_free(w, ngens: int) -> bool:
 
 
 BURNSIDE_LETTERS = [
-    # (n, m, level, raw prepared letters, simplified prepared letters)
-    (2, 3, 3, 568, 55),
-    (2, 3, 5, 8020, 523),
-    (2, 4, 3, 757, 73),
-    (2, 4, 4, 2917, 217),
-    (2, 4, 6, 37909, 2089),
-    (3, 2, 4, 8907, 751),
+    # (n, m, level, raw prepared letters, letters after steps 1-3: spare
+    # generator deleted, one relator per class)
+    (2, 3, 3, 568, 85),
+    (2, 3, 5, 8020, 631),
+    (2, 4, 3, 757, 113),
+    (3, 2, 4, 8907, 853),
     (4, 2, 0, 3, 1),
     (4, 2, 1, 35, 9),
-    (4, 2, 2, 371, 57),
-    (4, 2, 3, 3507, 393),
-    (4, 2, 4, 30947, 2745),
+    (4, 2, 2, 371, 73),
+    (4, 2, 3, 3507, 433),
+    (4, 2, 4, 30947, 2913),
+]
+
+POWER_FREE_LETTERS = [
+    # (n, m, level, prepared letters after step 4 drops proper powers)
+    (2, 3, 3, 55),
+    (2, 3, 5, 523),
+    (2, 4, 3, 73),
+    (2, 4, 4, 217),
+    (2, 4, 6, 2089),
+    (3, 2, 4, 751),
+    (4, 2, 0, 1),
+    (4, 2, 1, 9),
+    (4, 2, 2, 57),
+    (4, 2, 3, 393),
+    (4, 2, 4, 2745),
 ]
 
 
@@ -154,8 +169,17 @@ class TestPreparedRelators:
     def test_burnside_letter_totals(self, n, m, level, raw, simplified):
         fp = burnside(n, m).covering(level)
         assert sum(map(len, raw_prepared_relators(fp))) == raw
+        classes = class_prepared_relators(fp)
+        assert sum(map(len, classes)) == simplified
+        # step 4 only drops whole relators, keeping the order of the rest
         prepared = _prepared_relators(fp)
-        assert sum(map(len, prepared)) == simplified
+        kept = iter(classes)
+        assert all(w in kept for w in prepared)
+
+    @pytest.mark.parametrize("n,m,level,prepared_letters", POWER_FREE_LETTERS)
+    def test_burnside_power_free_totals(self, n, m, level, prepared_letters):
+        prepared = _prepared_relators(burnside(n, m).covering(level))
+        assert sum(map(len, prepared)) == prepared_letters
         # the spare letter keeps exactly its own relator
         t = _col_of(n + 1)
         assert [w for w in prepared if t in w or t ^ 1 in w] == [(t,)]
