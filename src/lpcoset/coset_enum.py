@@ -271,8 +271,12 @@ def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:
     A closed table satisfies the prepared relators exactly when it
     satisfies those of ``fp``.  The enumeration relies on that, so
     :func:`_verify_closed` checks ``fp.relators`` as given: a fault here
-    raises there instead of returning a wrong table.
+    raises there instead of returning a wrong table.  The result is kept
+    on ``fp``, so a presentation is prepared once however often it is
+    enumerated or weighed.
     """
+    if fp._prepared is not None:
+        return fp._prepared
     words = [_cyclically_reduce(_col_word(r)) for r in fp.relators]
     trivial = {w[0] >> 1 for w in words if len(w) == 1}
     if trivial:
@@ -296,6 +300,7 @@ def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:
                 continue
             seen.add(key)
         out.append(w)
+    object.__setattr__(fp, "_prepared", out)
     return out
 
 

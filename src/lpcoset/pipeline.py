@@ -17,7 +17,7 @@ coincidences fold the table down without another enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .coset_enum import (
@@ -73,8 +73,8 @@ def _emit(trace: Trace | None, kind: str, **details) -> None:
 
 @dataclass(frozen=True)
 class InvalidWitness:
-    """A relator image outside the kernel: which relator, which composite,
-    the offending permutation, and one coset it moves."""
+    """A relator image outside the kernel: which relator, which
+    endomorphism word, the offending permutation, and one coset it moves."""
 
     relator: Word
     endo: EndoWord
@@ -336,15 +336,11 @@ class EnumerationConfig:
 @dataclass(frozen=True)
 class EnumerationResult:
     """A closed, valid, standardized table for the subgroup and how hard it
-    was to get; ``rep`` is built from the table on first read."""
+    was to get."""
 
     table: CosetTable
     level_used: int
     escalations: int
-
-    @cached_property
-    def rep(self) -> PermutationRep:
-        return to_perm_rep(self.table)
 
     @property
     def index(self) -> int:

@@ -31,7 +31,7 @@ the ordering of the family.  A file with no ``endomorphism`` or
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError, ParseError
 from .words import (
@@ -62,6 +62,8 @@ def _dedup_relators(alphabet: Alphabet, relators) -> tuple[Word, ...]:
 class FinitePresentation:
     alphabet: Alphabet
     relators: tuple[Word, ...]
+    # the column words of coset_enum._prepared_relators, set on first use
+    _prepared: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(

@@ -4,10 +4,10 @@ and words in a finite family of endomorphisms.
 Letters are signed 1-based integers: ``i`` is the i-th generator, ``-i``
 its inverse.  Every ``Word`` is freely reduced by construction, so words
 compare and hash by value.  ``EndoWord`` represents an element of the free
-monoid generated by an ordered family of endomorphisms; its factor
-sequence applies left to right, and the family ordering induces the
-length-then-rightmost-lexicographic well-ordering used by the validity
-search.
+monoid generated by an ordered family of endomorphisms by its factor
+sequence alone, which applies left to right; no composite endomorphism is
+built.  The family ordering induces the length-then-rightmost-lexicographic
+well-ordering used by the validity search.
 """
 
 from __future__ import annotations
@@ -178,11 +178,6 @@ class FreeEndomorphism:
         for img in images:
             _require_same_alphabet(self.alphabet, img.alphabet)
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "FreeEndomorphism":
-        images = tuple(Word.generator(alphabet, i + 1) for i in range(len(alphabet)))
-        return cls(alphabet, images)
-
     def apply(self, w: Word) -> Word:
         """Substitute every letter by its image and freely reduce."""
         _require_same_alphabet(self.alphabet, w.alphabet)
@@ -198,13 +193,6 @@ class FreeEndomorphism:
                     out.append(y)
         return Word(self.alphabet, tuple(out))
 
-    def then(self, other: "FreeEndomorphism") -> "FreeEndomorphism":
-        """Composite that applies ``self`` first, then ``other``."""
-        _require_same_alphabet(self.alphabet, other.alphabet)
-        return FreeEndomorphism(
-            self.alphabet, tuple(other.apply(img) for img in self.images)
-        )
-
 
 @total_ordering
 @dataclass(frozen=True)
@@ -212,15 +200,15 @@ class EndoWord:
     """A word in an ordered family of endomorphisms.
 
     ``factors`` are 0-based indices into ``family``; the leftmost factor is
-    applied first, matching the composite convention for products of
-    endomorphisms acting on the right.  The empty word is the identity map.
-    The cached ``composite`` is validated (or computed) at construction.
+    applied first, as for products of endomorphisms acting on the right.
+    The empty word is the identity map.  No composite endomorphism is
+    formed: a caller applies the factors one at a time, as
+    :meth:`PermutationRep.precompose` does in the validity walk.
     """
 
     alphabet: Alphabet
     family: tuple[FreeEndomorphism, ...]
     factors: tuple[int, ...]
-    composite: FreeEndomorphism = field(default=None, compare=False)
 
     def __post_init__(self):
         family = tuple(self.family)
@@ -232,11 +220,6 @@ class EndoWord:
         for k in factors:
             if not 0 <= k < len(family):
                 raise InputError(f"factor index {k} out of range")
-        if self.composite is None:
-            comp = FreeEndomorphism.identity(self.alphabet)
-            for k in reversed(factors):
-                comp = family[k].then(comp)
-            object.__setattr__(self, "composite", comp)
 
     @classmethod
     def identity(
@@ -260,17 +243,9 @@ class EndoWord:
     def descendants(self) -> list["EndoWord"]:
         """All one-step left extensions, in family order."""
         return [
-            EndoWord(
-                self.alphabet,
-                self.family,
-                (k,) + self.factors,
-                self.family[k].then(self.composite),
-            )
+            EndoWord(self.alphabet, self.family, (k,) + self.factors)
             for k in range(len(self.family))
         ]
-
-    def apply(self, w: Word) -> Word:
-        return self.composite.apply(w)
 
     def describe(self, names: Sequence[str]) -> str:
         """Render the factor sequence using the given family names."""

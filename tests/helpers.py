@@ -14,6 +14,7 @@ from unittest import mock
 from lpcoset import (
     CosetTable,
     EndoWord,
+    FreeEndomorphism,
     ImageGroup,
     InvalidWitness,
     Permutation,
@@ -47,6 +48,29 @@ from lpcoset.words import Word, _require_same_alphabet
 def sigma_power(lp, k: int) -> EndoWord:
     """The k-th power of the single endomorphism of ``lp`` as an endomorphism word."""
     return EndoWord(lp.alphabet, lp.endomorphisms, (0,) * k)
+
+
+def identity_endomorphism(alphabet) -> FreeEndomorphism:
+    """The endomorphism that maps every generator to itself."""
+    return FreeEndomorphism(
+        alphabet, tuple(Word.generator(alphabet, i + 1) for i in range(len(alphabet)))
+    )
+
+
+def compose(e: FreeEndomorphism, f: FreeEndomorphism) -> FreeEndomorphism:
+    """The endomorphism that applies ``e`` first, then ``f``."""
+    _require_same_alphabet(e.alphabet, f.alphabet)
+    return FreeEndomorphism(e.alphabet, tuple(f.apply(img) for img in e.images))
+
+
+def composite(e: EndoWord) -> FreeEndomorphism:
+    """The free-group endomorphism of ``e``: its factors composed, the
+    leftmost applied first.  Reference for the factor-by-factor
+    application of the validity walk and ``LPresentation.covering``."""
+    comp = identity_endomorphism(e.alphabet)
+    for k in reversed(e.factors):
+        comp = compose(e.family[k], comp)
+    return comp
 
 
 def endo_image(phi: PermutationRep, e: EndoWord) -> PermutationRep:
@@ -752,5 +776,5 @@ def composite_covering(lp, level: int):
         i += 1
     relators = list(lp.fixed)
     for endo in words:
-        relators.extend(endo.composite.apply(r) for r in lp.iterated)
+        relators.extend(composite(endo).apply(r) for r in lp.iterated)
     return FinitePresentation(lp.alphabet, tuple(relators))

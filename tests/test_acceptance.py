@@ -35,6 +35,7 @@ from lpcoset.words import free_reduce
 
 from helpers import (
     brute_force_reduce,
+    compose,
     endo_image,
     enumeration_fixtures,
     felsch_todd_coxeter,
@@ -202,7 +203,7 @@ class TestCriterion7PropertySuites:
 
     def test_order_axioms_and_breadth_first_realization(self, bas):
         sigma = bas.endomorphisms[0]
-        family = (sigma, sigma.then(sigma))
+        family = (sigma, compose(sigma, sigma))
         queue = [EndoWord.identity(bas.alphabet, family)]
         i = 0
         while i < len(queue):

@@ -11,13 +11,19 @@ from lpcoset import (
     InputError,
     Permutation,
     PermutationRep,
+    SubgroupSpec,
     Word,
+    burnside,
+    enumerate_cosets,
     image_group,
     kernel_contained,
+    low_index,
+    to_perm_rep,
     word_image,
 )
 
 from helpers import (
+    composite,
     endo_image,
     random_word,
     reduces,
@@ -89,15 +95,26 @@ class TestEndoImage:
     def test_identity_endo_word(self, bas, bas_index3_rep):
         assert endo_image(bas_index3_rep, sigma_power(bas, 0)) == bas_index3_rep
 
-    def test_matches_composite_substitution(self, bas, bas_index3_rep):
-        # peeling factors one at a time must agree with applying the cached
-        # composite to each generator in one go
-        for k in range(5):
-            e = sigma_power(bas, k)
-            via_rep = endo_image(bas_index3_rep, e)
-            for g in range(2):
-                img = e.composite.images[g]
-                assert via_rep.perms[g] == word_image(bas_index3_rep, img)
+    def test_matches_composite_substitution(self, bas, grig, bas_index3_rep):
+        # peeling factors one at a time must agree with applying the
+        # composite to each generator in one go: powers of the single
+        # substitution for Basilica and Grigorchuk, and every word of up to
+        # three factors in the four endomorphisms of B(2,2)
+        b22 = burnside(2, 2)
+        grig_rep = low_index(grig, 8).entries[-1].subgroup.rep
+        b22_rep = to_perm_rep(enumerate_cosets(b22, SubgroupSpec(b22.alphabet, ())).table)
+        words = [b22.identity_endo_word()]
+        for w in words:
+            if w.length < 3:
+                words.extend(w.descendants())
+        assert len(words) == 1 + 4 + 16 + 64
+        cases = [(bas_index3_rep, sigma_power(bas, k)) for k in range(5)]
+        cases += [(grig_rep, sigma_power(grig, k)) for k in range(5)]
+        cases += [(b22_rep, e) for e in words]
+        for rep, e in cases:
+            via_rep = endo_image(rep, e)
+            for g, img in enumerate(composite(e).images):
+                assert via_rep.perms[g] == word_image(rep, img)
 
 
 class TestImageGroup:

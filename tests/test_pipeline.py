@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lpcoset import (
     Alphabet,
     EnumerationConfig,
+    FreeEndomorphism,
     GaveUp,
     InputError,
     LPresentation,
@@ -44,6 +45,7 @@ from lpcoset.pipeline import _attempts, _deepest_level, _limits
 from lpcoset.subgroups import _quotient_map
 
 from helpers import (
+    composite,
     endo_image,
     ladder_attempts,
     ladder_enumerate_cosets,
@@ -95,6 +97,29 @@ class TestIsValidPermRep:
         # level-zero precondition
         assert [c.factors for c in outcome.relator_checks] == [(0,), (0, 0)]
 
+    def test_walk_substitutes_no_words(self, grig, bas):
+        # the walk applies one factor at a time to a representation, so it
+        # never substitutes into a word: no composite endomorphism is built
+        b23 = burnside(2, 3)
+
+        def deepest_walk(lp, max_index):
+            tables = [e.subgroup.table for e in low_index(lp, max_index).entries]
+            return max(tables, key=lambda t: len(is_valid_perm_rep(lp, to_perm_rep(t)).visited))
+
+        cases = [
+            (b23, enumerate_cosets(b23, parse_subgroup(b23.alphabet, "a1")).table),
+            (grig, deepest_walk(grig, 8)),
+            (bas, deepest_walk(bas, 6)),
+        ]
+        apply = FreeEndomorphism.apply
+        with mock.patch.object(
+            FreeEndomorphism, "apply", autospec=True, side_effect=apply
+        ) as spy:
+            outcomes = [is_valid_perm_rep(lp, to_perm_rep(t)) for lp, t in cases]
+        assert spy.call_count == 0
+        assert all(o.valid for o in outcomes)
+        assert [len(o.visited) for o in outcomes] == [27, 4, 3]
+
     def test_empty_family_is_immediately_valid(self):
         abc = Alphabet(("x",))
         lp = LPresentation(abc, (), (), (parse_word(abc, "x^2"),))
@@ -113,7 +138,7 @@ class TestIsValidPermRep:
             (Permutation.from_cycles(2, [(1, 2)]), Permutation.identity(2)),
         )
         for k in range(7):
-            w = sigma_power(bas, k).composite.apply(bas.iterated[0])
+            w = composite(sigma_power(bas, k)).apply(bas.iterated[0])
             assert word_image(rep, w).is_identity
         assert is_valid_perm_rep(bas, rep).valid
 
@@ -123,7 +148,7 @@ class TestIsValidPermRep:
         w = outcome.witness
         assert w.endo.factors == (0,)
         # witness replays: the relator image under the composite is not trivial
-        replay = word_image(invalid_basilica_rep, w.endo.composite.apply(w.relator))
+        replay = word_image(invalid_basilica_rep, composite(w.endo).apply(w.relator))
         assert not replay.is_identity
         assert replay == w.image
         assert replay.apply(w.coset) != w.coset
@@ -236,7 +261,7 @@ class TestFolding:
         assert folded.size == 1
 
     def test_fold_requires_a_moving_witness(self, bas, bas_u_result):
-        outcome = decide_validity(bas, bas_u_result.rep)
+        outcome = decide_validity(bas, to_perm_rep(bas_u_result.table))
         assert outcome.valid
         # build a fake witness from a valid table: nothing moves, so folding
         # is refused
@@ -295,9 +320,8 @@ class TestEnumerate:
         assert "tc-overflow" in kinds and "escalate" in kinds
 
     def test_result_invariants(self, bas, bas_u_result):
-        assert bas_u_result.rep == to_perm_rep(bas_u_result.table)
         assert bas_u_result.index == bas_u_result.table.size
-        assert decide_validity(bas, bas_u_result.rep).valid
+        assert decide_validity(bas, to_perm_rep(bas_u_result.table)).valid
 
     def test_gave_up_at_hard_ceiling(self):
         lp = burnside(1, 3)
@@ -703,7 +727,7 @@ class TestOneValidityWalk:
         outcome = is_valid_perm_rep(lp, phi)
         if not outcome.valid:
             w = outcome.witness
-            replay = word_image(phi, w.endo.composite.apply(w.relator))
+            replay = word_image(phi, composite(w.endo).apply(w.relator))
             assert replay == w.image
             assert replay.apply(w.coset) != w.coset
             return
