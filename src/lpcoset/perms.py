@@ -5,12 +5,17 @@ representations.
 Permutations act on the right and compose left to right: ``(p * q)`` means
 apply ``p`` first.  This matches the convention of tracing a word through a
 coset table letter by letter, so taking images of words is a homomorphism.
+
+Products run on one encoding (:class:`_Encoding`), computed at most once
+per representation and kept on it; a ``Permutation`` is built only for a
+result that a caller reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError
 from .words import Alphabet, Word, _require_same_alphabet
@@ -76,12 +81,10 @@ class PermutationRep:
     alphabet: Alphabet
     degree: int
     perms: tuple[Permutation, ...]
-    _inverses: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         perms = tuple(self.perms)
         object.__setattr__(self, "perms", perms)
-        object.__setattr__(self, "_inverses", {})
         if len(perms) != len(self.alphabet):
             raise InputError(
                 f"expected {len(self.alphabet)} permutations, got {len(perms)}"
@@ -90,37 +93,26 @@ class PermutationRep:
             if p.degree != self.degree:
                 raise InputError("permutation degree mismatch")
 
-    def letter_image(self, letter: int) -> Permutation:
-        p = self.perms[abs(letter) - 1]
-        if letter > 0:
-            return p
-        inv = self._inverses.get(letter)
-        if inv is None:
-            inv = p.inverse()
-            self._inverses[letter] = inv
-        return inv
-
-    def generator_images(self) -> tuple[tuple[int, ...], ...]:
-        """Hashable fingerprint of the representation."""
-        return tuple(p.images for p in self.perms)
+    @cached_property
+    def _encoded(self) -> _Encoding:
+        """The encoding, kept from first use; not a field, so never compared."""
+        return _encoding([[x - 1 for x in p.images] for p in self.perms], self.degree)
 
     def precompose(self, endo) -> "PermutationRep":
-        """The representation w -> self(endo(w))."""
-        return PermutationRep(
-            self.alphabet,
-            self.degree,
-            tuple(word_image(self, endo.images[g]) for g in range(len(self.alphabet))),
-        )
+        """The representation w -> self(endo(w)), encoded as it is built."""
+        _require_same_alphabet(self.alphabet, endo.alphabet)
+        enc = self._encoded
+        images = [enc.image(w.letters) for w in endo.images]
+        rep = PermutationRep(self.alphabet, self.degree, tuple(map(enc.permutation, images)))
+        object.__setattr__(rep, "_encoded", _encoding(images, self.degree))
+        return rep
 
 
 def word_image(phi: PermutationRep, w: Word) -> Permutation:
     """Image of a word: the product of its letter images."""
     _require_same_alphabet(phi.alphabet, w.alphabet)
-    images = list(range(1, phi.degree + 1))
-    for x in w.letters:
-        p = phi.letter_image(x).images
-        images = [p[i - 1] for i in images]
-    return Permutation(tuple(images))
+    enc = phi._encoded
+    return enc.permutation(enc.image(w.letters))
 
 
 @dataclass(frozen=True)
@@ -145,30 +137,52 @@ def _compose_tuples(e: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in e)
 
 
-def _encoding(perms: Sequence[Permutation], degree: int):
-    """``(tables, identity, compose)`` for closures and replays over ``perms``.
+class _Encoding(NamedTuple):
+    """A representation's letters as 0-based tables: ``letters[x]`` is the
+    table of letter ``x``, ``letters[-x]`` that of its inverse, and
+    ``compose(e, t)`` applies ``e`` first.  Degrees up to 256 run on byte
+    strings padded to 256-entry tables, where a product is a single
+    ``bytes.translate`` call; larger degrees on tuples."""
 
-    Points are 0-based and ``compose(e, tables[g])`` applies ``e`` first.
-    Degrees up to 256 run on byte strings padded to 256-entry tables, where
-    a product is a single ``bytes.translate`` call; larger degrees on tuples.
-    """
+    generators: tuple
+    letters: tuple
+    identity: bytes | tuple[int, ...]
+    compose: Callable
+
+    def image(self, letters: Sequence[int]) -> bytes | tuple[int, ...]:
+        img, compose, tables = self.identity, self.compose, self.letters
+        for x in letters:
+            img = compose(img, tables[x])
+        return img
+
+    def permutation(self, img: bytes | tuple[int, ...]) -> Permutation:
+        return Permutation(tuple([x + 1 for x in img]))  # a list sizes the tuple exactly
+
+
+def _encoding(images: Sequence[Sequence[int]], degree: int) -> _Encoding:
+    """Encode the generators with 0-based ``images`` and their inverses."""
     if degree <= 256:
-        tail = bytes(range(degree, 256))
-        tables = [bytes(x - 1 for x in p.images) + tail for p in perms]
-        return tables, bytes(range(degree)), bytes.translate
-    tables = [tuple(x - 1 for x in p.images) for p in perms]
-    return tables, tuple(range(degree)), _compose_tuples
+        full = bytes(range(256))
+        gens = [bytes(t) + full[degree:] for t in images]
+        invs = [bytes.maketrans(t, full) for t in gens]
+        ident, compose = full[:degree], bytes.translate
+    else:
+        gens = [tuple(t) for t in images]
+        invs = [tuple(sorted(range(degree), key=t.__getitem__)) for t in gens]
+        ident, compose = tuple(range(degree)), _compose_tuples
+    return _Encoding(tuple(gens), (ident, *gens, *reversed(invs)), ident, compose)
 
 
-def _closure(tables, ident, compose, cap: int):
-    """Transitions of the breadth-first closure of ``ident`` under right
-    multiplication by ``tables``, or ``None`` once past ``cap`` elements."""
+def _closure(enc: _Encoding, cap: int):
+    """Transitions of the breadth-first closure of the identity under right
+    multiplication by the generators, or ``None`` once past ``cap`` elements."""
+    ident, compose = enc.identity, enc.compose
     elements = [ident]
     index = {ident: 0}
     transitions: list[tuple[int, ...]] = []
     for e in elements:
         row = []
-        for t in tables:
+        for t in enc.generators:
             x = compose(e, t)
             j = index.get(x)
             if j is None:
@@ -182,17 +196,18 @@ def _closure(tables, ident, compose, cap: int):
     return transitions
 
 
-def _replay_consistent(transitions, tables, ident, compose) -> bool:
-    """Replay a breadth-first closure's transitions with ``tables``: does
-    every edge land where the replayed target does?
+def _replay_consistent(transitions, enc: _Encoding) -> bool:
+    """Replay a breadth-first closure's transitions with the generators of
+    ``enc``: does every edge land where the replayed target does?
 
     The closure numbers elements in discovery order, so an edge whose target
     is the next unseen index is that element's discovery edge and fixes its
     replayed value; every other edge is checked against it.
     """
-    mirror = [ident]
+    compose = enc.compose
+    mirror = [enc.identity]
     for m, row in zip(mirror, transitions):
-        for t, j in zip(tables, row):
+        for t, j in zip(enc.generators, row):
             x = compose(m, t)
             if j == len(mirror):
                 mirror.append(x)
@@ -205,7 +220,7 @@ def image_group(phi: PermutationRep, cap: int) -> ImageGroup | None:
     """Enumerate the image group of ``phi``; ``None`` once past ``cap`` elements."""
     if cap < 1:
         raise InputError("cap must be positive")
-    transitions = _closure(*_encoding(phi.perms, phi.degree), cap)
+    transitions = _closure(phi._encoded, cap)
     if transitions is None:
         return None
     return ImageGroup(tuple(transitions))
@@ -220,16 +235,13 @@ def kernel_contained(
     """Does ker(rep_target) lie inside ker(rep_source)?  ``None`` = cap hit.
 
     If the generator images coincide the answer is immediate.  Otherwise
-    the target's image group is enumerated and each Schreier generator of
-    its kernel (element-word times generator times inverse representative)
-    is replayed under ``rep_source``; containment holds exactly when all of
-    them land on the identity.
+    the target's image group is replayed on the encoding that ``rep_source``
+    keeps: each Schreier generator of the target's kernel (element-word
+    times generator times inverse representative) must land on the identity.
     """
     if rep_target.perms == rep_source.perms:
         return True
     ig = target_group if target_group is not None else image_group(rep_target, cap)
     if ig is None:
         return None
-    return _replay_consistent(
-        ig.transitions, *_encoding(rep_source.perms, rep_source.degree)
-    )
+    return _replay_consistent(ig.transitions, rep_source._encoded)

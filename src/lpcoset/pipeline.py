@@ -28,7 +28,6 @@ from .coset_enum import (
     standardize,
     to_perm_rep,
     todd_coxeter,
-    trace as table_trace,
 )
 from .errors import GaveUp, InputError, PreconditionError, ResourceLimitError
 from .perms import (
@@ -37,7 +36,6 @@ from .perms import (
     PermutationRep,
     image_group,
     kernel_contained,
-    word_image,
 )
 from .presentations import LPresentation, SubgroupSpec
 from .words import EndoWord, Word, _require_same_alphabet
@@ -91,47 +89,18 @@ class ValidityOutcome:
     reduction_pair: tuple[int, int] | None = None
 
 
-def _check_level_zero(lp: LPresentation, phi: PermutationRep) -> None:
-    """Every fixed relator and every iterated relator (at the identity
-    composite) must already die under the representation; both are relators
-    of every covering presentation, so any table produced by an enumeration
-    satisfies this."""
-    for name, relators in (("fixed", lp.fixed), ("iterated", lp.iterated)):
-        for r in relators:
-            if not word_image(phi, r).is_identity:
-                raise PreconditionError(
-                    f"{name} relator {r} is not in the kernel of the representation"
-                )
-
-
 def _relator_witness(
-    lp: LPresentation, rep: PermutationRep, endo: EndoWord
+    relators: Sequence[Word], rep: PermutationRep, endo: EndoWord
 ) -> InvalidWitness | None:
-    """Witness for ``endo``: the first iterated relator ``rep`` does not kill."""
-    for r in lp.iterated:
-        img = word_image(rep, r)
-        if not img.is_identity:
-            coset = next(c for c in range(1, img.degree + 1) if img.apply(c) != c)
-            return InvalidWitness(r, endo, img, coset)
+    """Witness for ``endo``: the first of ``relators`` that ``rep`` does not
+    kill.  Images are compared encoded; only a witness's is decoded."""
+    enc = rep._encoded
+    for r in relators:
+        img = enc.image(r.letters)
+        if img != enc.identity:
+            coset = next(c for c, x in enumerate(img, start=1) if x != c - 1)
+            return InvalidWitness(r, endo, enc.permutation(img), coset)
     return None
-
-
-class _Visited:
-    """One kept endomorphism word with its representation and lazy image group."""
-
-    __slots__ = ("endo", "rep", "_group", "_exceeded")
-
-    def __init__(self, endo: EndoWord, rep: PermutationRep):
-        self.endo = endo
-        self.rep = rep
-        self._group: ImageGroup | None = None
-        self._exceeded = False
-
-    def group(self, cap: int) -> ImageGroup | None:
-        if self._group is None and not self._exceeded:
-            self._group = image_group(self.rep, cap)
-            self._exceeded = self._group is None
-        return self._group
 
 
 def is_valid_perm_rep(
@@ -153,26 +122,35 @@ def is_valid_perm_rep(
     _require_same_alphabet(lp.alphabet, phi.alphabet)
     if cap < 1:
         raise InputError("cap must be positive")
-    _check_level_zero(lp, phi)
     identity = lp.identity_endo_word()
-    visited = [_Visited(identity, phi)]
-    by_images = {phi.generator_images(): 0}
-    queue: list[tuple[EndoWord, PermutationRep]] = [
-        (e, phi.precompose(e.family[e.factors[0]])) for e in identity.descendants()
-    ]
+    # fixed relators and iterated ones at the identity word are relators of
+    # every covering presentation: every enumerated table kills them
+    for name, relators in (("fixed", lp.fixed), ("iterated", lp.iterated)):
+        w = _relator_witness(relators, phi, identity)
+        if w is not None:
+            raise PreconditionError(
+                f"{name} relator {w.relator} is not in the kernel of the representation"
+            )
+    visited = [(identity, phi)]
+    groups: list[ImageGroup | None] = []
+    by_images = {phi._encoded.generators: 0}
+    queue: list[tuple[EndoWord, PermutationRep]] = [(e, phi) for e in identity.descendants()]
     head = 0
     checks: list[EndoWord] = []
     witness = None
     pair = None
     while head < len(queue):
-        delta, rep_d = queue[head]
+        delta, parent = queue[head]
         head += 1
-        kept = by_images.get(rep_d.generator_images())
+        # built on dequeue from the kept parent, so only kept ones stay alive
+        rep_d = parent.precompose(delta.family[delta.factors[0]])
+        kept = by_images.get(rep_d._encoded.generators)
         if kept is None:
-            for i, entry in enumerate(visited):
-                group = entry.group(cap)
+            for i, (_, sigma) in enumerate(visited):
+                if i == len(groups):  # built on first use, in walk order
+                    groups.append(image_group(sigma, cap))
                 # an image group past the cap gives a conservative "no reduction"
-                if group is not None and kernel_contained(entry.rep, rep_d, cap, group):
+                if groups[i] is not None and kernel_contained(sigma, rep_d, cap, groups[i]):
                     kept = i
                     break
         if kept is not None:
@@ -180,17 +158,16 @@ def is_valid_perm_rep(
                 pair = (kept, delta.length)
             continue
         checks.append(delta)
-        witness = _relator_witness(lp, rep_d, delta)
+        witness = _relator_witness(lp.iterated, rep_d, delta)
         if witness is not None:
             break
-        by_images[rep_d.generator_images()] = len(visited)
-        visited.append(_Visited(delta, rep_d))
-        for k, child in enumerate(delta.descendants()):
-            queue.append((child, rep_d.precompose(delta.family[k])))
+        by_images[rep_d._encoded.generators] = len(visited)
+        visited.append((delta, rep_d))
+        queue.extend((child, rep_d) for child in delta.descendants())
     return ValidityOutcome(
         valid=witness is None,
         witness=witness,
-        visited=tuple(v.endo for v in visited),
+        visited=tuple(endo for endo, _ in visited),
         relator_checks=tuple(checks),
         reduction_pair=pair,
     )
@@ -271,13 +248,11 @@ def decide_validity(
     return outcome
 
 
-def fold_invalid(
-    table: CosetTable, witness: InvalidWitness, relators: Sequence[Word] = ()
-) -> CosetTable:
+def fold_invalid(table: CosetTable, witness: InvalidWitness) -> CosetTable:
     """Merge every coset with its image under the offending relator word.
 
     The quotient of a closed table stays closed, so no re-enumeration is
-    needed; optional ``relators`` are re-traced afterwards as a guard.
+    needed.
     """
     img = witness.image
     if img.degree != table.size:
@@ -288,10 +263,6 @@ def fold_invalid(
     folded = merge_coincidences(table, pairs)
     if not folded.is_closed:
         raise RuntimeError("folding left the table incomplete")
-    for r in relators:
-        for c in range(1, folded.size + 1):
-            if table_trace(folded, c, r) != c:
-                raise RuntimeError(f"relator {r} broken after fold")
     return folded
 
 

@@ -224,6 +224,8 @@ def builtin_presentation(name: str) -> LPresentation:
 
 # --- word grammar ---------------------------------------------------------
 
+MAX_WORD_LETTERS = 10**6  # the longest power the grammar builds, reduced
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<sym>[-*^()\[\],]))"
 )
@@ -305,7 +307,13 @@ class _WordParser:
                     if kind != "int":
                         self.fail("expected integer exponent after '-'")
                 self.take()
-                w = w ** (sign * int(val))
+                # w^n has m + (n - 1)|c| <= n * m letters, m = |w| and c the cyclic
+                # core of w; n cut to one digit more than the bound still passes it
+                n = int(val.lstrip("0")[: len(str(MAX_WORD_LETTERS)) + 1] or "0")
+                m = len(w.letters)
+                if m * n > MAX_WORD_LETTERS and m + (n - 1) * (len(w**2) - m) > MAX_WORD_LETTERS:
+                    self.fail(f"power longer than {MAX_WORD_LETTERS} letters")
+                w = w ** (sign * n)
             else:
                 w = w.conjugated_by(self.primary())
         return w

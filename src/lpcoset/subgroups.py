@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .coset_enum import (
+    DEFAULT_MAX_COSETS,
     CosetTable,
     _prepared_relators,
     dump_table,
@@ -190,7 +191,8 @@ def intersect(u: FiniteIndexSubgroup, v: FiniteIndexSubgroup) -> FiniteIndexSubg
 def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteIndexSubgroup:
     """The kernel of the coset action: the image group acting on itself by
     right multiplication, i.e. the largest normal subgroup inside u."""
-    ig = image_group(u.rep, cap)
+    # a fresh representation, so that no encoding stays alive on u.rep
+    ig = image_group(PermutationRep(u.owner.alphabet, u.index, u.rep.perms), cap)
     if ig is None:
         raise ResourceLimitError(
             f"image group of the coset action exceeds {cap} elements"
@@ -294,8 +296,8 @@ def _low_index_tables(
     counts complete tables, conjugates included, and the search stops
     before the class that would pass it.
     """
-    if max_index < 1:
-        raise InputError("max_index must be >= 1")
+    if not 1 <= max_index <= DEFAULT_MAX_COSETS:
+        raise InputError(f"max_index must be in 1..{DEFAULT_MAX_COSETS}, the coset ceiling")
     if max_tables is not None and max_tables < 0:
         raise InputError("max_tables must be >= 0")
     ngens = len(alphabet)

@@ -130,9 +130,13 @@ class Word:
         return Word(self.alphabet, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word(self.alphabet, free_reduce(self.letters * n))
+        """Built as u * c^n * u^-1 for self = u * c * u^-1, c cyclically reduced."""
+        if n <= 0:
+            return self.inverse() ** -n if n else Word.identity(self.alphabet)
+        x, k = self.letters, 0
+        while 2 * k + 1 < len(x) and x[k] == -x[-1 - k]:
+            k += 1
+        return Word(self.alphabet, x[:k] + x[k : len(x) - k] * n + x[len(x) - k :])
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g^-1 * self * g."""

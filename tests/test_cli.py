@@ -312,6 +312,20 @@ class TestErrorPaths:
         assert out == ""
         assert "unknown generator 'z' in endomorphism s" in err
 
+    @pytest.mark.parametrize("power", ["a^99999999999999999999", "a^3000000000"])
+    def test_huge_power_is_parse_error(self, power):
+        # refused before any letter is built: no OverflowError or MemoryError
+        code, out, err = run_cli("index", "builtin:basilica", "--subgroup", power)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: power longer than 1000000 letters in word {power!r}\n"
+
+    @pytest.mark.parametrize("max_index", ["0", "1000001", "1000000000", "99999999999999999999"])
+    def test_max_index_out_of_range_is_input_error(self, max_index):
+        # refused before the descent allocates its table
+        code, out, err = run_cli("low-index", "builtin:basilica", "--max-index", max_index)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: max_index must be in 1..1000000, the coset ceiling\n"
+
     def test_resource_ceiling(self):
         code, _, err = run_cli(
             "index",

@@ -5,9 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcoset import (
+    Alphabet,
     EndoWord,
+    FreeEndomorphism,
     InputError,
     Permutation,
     PermutationRep,
@@ -21,6 +25,7 @@ from lpcoset import (
     to_perm_rep,
     word_image,
 )
+from lpcoset import perms
 
 from helpers import (
     composite,
@@ -78,6 +83,54 @@ class TestWordImage:
             assert word_image(bas_index3_rep, u * v) == word_image(
                 bas_index3_rep, u
             ) * word_image(bas_index3_rep, v)
+
+
+XYZ = Alphabet(("x", "y", "z"))
+
+
+@st.composite
+def _reps(draw):
+    """Representations of the free group on x, y, z, across the byte limit."""
+    degree = draw(st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257])))
+    points = list(range(1, degree + 1))
+    return PermutationRep(
+        XYZ,
+        degree,
+        tuple(Permutation(tuple(draw(st.permutations(points)))) for _ in range(len(XYZ))),
+    )
+
+
+_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=24).map(
+    lambda letters: Word.reduce(XYZ, letters)
+)
+
+
+def _product_of_letters(rep: PermutationRep, w: Word) -> Permutation:
+    """Reference image: the letter images multiplied left to right."""
+    out = Permutation.identity(rep.degree)
+    for x in w.letters:
+        p = rep.perms[abs(x) - 1]
+        out = out * (p if x > 0 else p.inverse())
+    return out
+
+
+class TestOneProduct:
+    """Word images compose on the encoding that a representation keeps;
+    :class:`Permutation` products are the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_reps(), _words, st.tuples(_words, _words, _words))
+    def test_word_image_is_the_product_of_letter_images(self, rep, w, images):
+        assert word_image(rep, w) == _product_of_letters(rep, w)
+        # precompose encodes its result from the image tables as it builds
+        # it; that encoding must be the one its permutations give
+        endo = FreeEndomorphism(XYZ, images)
+        pre = rep.precompose(endo)
+        assert pre.perms == tuple(_product_of_letters(rep, img) for img in images)
+        assert word_image(pre, w) == _product_of_letters(pre, w)
+        assert pre._encoded == perms._encoding(
+            [[x - 1 for x in p.images] for p in pre.perms], pre.degree
+        )
 
 
 class TestEndoImage:

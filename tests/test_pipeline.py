@@ -39,7 +39,7 @@ from lpcoset import (
     trace,
     word_image,
 )
-from lpcoset import coset_enum, pipeline
+from lpcoset import coset_enum, perms, pipeline
 from lpcoset.coset_enum import DEFAULT_MAX_COSETS, _prepared_relators, coset_representatives
 from lpcoset.pipeline import _attempts, _deepest_level, _limits
 from lpcoset.subgroups import _quotient_map
@@ -119,6 +119,23 @@ class TestIsValidPermRep:
         assert spy.call_count == 0
         assert all(o.valid for o in outcomes)
         assert [len(o.visited) for o in outcomes] == [27, 4, 3]
+
+    def test_walk_encodes_each_representation_once(self):
+        # relator checks, image groups and kernel tests all compose on the
+        # encoding that each representation keeps, so the walk encodes no
+        # representation twice
+        b23 = burnside(2, 3)
+        table = enumerate_cosets(b23, parse_subgroup(b23.alphabet, "a1")).table
+        with mock.patch.object(
+            perms, "_encoding", side_effect=perms._encoding
+        ) as encodings, mock.patch.object(
+            PermutationRep, "__post_init__", autospec=True,
+            side_effect=PermutationRep.__post_init__,
+        ) as built:
+            outcome = is_valid_perm_rep(b23, to_perm_rep(table))
+        assert outcome.valid
+        assert len(outcome.visited) == 27
+        assert 0 < encodings.call_count <= built.call_count
 
     def test_empty_family_is_immediately_valid(self):
         abc = Alphabet(("x",))
@@ -250,9 +267,12 @@ class TestFolding:
         lp, sub, table = burnside_fold_fixture
         outcome = decide_validity(lp, to_perm_rep(table))
         assert not outcome.valid
-        folded = fold_invalid(table, outcome.witness, lp.covering(0).relators)
+        folded = fold_invalid(table, outcome.witness)
         assert folded.size < table.size
         assert table.size % folded.size == 0
+        for r in lp.covering(0).relators:
+            for c in range(1, folded.size + 1):
+                assert trace(folded, c, r) == c
 
     def test_fold_to_valid_reaches_fixed_point(self, burnside_fold_fixture):
         lp, sub, table = burnside_fold_fixture

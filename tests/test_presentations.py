@@ -20,6 +20,7 @@ from lpcoset import (
     parse_word,
     parse_words,
 )
+from lpcoset import presentations
 
 from helpers import composite_covering, parse_word_by_products
 
@@ -249,6 +250,18 @@ class TestWordGrammar:
     )
     def test_matches_the_product_by_product_parser(self, text):
         assert parse_word(AB, text) == parse_word_by_products(AB, text)
+
+    def test_power_bound_counts_reduced_letters(self, monkeypatch):
+        # b*a*b^-1 to the power n has n + 2 letters, a*b to the power n 2n
+        monkeypatch.setattr(presentations, "MAX_WORD_LETTERS", 10)
+        assert len(parse_word(AB, "(b*a*b^-1)^8")) == 10
+        assert len(parse_word(AB, "(b*a*b^-1)^-0008")) == 10
+        assert len(parse_word(AB, "(a*b)^5 * (a*b)^5")) == 20
+        assert parse_word(AB, "(a*b)^" + "0" * 5000).is_identity
+        assert parse_word(AB, "1^" + "9" * 5000).is_identity
+        for text in ["(b*a*b^-1)^9", "(a*b)^6", "a^-11", "(a^5)^3", "a^" + "9" * 5000]:
+            with pytest.raises(ParseError, match="power longer than 10 letters"):
+                parse_word(AB, text)
 
     @pytest.mark.parametrize(
         "text,pairs",
