@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError
 from .words import Alphabet, Word, _require_same_alphabet
@@ -137,17 +137,26 @@ def _compose_tuples(e: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in e)
 
 
-class _Encoding(NamedTuple):
+@dataclass
+class _Encoding:
     """A representation's letters as 0-based tables: ``letters[x]`` is the
     table of letter ``x``, ``letters[-x]`` that of its inverse, and
     ``compose(e, t)`` applies ``e`` first.  Degrees up to 256 run on byte
     strings padded to 256-entry tables, where a product is a single
-    ``bytes.translate`` call; larger degrees on tuples."""
+    ``bytes.translate`` call; larger degrees on tuples.
+
+    The inverse tables are built on the first read of ``letters``: image
+    groups and kernel tests read only ``generators``, so a representation
+    that the validity walk prunes never builds them."""
 
     generators: tuple
-    letters: tuple
     identity: bytes | tuple[int, ...]
     compose: Callable
+
+    @cached_property
+    def letters(self) -> tuple:
+        invs = _inverses(self.generators, len(self.identity))
+        return (self.identity, *self.generators, *reversed(invs))
 
     def image(self, letters: Sequence[int]) -> bytes | tuple[int, ...]:
         img, compose, tables = self.identity, self.compose, self.letters
@@ -160,17 +169,21 @@ class _Encoding(NamedTuple):
 
 
 def _encoding(images: Sequence[Sequence[int]], degree: int) -> _Encoding:
-    """Encode the generators with 0-based ``images`` and their inverses."""
+    """Encode the generators with 0-based ``images``."""
     if degree <= 256:
         full = bytes(range(256))
-        gens = [bytes(t) + full[degree:] for t in images]
-        invs = [bytes.maketrans(t, full) for t in gens]
-        ident, compose = full[:degree], bytes.translate
-    else:
-        gens = [tuple(t) for t in images]
-        invs = [tuple(sorted(range(degree), key=t.__getitem__)) for t in gens]
-        ident, compose = tuple(range(degree)), _compose_tuples
-    return _Encoding(tuple(gens), (ident, *gens, *reversed(invs)), ident, compose)
+        return _Encoding(
+            tuple(bytes(t) + full[degree:] for t in images), full[:degree], bytes.translate
+        )
+    return _Encoding(tuple(tuple(t) for t in images), tuple(range(degree)), _compose_tuples)
+
+
+def _inverses(generators: Sequence, degree: int) -> list:
+    """The inverse tables of encoded ``generators``, in their encoding."""
+    if degree <= 256:
+        full = bytes(range(256))
+        return [bytes.maketrans(t, full) for t in generators]
+    return [tuple(sorted(range(degree), key=t.__getitem__)) for t in generators]
 
 
 def _closure(enc: _Encoding, cap: int):

@@ -41,7 +41,6 @@ from .words import (
     Word,
     _require_same_alphabet,
     commutator,
-    free_reduce,
 )
 
 
@@ -224,7 +223,7 @@ def builtin_presentation(name: str) -> LPresentation:
 
 # --- word grammar ---------------------------------------------------------
 
-MAX_WORD_LETTERS = 10**6  # the longest power the grammar builds, reduced
+MAX_WORD_LETTERS = 10**6  # the longest word the grammar builds, reduced
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<sym>[-*^()\[\],]))"
@@ -274,7 +273,13 @@ class _WordParser:
             self.fail(f"trailing input at token {self.peek()[1]!r}")
         return w
 
+    def check_length(self, n: int) -> None:
+        if n > MAX_WORD_LETTERS:
+            self.fail(f"word longer than {MAX_WORD_LETTERS} letters")
+
     def expr(self, stop=(")", "]", ",")) -> Word:
+        # the product so far stays freely reduced, and each factor is, so
+        # appending one cancels only where the two meet
         letters: list[int] = []
         first = True
         while True:
@@ -282,7 +287,7 @@ class _WordParser:
             if kind is None or (kind == "sym" and val in stop):
                 if first:
                     self.fail("empty word expression")
-                return Word(self.alphabet, free_reduce(letters))
+                return Word(self.alphabet, tuple(letters))
             if kind == "sym" and val == "*":
                 if first:
                     self.fail("leading '*'")
@@ -290,7 +295,13 @@ class _WordParser:
                 kind, val = self.peek()
                 if kind is None or kind == "sym" and val in stop:
                     self.fail("dangling '*'")
-            letters += self.factor().letters
+            f = self.factor().letters
+            k = 0
+            while k < len(f) and letters and letters[-1] == -f[k]:
+                letters.pop()
+                k += 1
+            letters += f[k:]
+            self.check_length(len(letters))
             first = False
 
     def factor(self) -> Word:
@@ -316,6 +327,7 @@ class _WordParser:
                 w = w ** (sign * n)
             else:
                 w = w.conjugated_by(self.primary())
+                self.check_length(len(w))
         return w
 
     def primary(self) -> Word:
@@ -338,7 +350,9 @@ class _WordParser:
             v = self.expr()
             if self.take() != ("sym", "]"):
                 self.fail("expected ']'")
-            return commutator(u, v)
+            w = commutator(u, v)
+            self.check_length(len(w))
+            return w
         self.fail(f"unexpected token {val!r}")
 
 

@@ -228,7 +228,7 @@ def _split_relators(
     is rescanned after each new entry.  On the level-2 Grigorchuk cover at
     index 15 the descent then reaches 149 complete tables instead of 90,
     and the deferred relators reject the other 59 at the leaves: the
-    descent takes 0.18 s on a 2-vCPU host, against 0.44-0.51 s when every
+    descent takes 0.10 s on a 2-vCPU host, against 0.18-0.20 s when every
     relator is scanned during it (medians of two batches of seven runs).
     """
     bound = 2 * max_index
@@ -239,19 +239,39 @@ def _split_relators(
     return scanned, deferred
 
 
-def _rotation_index(ncols: int, relators: Iterable[tuple[int, ...]]):
-    """Rotations of each relator and its inverse, bucketed by first column:
-    ``buckets[col]`` holds every relator cycle through an edge in column
-    ``col``, read forwards from the edge's source."""
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
-    seen: list[set] = [set() for _ in range(ncols)]
+def _rotation_index(cols: list[list[int]], relators: Iterable[tuple[int, ...]]):
+    """Rotations of each relator and its inverse, bucketed by first column
+    and bound to the column lists ``cols`` they read: ``buckets[col]`` holds
+    every relator cycle through an edge in column ``col``, read forwards
+    from the edge's source, as ``(forward, backward, len - 1, letters)``.
+    ``forward`` lists the columns of the letters in order, ``backward`` the
+    columns of their inverses from the last letter back, so following a
+    cycle either way is one list lookup per letter.
+
+    A column shares its list with its inverse column when the generator is
+    an involution (see :func:`_low_index_tables`).  Its letters then read
+    the lower column of the pair, cycles equal under that reading are kept
+    once, and both columns have the same bucket."""
+    canon = [c & ~1 if cols[c] is cols[c ^ 1] else c for c in range(len(cols))]
+    buckets: list[list] = [[] for _ in cols]
+    for c, k in enumerate(canon):
+        buckets[c] = buckets[k]
+    seen: set[tuple[int, ...]] = set()
     for w in relators:
         for u in (w, tuple(c ^ 1 for c in reversed(w))):
+            u = tuple(canon[c] for c in u)
             for i in range(len(u)):
                 rot = u[i:] + u[:i]
-                if rot not in seen[rot[0]]:
-                    seen[rot[0]].add(rot)
-                    buckets[rot[0]].append(rot)
+                if rot not in seen:
+                    seen.add(rot)
+                    buckets[rot[0]].append(
+                        (
+                            tuple(cols[c] for c in rot),
+                            tuple(cols[c ^ 1] for c in reversed(rot)),
+                            len(rot) - 1,
+                            rot,
+                        )
+                    )
     return buckets
 
 
@@ -266,18 +286,26 @@ def _low_index_tables(
     over ``alphabet`` with at most ``max_index`` cosets satisfying the
     relators ``scanned`` and ``deferred`` (see :func:`_split_relators`).
 
-    Returns ([(representative, class size), ...], capped).  Descent order:
-    locate the first undefined slot scanning rows then generators; try
-    every existing coset whose matching inverse slot is free, then one
-    fresh coset, so the leaves come out in lexicographic order of their
-    generator columns.  Consequences of the scanned relators propagate
-    through rotation scans; a scan that closes wrongly kills the branch,
-    since the merged table is found on another branch with the smaller
-    assignment made directly.  Each new edge a -col-> b is scanned once per
-    relator cycle through it, forwards from a: the rotation index holds the
-    inverse relators too, so a cycle that crosses the edge backwards is in
-    ``rot_by_col[col]`` read the other way, and a scan that meets in the
+    Returns ([(representative, class size), ...], capped).  The partial
+    table is one list per column, indexed by coset.  Descent order: locate
+    the first undefined slot scanning rows then generators; try every
+    existing coset whose matching inverse slot is free, then one fresh
+    coset, so the leaves come out in lexicographic order of their generator
+    columns.  Consequences of the scanned relators propagate through
+    rotation scans; a scan that closes wrongly kills the branch, since the
+    merged table is found on another branch with the smaller assignment
+    made directly.  Each new edge a -col-> b is scanned once per relator
+    cycle through it, forwards from a: the rotation index holds the inverse
+    relators too, so a cycle that crosses the edge backwards is in
+    ``buckets[col]`` read the other way, and a scan that meets in the
     middle deduces the same entry from either end.
+
+    A generator x such that x^2 or x^-2 is a scanned relator acts as an
+    involution in every table found, so the columns of x and x^-1 are one
+    list: defining an edge a -x-> b sets both a -> b and b -> a, and the
+    scan of x^2, which would only deduce that, is dropped.  Both directions
+    are one edge, so scanning its cycles from a alone still meets every
+    cycle through it.
 
     After each propagation the partial table is compared with itself
     re-rooted at cosets c >= 2 (Sims, *Computation with Finitely
@@ -301,55 +329,59 @@ def _low_index_tables(
     if max_tables is not None and max_tables < 0:
         raise InputError("max_tables must be >= 0")
     ngens = len(alphabet)
-    ncols = 2 * ngens
-    rot_by_col = _rotation_index(ncols, scanned)
-    tab = [0] * ((max_index + 2) * ncols)
+    squares = [w for w in scanned if len(w) == 2 and w[0] == w[1]]
+    involutions = {w[0] >> 1 for w in squares}
+    cols: list[list[int]] = []
+    for g in range(ngens):
+        arr = [0] * (max_index + 2)
+        cols += [arr, arr] if g in involutions else [arr, [0] * (max_index + 2)]
+    buckets = _rotation_index(cols, [w for w in scanned if w not in squares])
+    gencols = cols[0::2]
+    deferred_cols = [[cols[c] for c in w] for w in deferred]
+    scanned_cols = [[cols[c] for c in w] for w in scanned]
     results: list[tuple[CosetTable, int]] = []
     capped = False
     total = 0
-    poscols = [2 * g for g in range(ngens)]
 
-    def scan(a: int, w: tuple[int, ...], trail: list[int], queue: list) -> bool:
-        f = a
-        i = 0
-        r = len(w)
-        while i < r:
-            t = tab[f * ncols + w[i]]
-            if t == 0:
-                break
-            f = t
-            i += 1
-        else:
-            return f == a
-        b = a
-        j = r
-        while j > i:
-            t = tab[b * ncols + (w[j - 1] ^ 1)]
-            if t == 0:
-                break
-            b = t
-            j -= 1
-        if j == i:
-            return f == b
-        if j == i + 1:
-            col = w[i]
-            s1 = f * ncols + col
-            s2 = b * ncols + (col ^ 1)
-            tab[s1] = b
-            tab[s2] = f
-            trail.append(s1)
-            trail.append(s2)
-            queue.append((f, col))
-        return True
-
-    def propagate(queue: list, trail: list[int]) -> bool:
-        qi = 0
-        while qi < len(queue):
-            a, col = queue[qi]
-            qi += 1
-            for w in rot_by_col[col]:
-                if not scan(a, w, trail, queue):
-                    return False
+    def propagate(queue: list[tuple[int, int]], trail: list) -> bool:
+        # each queued edge's cycles, followed forwards from its source and
+        # backwards to it; a cycle defined all but one letter deduces that
+        # letter's edge, which is queued in turn (the queue grows as it is
+        # walked)
+        for a, col in queue:
+            for fw, bw, last, w in buckets[col]:
+                f = a
+                i = 0
+                for fa in fw:
+                    t = fa[f]
+                    if not t:
+                        break
+                    f = t
+                    i += 1
+                else:
+                    if f != a:
+                        return False
+                    continue
+                # j counts the backward steps left before letter i; stepping
+                # back over letter i reaches a coset where it is defined, so
+                # not f, where it is undefined: the cycle cannot close
+                b = a
+                j = last - i
+                for ba in bw:
+                    t = ba[b]
+                    if not t:
+                        break
+                    b = t
+                    j -= 1
+                if j:
+                    if j < 0:
+                        return False
+                    continue
+                fa[f] = b
+                ba[b] = f
+                trail.append((fa, f))
+                trail.append((ba, b))
+                queue.append((f, w[i]))
         return True
 
     def compare_rerooted(root: int) -> int | None:
@@ -359,77 +391,70 @@ def _low_index_tables(
         newid = [0] * (n + 1)
         newid[root] = 1
         order = [0, root]
+        fresh = 2
         for r in range(1, n + 1):
-            src = order[r] * ncols
-            dst = r * ncols
-            for col in poscols:
-                t = tab[src + col]
-                u = tab[dst + col]
-                if t == 0 or u == 0:
+            s = order[r]
+            for arr in gencols:
+                t = arr[s]
+                u = arr[r]
+                if not t or not u:
                     return None
                 m = newid[t]
-                if m == 0:
-                    m = newid[t] = len(order)
+                if not m:
+                    m = newid[t] = fresh
+                    fresh += 1
                     order.append(t)
                 if m != u:
                     return -1 if m < u else 1
         return 0
 
-    def closes_everywhere(w: tuple[int, ...]) -> bool:
+    def closes_everywhere(lists: list[list[int]]) -> bool:
         for a in range(1, n + 1):
             f = a
-            for col in w:
-                f = tab[f * ncols + col]
+            for arr in lists:
+                f = arr[f]
             if f != a:
                 return False
         return True
 
     n = 1
 
-    def descend(c0: int, g0: int, roots: list[int], ties: int) -> None:
+    def descend(c: int, gi: int, roots: list[int], ties: int) -> None:
         nonlocal n, capped, total
-        c, gi = c0, g0
-        slot = None
         while c <= n:
-            base = c * ncols
-            while gi < ngens:
-                if tab[base + poscols[gi]] == 0:
-                    slot = (c, poscols[gi])
-                    break
+            while gi < ngens and gencols[gi][c]:
                 gi += 1
-            if slot:
+            if gi < ngens:
                 break
             c += 1
             gi = 0
-        if slot is None:
-            if not all(closes_everywhere(w) for w in deferred):
+        else:
+            if not all(closes_everywhere(w) for w in deferred_cols):
                 return
-            if not all(closes_everywhere(w) for w in scanned):
+            if not all(closes_everywhere(w) for w in scanned_cols):
                 raise RuntimeError("low-index search produced an inconsistent table")
             size = n // (1 + ties)
             if max_tables is not None and total + size > max_tables:
                 capped = True
                 raise _SearchCapped
             total += size
-            rows = tuple(
-                tuple(tab[r * ncols : r * ncols + ncols]) for r in range(1, n + 1)
-            )
+            rows = tuple(zip(*(arr[1 : n + 1] for arr in cols)))
             results.append((CosetTable(alphabet, rows), size))
             return
-        a, col = slot
-        invcol = col ^ 1
-        candidates = [b for b in range(1, n + 1) if tab[b * ncols + invcol] == 0]
-        fresh = n < max_index
-        for b in candidates + ([n + 1] if fresh else []):
+        col = 2 * gi
+        fwd = cols[col]
+        inv = cols[col + 1]
+        candidates = [b for b in range(1, n + 1) if not inv[b]]
+        if n < max_index:
+            candidates.append(n + 1)
+        for b in candidates:
             is_new = b > n
             if is_new:
                 n += 1
-            s1 = a * ncols + col
-            s2 = b * ncols + invcol
-            tab[s1] = b
-            tab[s2] = a
-            trail = [s1, s2]
-            if propagate([(a, col)], trail):
+            fwd[c] = b
+            inv[b] = c
+            trail = [(fwd, c), (inv, b)]
+            if propagate([(c, col)], trail):
                 undecided = []
                 ties = 0
                 for root in (roots + [b] if is_new else roots):
@@ -442,8 +467,8 @@ def _low_index_tables(
                         ties += 1
                 else:
                     descend(c, gi, undecided, ties)
-            for s in trail:
-                tab[s] = 0
+            for arr, s in trail:
+                arr[s] = 0
             if is_new:
                 n -= 1
 

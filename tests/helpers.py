@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable, Sequence
 from unittest import mock
 
 from lpcoset import (
@@ -41,8 +42,9 @@ from lpcoset.coset_enum import (
     _verify_closed,
 )
 from lpcoset.presentations import FinitePresentation, _WordParser
-from lpcoset.subgroups import _low_index_tables, _rotation_index, _split_relators
-from lpcoset.words import Word, _require_same_alphabet
+from lpcoset.errors import InputError
+from lpcoset.subgroups import _low_index_tables, _split_relators
+from lpcoset.words import Alphabet, Word, _require_same_alphabet
 
 
 def sigma_power(lp, k: int) -> EndoWord:
@@ -278,6 +280,236 @@ def low_index_classes(fp, max_index: int, max_tables: int | None = None):
     return _low_index_tables(fp.alphabet, max_index, scanned, deferred, max_tables)
 
 
+class _SearchCapped(Exception):
+    pass
+
+
+def row_major_rotation_index(ncols: int, relators: Iterable[tuple[int, ...]]):
+    """Rotations of each relator and its inverse, bucketed by first column:
+    ``buckets[col]`` holds every relator cycle through an edge in column
+    ``col``, read forwards from the edge's source."""
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
+    seen: list[set] = [set() for _ in range(ncols)]
+    for w in relators:
+        for u in (w, tuple(c ^ 1 for c in reversed(w))):
+            for i in range(len(u)):
+                rot = u[i:] + u[:i]
+                if rot not in seen[rot[0]]:
+                    seen[rot[0]].add(rot)
+                    buckets[rot[0]].append(rot)
+    return buckets
+
+
+def row_major_low_index_tables(
+    alphabet: Alphabet,
+    max_index: int,
+    scanned: Sequence[tuple[int, ...]],
+    deferred: Sequence[tuple[int, ...]],
+    max_tables: int | None = None,
+) -> tuple[list[tuple[CosetTable, int]], bool]:
+    """The low-index descent on one flat row-major table, as the library ran
+    it before the table became one list per column: reference for
+    ``subgroups._low_index_tables``, which must give the same
+    representatives, class sizes, order and ``capped`` flag.
+
+    The least standardized closed table of each conjugacy class of those
+    over ``alphabet`` with at most ``max_index`` cosets satisfying the
+    relators ``scanned`` and ``deferred`` (see ``_split_relators``).
+
+    Returns ([(representative, class size), ...], capped).  Descent order:
+    locate the first undefined slot scanning rows then generators; try
+    every existing coset whose matching inverse slot is free, then one
+    fresh coset, so the leaves come out in lexicographic order of their
+    generator columns.  Consequences of the scanned relators propagate
+    through rotation scans; a scan that closes wrongly kills the branch,
+    since the merged table is found on another branch with the smaller
+    assignment made directly.  Each new edge a -col-> b is scanned once per
+    relator cycle through it, forwards from a: the rotation index holds the
+    inverse relators too, so a cycle that crosses the edge backwards is in
+    ``rot_by_col[col]`` read the other way, and a scan that meets in the
+    middle deduces the same entry from either end.
+
+    After each propagation the partial table is compared with itself
+    re-rooted at cosets c >= 2 (Sims, *Computation with Finitely
+    Presented Groups*, 1994, section 5.6): cosets are renumbered
+    breadth-first from c and rows compared in row-major order over the
+    generator columns, up to the first entry undefined on either side.  A
+    re-rooting that is smaller there is smaller in every completion, so
+    the branch is cut.  One that is larger at a defined entry stays larger
+    in every completion, since entries are only added below a node, so it
+    is dropped for the whole subtree; only the roots still undecided (an
+    undefined entry came first) and each fresh coset are compared again
+    further down.  At a complete table every remaining root is decided,
+    and those that tie all the way give the class size, n / (1 + ties).
+    A complete table is kept when the deferred relators close at every
+    coset, which holds for all of its conjugates or none.  ``max_tables``
+    counts complete tables, conjugates included, and the search stops
+    before the class that would pass it.
+    """
+    if not 1 <= max_index <= DEFAULT_MAX_COSETS:
+        raise InputError(f"max_index must be in 1..{DEFAULT_MAX_COSETS}, the coset ceiling")
+    if max_tables is not None and max_tables < 0:
+        raise InputError("max_tables must be >= 0")
+    ngens = len(alphabet)
+    ncols = 2 * ngens
+    rot_by_col = row_major_rotation_index(ncols, scanned)
+    tab = [0] * ((max_index + 2) * ncols)
+    results: list[tuple[CosetTable, int]] = []
+    capped = False
+    total = 0
+    poscols = [2 * g for g in range(ngens)]
+
+    def scan(a: int, w: tuple[int, ...], trail: list[int], queue: list) -> bool:
+        f = a
+        i = 0
+        r = len(w)
+        while i < r:
+            t = tab[f * ncols + w[i]]
+            if t == 0:
+                break
+            f = t
+            i += 1
+        else:
+            return f == a
+        b = a
+        j = r
+        while j > i:
+            t = tab[b * ncols + (w[j - 1] ^ 1)]
+            if t == 0:
+                break
+            b = t
+            j -= 1
+        if j == i:
+            return f == b
+        if j == i + 1:
+            col = w[i]
+            s1 = f * ncols + col
+            s2 = b * ncols + (col ^ 1)
+            tab[s1] = b
+            tab[s2] = f
+            trail.append(s1)
+            trail.append(s2)
+            queue.append((f, col))
+        return True
+
+    def propagate(queue: list, trail: list[int]) -> bool:
+        qi = 0
+        while qi < len(queue):
+            a, col = queue[qi]
+            qi += 1
+            for w in rot_by_col[col]:
+                if not scan(a, w, trail, queue):
+                    return False
+        return True
+
+    def compare_rerooted(root: int) -> int | None:
+        """-1 when the table re-rooted at ``root`` is smaller at the first
+        entry where the two differ, 1 when it is larger there, 0 when they
+        agree everywhere, ``None`` when an undefined entry comes first."""
+        newid = [0] * (n + 1)
+        newid[root] = 1
+        order = [0, root]
+        for r in range(1, n + 1):
+            src = order[r] * ncols
+            dst = r * ncols
+            for col in poscols:
+                t = tab[src + col]
+                u = tab[dst + col]
+                if t == 0 or u == 0:
+                    return None
+                m = newid[t]
+                if m == 0:
+                    m = newid[t] = len(order)
+                    order.append(t)
+                if m != u:
+                    return -1 if m < u else 1
+        return 0
+
+    def closes_everywhere(w: tuple[int, ...]) -> bool:
+        for a in range(1, n + 1):
+            f = a
+            for col in w:
+                f = tab[f * ncols + col]
+            if f != a:
+                return False
+        return True
+
+    n = 1
+
+    def descend(c0: int, g0: int, roots: list[int], ties: int) -> None:
+        nonlocal n, capped, total
+        c, gi = c0, g0
+        slot = None
+        while c <= n:
+            base = c * ncols
+            while gi < ngens:
+                if tab[base + poscols[gi]] == 0:
+                    slot = (c, poscols[gi])
+                    break
+                gi += 1
+            if slot:
+                break
+            c += 1
+            gi = 0
+        if slot is None:
+            if not all(closes_everywhere(w) for w in deferred):
+                return
+            if not all(closes_everywhere(w) for w in scanned):
+                raise RuntimeError("low-index search produced an inconsistent table")
+            size = n // (1 + ties)
+            if max_tables is not None and total + size > max_tables:
+                capped = True
+                raise _SearchCapped
+            total += size
+            rows = tuple(
+                tuple(tab[r * ncols : r * ncols + ncols]) for r in range(1, n + 1)
+            )
+            results.append((CosetTable(alphabet, rows), size))
+            return
+        a, col = slot
+        invcol = col ^ 1
+        candidates = [b for b in range(1, n + 1) if tab[b * ncols + invcol] == 0]
+        fresh = n < max_index
+        for b in candidates + ([n + 1] if fresh else []):
+            is_new = b > n
+            if is_new:
+                n += 1
+            s1 = a * ncols + col
+            s2 = b * ncols + invcol
+            tab[s1] = b
+            tab[s2] = a
+            trail = [s1, s2]
+            if propagate([(a, col)], trail):
+                undecided = []
+                ties = 0
+                for root in (roots + [b] if is_new else roots):
+                    verdict = compare_rerooted(root)
+                    if verdict is None:
+                        undecided.append(root)
+                    elif verdict < 0:
+                        break
+                    elif verdict == 0:
+                        ties += 1
+                else:
+                    descend(c, gi, undecided, ties)
+            for s in trail:
+                tab[s] = 0
+            if is_new:
+                n -= 1
+
+    try:
+        descend(1, 0, [], 0)
+    except _SearchCapped:
+        pass
+    return results, capped
+
+
+def row_major_low_index_classes(fp, max_index: int, max_tables: int | None = None):
+    """``low_index_classes`` run through the row-major reference descent."""
+    scanned, deferred = _split_relators(fp, max_index)
+    return row_major_low_index_tables(fp.alphabet, max_index, scanned, deferred, max_tables)
+
+
 def fold_and_dedup(lp, tables, cap: int = 10**5):
     folded = []
     keys = set()
@@ -310,7 +542,7 @@ def plain_low_index_tables(fp, max_index: int) -> list[CosetTable]:
     re-rooting once per subtree.  It reads the library's
     ``_prepared_relators``, so it tests the descent alone."""
     ncols = 2 * len(fp.alphabet)
-    rot_by_col = _rotation_index(ncols, _prepared_relators(fp))
+    rot_by_col = row_major_rotation_index(ncols, _prepared_relators(fp))
     tab = [0] * ((max_index + 2) * ncols)
     results = []
 
@@ -516,7 +748,7 @@ def felsch_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     the library's ``_prepared_relators``, so it tests the driver alone."""
     _require_same_alphabet(fp.alphabet, sub.alphabet)
     eng = _FelschEngine(2 * len(fp.alphabet), max_cosets)
-    rot_by_col = _rotation_index(eng.ncols, _prepared_relators(fp))
+    rot_by_col = row_major_rotation_index(eng.ncols, _prepared_relators(fp))
     try:
         for g in sub.generators:
             w = _col_word(g)
@@ -631,8 +863,8 @@ def power_by_products(w: Word, n: int) -> Word:
 
 class _ProductParser(_WordParser):
     """The word grammar with every product and power formed one factor at
-    a time.  Reference for ``_WordParser``, which collects the letters of
-    a product and reduces them once."""
+    a time.  Reference for ``_WordParser``, which appends each factor's
+    letters to the reduced product so far, cancelling where they meet."""
 
     def expr(self, stop=(")", "]", ",")) -> Word:
         out = Word.identity(self.alphabet)

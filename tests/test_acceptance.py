@@ -263,13 +263,29 @@ def test_criterion_8_burnside_sanity():
     report(8, ok, f"trivial subgroup of burnside(1,3) has index 3 in {elapsed:.3f}s")
 
 
+GRIGORCHUK_COUNTS_TO_16 = {1: 1, 2: 7, 4: 31, 8: 183, 16: 1827}
+
+
 @pytest.mark.stretch
 def test_stretch_grigorchuk_index_16(grig):
     # level 2 keeps the candidate list near the true subgroup count; level 1
     # explodes combinatorially at this size
     slist = mark_normal_and_maximal(low_index(grig, 16, level=2))
-    assert slist.counts() == {1: 1, 2: 7, 4: 31, 8: 183, 16: 1827}
+    assert slist.counts() == GRIGORCHUK_COUNTS_TO_16
     assert slist.normal_counts() == {1: 1, 2: 7, 4: 7, 8: 7, 16: 5}
+
+
+@pytest.mark.stretch
+def test_stretch_grigorchuk_index_24(grig):
+    # No count is published beyond index 16, so the oracles here do not
+    # depend on the library: the Grigorchuk group is a 2-group, so every
+    # finite index is a power of 2 and the count is zero at every other
+    # index up to 24, and the index-16 count is the published one above.
+    # Level 2 as there; level 1 takes about a minute at this size, so the
+    # level invariance of the output is checked at smaller indexes only.
+    counts = low_index(grig, 24, level=2).counts()
+    assert all(k & (k - 1) == 0 for k in counts)
+    assert counts[16] == GRIGORCHUK_COUNTS_TO_16[16]
 
 
 @pytest.mark.stretch

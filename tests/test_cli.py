@@ -386,6 +386,26 @@ class TestErrorPaths:
         assert proc.returncode == EXIT_RESOURCE
         assert proc.stderr == "error: no closed table within 2000 cosets at level 2\n"
 
+    def test_long_product_of_powers_is_a_parse_error_within_memory(self):
+        # each power is within the word bound, their product is not: the
+        # parser stops at the second factor instead of collecting forty
+        # million letters
+        import resource
+        import subprocess
+        import sys
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (5 * 10**8, 5 * 10**8))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpcoset.cli", "index", "builtin:basilica",
+             "--subgroup", "*".join(["a^1000000"] * 40)],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=300,
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1 and "word longer than 1000000 letters" in proc.stderr
+
     def test_env_var_ceiling(self, monkeypatch):
         code, _, _ = run_cli(
             "index",

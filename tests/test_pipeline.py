@@ -137,6 +137,24 @@ class TestIsValidPermRep:
         assert len(outcome.visited) == 27
         assert 0 < encodings.call_count <= built.call_count
 
+    def test_walk_builds_inverse_tables_only_for_kept_representations(self):
+        # relator checks and the precompositions from a kept word read the
+        # inverse tables; equality and kernel tests read only the generator
+        # tables, so a pruned representation builds none
+        b23 = burnside(2, 3)
+        table = enumerate_cosets(b23, parse_subgroup(b23.alphabet, "a1")).table
+        with mock.patch.object(
+            perms, "_inverses", side_effect=perms._inverses
+        ) as inverses, mock.patch.object(
+            PermutationRep, "__post_init__", autospec=True,
+            side_effect=PermutationRep.__post_init__,
+        ) as built:
+            outcome = is_valid_perm_rep(b23, to_perm_rep(table))
+        assert outcome.valid
+        # visited holds the root and every kept word
+        assert inverses.call_count == len(outcome.visited) == 27
+        assert built.call_count > 2 * inverses.call_count
+
     def test_empty_family_is_immediately_valid(self):
         abc = Alphabet(("x",))
         lp = LPresentation(abc, (), (), (parse_word(abc, "x^2"),))

@@ -256,12 +256,24 @@ class TestWordGrammar:
         monkeypatch.setattr(presentations, "MAX_WORD_LETTERS", 10)
         assert len(parse_word(AB, "(b*a*b^-1)^8")) == 10
         assert len(parse_word(AB, "(b*a*b^-1)^-0008")) == 10
-        assert len(parse_word(AB, "(a*b)^5 * (a*b)^5")) == 20
         assert parse_word(AB, "(a*b)^" + "0" * 5000).is_identity
         assert parse_word(AB, "1^" + "9" * 5000).is_identity
         for text in ["(b*a*b^-1)^9", "(a*b)^6", "a^-11", "(a^5)^3", "a^" + "9" * 5000]:
             with pytest.raises(ParseError, match="power longer than 10 letters"):
                 parse_word(AB, text)
+
+    def test_word_bound_counts_the_reduced_product(self, monkeypatch):
+        monkeypatch.setattr(presentations, "MAX_WORD_LETTERS", 10)
+        assert len(parse_word(AB, "a^6*b^4")) == 10
+        assert len(parse_word(AB, "a^10*a^-10*b^10")) == 10
+        assert len(parse_word(AB, "(a^5*b^5)*(b^-5*a^5)")) == 10
+        for text in ["a^6*b^5", "a^5 b^5 a", "(a^5*b^5)*a", "(a*b)^5 * (a*b)^5", "[a^3,b^3]", "(a^5*b^5)^b"]:
+            with pytest.raises(ParseError, match="word longer than 10 letters"):
+                parse_word(AB, text)
+
+    def test_product_of_powers_within_the_bound_cancels(self):
+        assert parse_word(AB, "a^1000000*a^-1000000").is_identity
+        assert parse_word(AB, "a^-1000000 a^999999 b") == parse_word(AB, "a^-1*b")
 
     @pytest.mark.parametrize(
         "text,pairs",

@@ -17,6 +17,7 @@ from lpcoset import (
     LowIndexIncomplete,
     Word,
     basilica,
+    builtin_presentation,
     contains_subgroup,
     core,
     decide_validity,
@@ -57,6 +58,7 @@ from helpers import (
     plain_low_index_tables,
     replay_image_group,
     reroot,
+    row_major_low_index_classes,
     transitive_tables_by_exhaustion,
     whole_group,
 )
@@ -462,20 +464,38 @@ def _descent_key(rows):
 
 @st.composite
 def _small_presentations(draw):
-    """Two generators, up to three short relators (generator powers mixed
-    in, so that small non-normal subgroups survive), ``max_index`` <= 5."""
-    abc = Alphabet(("a", "b"))
-    letters = st.sampled_from([1, -1, 2, -2])
-    powers = st.builds(lambda x, k: [x] * k, st.sampled_from([1, 2]), st.integers(2, 4))
+    """Two or three generators, up to four short relators, ``max_index`` <=
+    5 (<= 4 with three generators).  Generator powers of either sign are
+    mixed in, so that small non-normal subgroups survive, and a square
+    among them makes its generator an involution beside generators that
+    are not."""
+    ngens = draw(st.integers(2, 3))
+    abc = Alphabet(("a", "b", "c")[:ngens])
+    gens = list(range(1, ngens + 1))
+    letters = st.sampled_from(gens + [-g for g in gens])
+    powers = st.builds(lambda x, k: [x] * k, letters, st.integers(2, 4))
     relators = draw(
         st.lists(
             st.one_of(powers, st.lists(letters, min_size=2, max_size=8)),
             min_size=1,
-            max_size=3,
+            max_size=4,
         )
     )
     fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in relators))
-    return fp, draw(st.integers(1, 5))
+    return fp, draw(st.integers(1, 5 if ngens == 2 else 4))
+
+
+def _outcome(search):
+    """A descent's result as plain data: ([(rows, class size)], capped)."""
+    classes, capped = search
+    return [(t.rows, size) for t, size in classes], capped
+
+
+def _fixed_presentation(name: str, level: int):
+    if name == "dihedral12":
+        abc = Alphabet(("a", "b"))
+        return FinitePresentation(abc, tuple(parse_words(abc, "a^2 b^2 (a*b)^6")))
+    return builtin_presentation(name).covering(level)
 
 
 class TestLowIndexSearch:
@@ -508,6 +528,45 @@ class TestLowIndexSearch:
         keys = [_descent_key(t.rows) for t, _ in classes]
         assert keys == sorted(set(keys))
         assert sum(size for _, size in classes) == len(plain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_presentations(), st.one_of(st.none(), st.integers(0, 40)))
+    def test_column_lists_against_row_major_descent(self, case, max_tables):
+        # reference: the same search on one flat row-major table, with every
+        # square relator scanned instead of its generator's two columns
+        # sharing one list
+        fp, max_index = case
+        assert _outcome(low_index_classes(fp, max_index, max_tables)) == _outcome(
+            row_major_low_index_classes(fp, max_index, max_tables)
+        )
+
+    @pytest.mark.parametrize(
+        "name,level,max_index,involutions",
+        [
+            ("grigorchuk", 0, 12, True),
+            ("grigorchuk", 1, 12, True),
+            ("grigorchuk", 2, 15, True),
+            ("grigorchuk", 3, 12, True),
+            ("basilica", 0, 10, False),
+            ("basilica", 1, 10, False),
+            ("basilica", 2, 10, False),
+            ("burnside(3,2)", 2, 8, True),
+            ("burnside(2,3)", 2, 9, False),
+            ("dihedral12", 0, 12, True),
+        ],
+    )
+    def test_column_lists_on_fixed_presentations(
+        self, name, level, max_index, involutions
+    ):
+        fp = _fixed_presentation(name, level)
+        scanned, _ = _split_relators(fp, max_index)
+        assert any(len(w) == 2 and w[0] == w[1] for w in scanned) == involutions
+        expected = _outcome(row_major_low_index_classes(fp, max_index))
+        assert _outcome(low_index_classes(fp, max_index)) == expected
+        half = sum(size for _, size in expected[0]) // 2
+        assert _outcome(low_index_classes(fp, max_index, half)) == _outcome(
+            row_major_low_index_classes(fp, max_index, half)
+        )
 
     def test_max_tables_counts_only_tables_satisfying_every_relator(self):
         # in the infinite dihedral group the actions of degree at most 5 in
