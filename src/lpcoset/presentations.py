@@ -225,172 +225,214 @@ def builtin_presentation(name: str) -> LPresentation:
 
 MAX_WORD_LETTERS = 10**6  # the longest word the grammar builds, reduced
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<sym>[-*^()\[\],]))"
-)
+# one token per match: an ASCII name, a run of digits, a run of whitespace,
+# or any other single character (a symbol, or one no token allows)
+_SCAN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|\s+|\S")
+_CLOSERS = (")", "]", ",")
+# what the scan has just read: nothing of the expression, a '*', a factor,
+# a '^', or a '^-'
+_START, _STAR, _FACTOR, _EXPONENT, _NEGATIVE = range(5)
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
-            break
-        if m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("int"):
-            tokens.append(("int", m.group("int")))
-        else:
-            tokens.append(("sym", m.group("sym")))
-        pos = m.end()
-    return tokens
+def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-a for a in reversed(x)])
 
 
-class _WordParser:
-    def __init__(self, alphabet: Alphabet, text: str):
-        self.alphabet = alphabet
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """x * y for freely reduced x and y, which cancel only where they meet."""
+    k = 0
+    n = min(len(x), len(y))
+    while k < n and x[-1 - k] == -y[k]:
+        k += 1
+    return x[: len(x) - k] + y[k:]
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _append(letters: list[int], f: tuple[int, ...]) -> int:
+    """``letters`` times ``f`` in place, both freely reduced; the new length."""
+    k = 0
+    while k < len(f) and letters and letters[-1] == -f[k]:
+        letters.pop()
+        k += 1
+    letters += f[k:]
+    return len(letters)
 
-    def fail(self, why: str):
-        raise ParseError(f"{why} in word {self.text!r}")
 
-    def parse(self) -> Word:
-        w = self.expr()
-        if self.pos != len(self.tokens):
-            self.fail(f"trailing input at token {self.peek()[1]!r}")
-        return w
+def _item(tokens: list[str], start: int) -> str:
+    """The text of the list item that begins at token ``start``: up to the
+    first comma or whitespace outside brackets."""
+    depth = 0
+    for stop in range(start, len(tokens)):
+        tok = tokens[stop]
+        if tok in ("(", "["):
+            depth += 1
+        elif tok in (")", "]"):
+            depth -= 1
+        elif not depth and (tok == "," or tok.isspace()):
+            return "".join(tokens[start:stop])
+    return "".join(tokens[start:])
 
-    def check_length(self, n: int) -> None:
-        if n > MAX_WORD_LETTERS:
-            self.fail(f"word longer than {MAX_WORD_LETTERS} letters")
 
-    def expr(self, stop=(")", "]", ",")) -> Word:
-        # the product so far stays freely reduced, and each factor is, so
-        # appending one cancels only where the two meet
-        letters: list[int] = []
-        first = True
-        while True:
-            kind, val = self.peek()
-            if kind is None or (kind == "sym" and val in stop):
-                if first:
-                    self.fail("empty word expression")
-                return Word(self.alphabet, tuple(letters))
-            if kind == "sym" and val == "*":
-                if first:
-                    self.fail("leading '*'")
-                self.take()
-                kind, val = self.peek()
-                if kind is None or kind == "sym" and val in stop:
-                    self.fail("dangling '*'")
-            f = self.factor().letters
-            k = 0
-            while k < len(f) and letters and letters[-1] == -f[k]:
-                letters.pop()
-                k += 1
-            letters += f[k:]
-            self.check_length(len(letters))
-            first = False
+def _parse(alphabet: Alphabet, text: str, split: bool) -> list[Word]:
+    """The words of ``text`` in one scan: the whole text as one word, or
+    with ``split`` one word per item of a list separated by commas and
+    whitespace outside brackets.
 
-    def factor(self) -> Word:
-        w = self.primary()
-        while self.peek() == ("sym", "^"):
-            self.take()
-            kind, val = self.peek()
-            if kind == "int" or (kind == "sym" and val == "-"):
-                sign = 1
-                if kind == "sym":
-                    self.take()
-                    sign = -1
-                    kind, val = self.peek()
-                    if kind != "int":
-                        self.fail("expected integer exponent after '-'")
-                self.take()
-                # w^n has m + (n - 1)|c| <= n * m letters, m = |w| and c the cyclic
-                # core of w; n cut to one digit more than the bound still passes it
-                n = int(val.lstrip("0")[: len(str(MAX_WORD_LETTERS)) + 1] or "0")
-                m = len(w.letters)
-                if m * n > MAX_WORD_LETTERS and m + (n - 1) * (len(w**2) - m) > MAX_WORD_LETTERS:
-                    self.fail(f"power longer than {MAX_WORD_LETTERS} letters")
-                w = w ** (sign * n)
+    Open brackets are an explicit stack, so any depth of nesting parses.
+    An expression keeps its finished factors as one freely reduced letter
+    list and the factor being read as a tuple; a finished factor is
+    appended cancelling only at the seam, and one ``Word`` is built per
+    word.  Powers, conjugates and commutators are formed on tuples, each
+    refused once it would pass ``MAX_WORD_LETTERS``.
+    """
+    bound = MAX_WORD_LETTERS
+    # a generator whose name is not ASCII is no token, so it never parses
+    codes = {name: (i,) for i, name in enumerate(alphabet.names, 1) if name.isascii()}
+    tokens = _SCAN_RE.findall(text)
+    words: list[Word] = []
+    # one entry per open bracket: [bracket, letters, cur, state, first
+    # commutator part], the last four those of the enclosing expression
+    stack: list[list] = []
+    letters: list[int] = []  # the finished factors of the innermost expression
+    cur: tuple[int, ...] = ()  # the factor being read
+    state = _START
+    start = 0  # the token that begins the current list item
+
+    def error(why: str) -> ParseError:
+        return ParseError(f"{why} in word {_item(tokens, start) if split else text!r}")
+
+    too_long = f"word longer than {bound} letters"
+    for i, tok in enumerate(tokens):
+        p = codes.get(tok)
+        if p is None:
+            if tok == "*":
+                if state != _FACTOR:
+                    raise error("leading '*'" if state == _START else "unexpected token '*'")
+                if _append(letters, cur) > bound:
+                    raise error(too_long)
+                state = _STAR
+                continue
+            if tok == "^":
+                if state != _FACTOR:
+                    raise error("unexpected token '^'")
+                state = _EXPONENT
+                continue
+            if tok.isspace():
+                if not split or stack:
+                    continue
+                tok = ","
+            if tok in _CLOSERS:
+                if state == _FACTOR:
+                    if _append(letters, cur) > bound:
+                        raise error(too_long)
+                elif state == _START and split and not stack and tok == ",":
+                    start = i + 1
+                    continue
+                else:
+                    raise error(
+                        {_START: "empty word expression", _STAR: "dangling '*'"}.get(
+                            state, f"unexpected token {tok!r}"
+                        )
+                    )
+                if not stack:
+                    if not split:
+                        raise error(f"trailing input at token {tok!r}")
+                    if tok != ",":
+                        raise error("unbalanced brackets")
+                    words.append(Word(alphabet, tuple(letters)))
+                    letters = []
+                    state = _START
+                    start = i + 1
+                    continue
+                frame = stack[-1]
+                if frame[0] == "(":
+                    if tok != ")":
+                        raise error("expected ')'")
+                    p = tuple(letters)
+                elif frame[4] is None:
+                    if tok != ",":
+                        raise error("expected ',' in commutator")
+                    frame[4] = tuple(letters)
+                    letters = []
+                    state = _START
+                    continue
+                else:
+                    if tok != "]":
+                        raise error("expected ']'")
+                    u, v = frame[4], tuple(letters)
+                    p = _product(_product(_product(_inverse(u), _inverse(v)), u), v)
+                    if len(p) > bound:
+                        raise error(too_long)
+                stack.pop()
+                _, letters, cur, state, _ = frame
+            elif tok == "(" or tok == "[":
+                if state == _NEGATIVE:
+                    raise error("expected integer exponent after '-'")
+                stack.append([tok, letters, cur, state, None])
+                letters = []
+                state = _START
+                continue
+            elif state >= _EXPONENT and tok.isdecimal():
+                # w^n has 2k + n|c| letters for w = u*c*u^-1, k = |u| and c
+                # cyclically reduced; n cut to one digit more than the bound
+                # still passes it
+                n = int(tok.lstrip("0")[: len(str(bound)) + 1] or "0")
+                x = _inverse(cur) if state == _NEGATIVE else cur
+                m = len(x)
+                k = 0
+                while 2 * k + 1 < m and x[k] == -x[-1 - k]:
+                    k += 1
+                if n and 2 * k + n * (m - 2 * k) > bound:
+                    raise error(f"power longer than {bound} letters")
+                cur = x[:k] + x[k : m - k] * n + x[m - k :] if n else ()
+                state = _FACTOR
+                continue
+            elif tok == "1":
+                p = ()
+            elif tok == "-" and state == _EXPONENT:
+                state = _NEGATIVE
+                continue
+            elif tok.isidentifier() and tok.isascii():
+                raise error(f"unknown generator {tok!r}")
+            elif tok.isdecimal() or tok == "-":
+                raise error(f"unexpected token {tok!r}")
             else:
-                w = w.conjugated_by(self.primary())
-                self.check_length(len(w))
-        return w
-
-    def primary(self) -> Word:
-        kind, val = self.take()
-        if kind == "name":
-            if val not in self.alphabet:
-                self.fail(f"unknown generator {val!r}")
-            return Word.generator(self.alphabet, self.alphabet.code(val))
-        if kind == "int" and val == "1":
-            return Word.identity(self.alphabet)
-        if kind == "sym" and val == "(":
-            w = self.expr()
-            if self.take() != ("sym", ")"):
-                self.fail("expected ')'")
-            return w
-        if kind == "sym" and val == "[":
-            u = self.expr()
-            if self.take() != ("sym", ","):
-                self.fail("expected ',' in commutator")
-            v = self.expr()
-            if self.take() != ("sym", "]"):
-                self.fail("expected ']'")
-            w = commutator(u, v)
-            self.check_length(len(w))
-            return w
-        self.fail(f"unexpected token {val!r}")
+                raise error(f"unexpected character {tok!r}")
+        # p is a primary: it begins a factor, or conjugates the one read
+        if state == _FACTOR:
+            if _append(letters, cur) > bound:
+                raise error(too_long)
+        elif state == _EXPONENT:
+            cur = _product(_product(_inverse(p), cur), p)
+            if len(cur) > bound:
+                raise error(too_long)
+            state = _FACTOR
+            continue
+        elif state == _NEGATIVE:
+            raise error("expected integer exponent after '-'")
+        cur = p
+        state = _FACTOR
+    if stack:
+        raise error(f"unclosed {stack[-1][0]!r} at end of input")
+    if state == _FACTOR:
+        if _append(letters, cur) > bound:
+            raise error(too_long)
+        words.append(Word(alphabet, tuple(letters)))
+    elif state == _STAR:
+        raise error("dangling '*'")
+    elif state != _START:
+        raise error("unexpected end of input")
+    return words
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse one word; whitespace between factors multiplies."""
-    if not text.strip():
-        return Word.identity(alphabet)
-    return _WordParser(alphabet, text).parse()
-
-
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas and whitespace that sit outside brackets."""
-    items = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        if depth == 0 and (ch == "," or ch.isspace()):
-            if current:
-                items.append("".join(current))
-                current = []
-            continue
-        current.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    if current:
-        items.append("".join(current))
-    return items
+    words = _parse(alphabet, text, split=False)
+    return words[0] if words else Word.identity(alphabet)
 
 
 def parse_words(alphabet: Alphabet, text: str) -> list[Word]:
     """Parse a list of words separated by top-level commas or whitespace."""
-    return [parse_word(alphabet, item) for item in _split_top_level(text)]
+    return _parse(alphabet, text, split=True)
 
 
 def parse_subgroup(alphabet: Alphabet, text: str) -> SubgroupSpec:

@@ -592,13 +592,18 @@ def low_index(
     not depend on the level.  ``max_tables`` caps the complete candidate
     tables, conjugates included; when the descent stops at it a
     :class:`LowIndexIncomplete` is raised carrying the folded portion,
-    which holds whole conjugacy classes of candidates only.
+    which holds whole conjugacy classes of candidates only.  The coset
+    ceiling ``DEFAULT_MAX_COSETS`` caps the candidate rows the same way,
+    as ``DEFAULT_MAX_COSETS // max_index`` tables, so a covering with few
+    relators stops instead of filling memory.
     """
     fp = lp.covering(level)
     _emit(trace, "low-index", level=level, max_index=max_index, relators=len(fp.relators))
     scanned, deferred = _split_relators(fp, max_index)
+    row_cap = DEFAULT_MAX_COSETS // max(max_index, 1)
+    by_rows = max_tables is None or row_cap < max_tables
     classes, capped = _low_index_tables(
-        fp.alphabet, max_index, scanned, deferred, max_tables
+        fp.alphabet, max_index, scanned, deferred, row_cap if by_rows else max_tables
     )
     _emit(trace, "low-index-candidates", count=sum(size for _, size in classes))
     entries = []
@@ -617,9 +622,13 @@ def low_index(
     result = SubgroupList(lp, max_index, tuple(entries), complete=not capped)
     _emit(trace, "low-index-subgroups", count=len(entries))
     if capped:
-        raise LowIndexIncomplete(
-            f"stopped after {max_tables} candidate tables", partial=result
+        why = (
+            f"stopped after {row_cap} candidate tables of up to {max_index} "
+            f"cosets, {DEFAULT_MAX_COSETS} rows in all (the coset ceiling)"
+            if by_rows
+            else f"stopped after {max_tables} candidate tables"
         )
+        raise LowIndexIncomplete(why, partial=result)
     return result
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from typing import Iterable, Sequence
 from unittest import mock
 
@@ -41,10 +42,10 @@ from lpcoset.coset_enum import (
     _prepared_relators,
     _verify_closed,
 )
-from lpcoset.presentations import FinitePresentation, _WordParser
-from lpcoset.errors import InputError
+from lpcoset.presentations import MAX_WORD_LETTERS, FinitePresentation
+from lpcoset.errors import InputError, ParseError
 from lpcoset.subgroups import _low_index_tables, _split_relators
-from lpcoset.words import Alphabet, Word, _require_same_alphabet
+from lpcoset.words import Alphabet, Word, _require_same_alphabet, commutator
 
 
 def sigma_power(lp, k: int) -> EndoWord:
@@ -848,6 +849,183 @@ def raw_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     in place of the simplified relators; None on overflow."""
     with mock.patch.object(coset_enum, "_prepared_relators", raw_prepared_relators):
         return todd_coxeter(fp, sub, max_cosets=max_cosets)
+
+
+# The word grammar as a token list and a recursive descent, one Word per
+# factor, with list items split off by a character walk first.  Reference
+# for ``presentations._parse``, which scans once with an explicit bracket
+# stack; it raises RecursionError at a few hundred nested brackets.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<sym>[-*^()\[\],]))"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
+            break
+        if m.group("name"):
+            tokens.append(("name", m.group("name")))
+        elif m.group("int"):
+            tokens.append(("int", m.group("int")))
+        else:
+            tokens.append(("sym", m.group("sym")))
+        pos = m.end()
+    return tokens
+
+
+class _WordParser:
+    def __init__(self, alphabet: Alphabet, text: str):
+        self.alphabet = alphabet
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def fail(self, why: str):
+        raise ParseError(f"{why} in word {self.text!r}")
+
+    def parse(self) -> Word:
+        w = self.expr()
+        if self.pos != len(self.tokens):
+            self.fail(f"trailing input at token {self.peek()[1]!r}")
+        return w
+
+    def check_length(self, n: int) -> None:
+        if n > MAX_WORD_LETTERS:
+            self.fail(f"word longer than {MAX_WORD_LETTERS} letters")
+
+    def expr(self, stop=(")", "]", ",")) -> Word:
+        # the product so far stays freely reduced, and each factor is, so
+        # appending one cancels only where the two meet
+        letters: list[int] = []
+        first = True
+        while True:
+            kind, val = self.peek()
+            if kind is None or (kind == "sym" and val in stop):
+                if first:
+                    self.fail("empty word expression")
+                return Word(self.alphabet, tuple(letters))
+            if kind == "sym" and val == "*":
+                if first:
+                    self.fail("leading '*'")
+                self.take()
+                kind, val = self.peek()
+                if kind is None or kind == "sym" and val in stop:
+                    self.fail("dangling '*'")
+            f = self.factor().letters
+            k = 0
+            while k < len(f) and letters and letters[-1] == -f[k]:
+                letters.pop()
+                k += 1
+            letters += f[k:]
+            self.check_length(len(letters))
+            first = False
+
+    def factor(self) -> Word:
+        w = self.primary()
+        while self.peek() == ("sym", "^"):
+            self.take()
+            kind, val = self.peek()
+            if kind == "int" or (kind == "sym" and val == "-"):
+                sign = 1
+                if kind == "sym":
+                    self.take()
+                    sign = -1
+                    kind, val = self.peek()
+                    if kind != "int":
+                        self.fail("expected integer exponent after '-'")
+                self.take()
+                # w^n has m + (n - 1)|c| <= n * m letters, m = |w| and c the cyclic
+                # core of w; n cut to one digit more than the bound still passes it
+                n = int(val.lstrip("0")[: len(str(MAX_WORD_LETTERS)) + 1] or "0")
+                m = len(w.letters)
+                if m * n > MAX_WORD_LETTERS and m + (n - 1) * (len(w**2) - m) > MAX_WORD_LETTERS:
+                    self.fail(f"power longer than {MAX_WORD_LETTERS} letters")
+                w = w ** (sign * n)
+            else:
+                w = w.conjugated_by(self.primary())
+                self.check_length(len(w))
+        return w
+
+    def primary(self) -> Word:
+        kind, val = self.take()
+        if kind == "name":
+            if val not in self.alphabet:
+                self.fail(f"unknown generator {val!r}")
+            return Word.generator(self.alphabet, self.alphabet.code(val))
+        if kind == "int" and val == "1":
+            return Word.identity(self.alphabet)
+        if kind == "sym" and val == "(":
+            w = self.expr()
+            if self.take() != ("sym", ")"):
+                self.fail("expected ')'")
+            return w
+        if kind == "sym" and val == "[":
+            u = self.expr()
+            if self.take() != ("sym", ","):
+                self.fail("expected ',' in commutator")
+            v = self.expr()
+            if self.take() != ("sym", "]"):
+                self.fail("expected ']'")
+            w = commutator(u, v)
+            self.check_length(len(w))
+            return w
+        self.fail(f"unexpected token {val!r}")
+
+
+def reference_parse_word(alphabet, text: str) -> Word:
+    """``parse_word`` through :class:`_WordParser`."""
+    if not text.strip():
+        return Word.identity(alphabet)
+    return _WordParser(alphabet, text).parse()
+
+
+def _split_top_level(text: str) -> list[str]:
+    """Split on commas and whitespace that sit outside brackets."""
+    items = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced brackets in {text!r}")
+        if depth == 0 and (ch == "," or ch.isspace()):
+            if current:
+                items.append("".join(current))
+                current = []
+            continue
+        current.append(ch)
+    if depth != 0:
+        raise ParseError(f"unbalanced brackets in {text!r}")
+    if current:
+        items.append("".join(current))
+    return items
+
+
+def reference_parse_words(alphabet, text: str) -> list[Word]:
+    """``parse_words`` through :func:`_split_top_level` and :class:`_WordParser`."""
+    return [reference_parse_word(alphabet, item) for item in _split_top_level(text)]
+
+
+def reference_parse_subgroup(alphabet, text: str) -> SubgroupSpec:
+    return SubgroupSpec(alphabet, tuple(reference_parse_words(alphabet, text)))
 
 
 def power_by_products(w: Word, n: int) -> Word:

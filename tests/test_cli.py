@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
+import lpcoset.subgroups
+from lpcoset import cli
 from lpcoset.cli import EXIT_INPUT, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 
 
@@ -15,6 +19,15 @@ def run_cli(*argv, env=None, monkeypatch=None):
             monkeypatch.setenv(key, value)
     code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def fresh_cli(*argv):
+    """The command in a new interpreter, which builds its own parser."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpcoset.cli", *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 BAS_U = ("--subgroup", "a^3,b,a*b*a")
@@ -186,6 +199,17 @@ class TestLowIndexCommand:
         )
         assert code == EXIT_RESOURCE
         assert "stopped after 0 candidate tables" in err
+
+    def test_coset_ceiling_caps_the_candidates(self, monkeypatch):
+        monkeypatch.setattr(lpcoset.subgroups, "DEFAULT_MAX_COSETS", 400)
+        code, out, err = run_cli(
+            "low-index", "builtin:burnside(3,2)", "--level", "0", "--max-index", "8"
+        )
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == (
+            "error: stopped after 50 candidate tables of up to 8 cosets, "
+            "400 rows in all (the coset ceiling)\n"
+        )
 
     def test_negative_candidate_cap_is_input_error(self):
         code, _, err = run_cli(
@@ -446,6 +470,31 @@ class TestErrorPaths:
         assert code == EXIT_OK
         assert "index: 3" in out
 
+    def test_early_end_names_the_end_of_input(self):
+        code, out, err = run_cli("index", "builtin:basilica", "--subgroup", "b, a^")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: unexpected end of input in word 'a^'\n"
+
+    def test_deep_nesting_parses(self):
+        deep = 10_000
+        nested = "(" * deep + "a" + ")" * deep
+        code, out, _ = run_cli("index", "builtin:basilica", "--subgroup", f"{nested}, b")
+        assert (code, out.splitlines()[0]) == (EXIT_OK, "index: 1")
+        code, out, _ = run_cli(
+            "member", "builtin:basilica", *BAS_U, "--word", "[b," * deep + "b" + "]" * deep
+        )
+        assert (code, out) == (EXIT_OK, "member: true\n")
+
+    def test_deep_nesting_past_the_word_bound_is_a_parse_error(self):
+        # [a,w] has about twice the letters of w, so the bound stops it
+        deep = 10_000
+        code, out, err = run_cli(
+            "index", "builtin:basilica", "--subgroup", "[a," * deep + "b" + "]" * deep
+        )
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: word longer than 1000000 letters in word '[a,[a,")
+        assert err.count("\n") == 1
+
     def test_bad_format_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["index", "builtin:basilica", "--subgroup", "", "--format", "yaml"])
@@ -463,3 +512,51 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "index: 3" in proc.stdout
+
+
+class TestParserBuiltOnce:
+    def test_not_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import lpcoset.cli as c; print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_one_parser_answers_as_a_fresh_process(self, tmp_path):
+        from lpcoset import basilica, dump_table, enumerate_cosets, parse_subgroup
+
+        bas = basilica()
+        dump = tmp_path / "u.dump"
+        dump.write_text(dump_table(enumerate_cosets(bas, parse_subgroup(bas.alphabet, BAS_U[1])).table))
+        commands = [
+            ("index", "builtin:basilica", *BAS_U),
+            ("index", "builtin:basilica", *BAS_U, "-v", "--format", "json"),
+            ("member", "builtin:basilica", *BAS_U, "--word", "b^2*a^3", "--format", "csv"),
+            ("member", "builtin:basilica", *BAS_U, "--word", "a", "-v"),
+            ("core", "builtin:basilica", *BAS_U, "-v", "--format", "table"),
+            ("intersect", "builtin:basilica", *BAS_U, "--subgroup2", "a, b^2, b*a*b^-1",
+             "--format", "json"),
+            ("low-index", "builtin:basilica", "--max-index", "3", "--normal", "--maximal",
+             "--list", "-vv"),
+            ("low-index", "builtin:basilica", "--max-index", "3", "--format", "csv"),
+            ("validate", "builtin:basilica", "--table", str(dump), "-v", "--format", "json"),
+            ("index", "builtin:basilica", "--subgroup", "a^3, q"),
+        ]
+        cli._build_parser.cache_clear()
+        for argv in commands:
+            assert run_cli(*argv) == fresh_cli(*argv), argv
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(commands) - 1)
+
+    def test_usage_error_still_exits_two(self, capsys):
+        argv = ["index", "builtin:basilica", "--format", "yaml"]
+        main(["index", "builtin:basilica", *BAS_U], out=io.StringIO(), err=io.StringIO())
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert (2, captured.out, captured.err) == fresh_cli(*argv)
+        # the parser that refused it still serves the next command
+        code, out, _ = run_cli("index", "builtin:basilica", *BAS_U)
+        assert (code, out.splitlines()[0]) == (EXIT_OK, "index: 3")

@@ -22,7 +22,13 @@ from lpcoset import (
 )
 from lpcoset import presentations
 
-from helpers import composite_covering, parse_word_by_products
+from helpers import (
+    composite_covering,
+    parse_word_by_products,
+    reference_parse_subgroup,
+    reference_parse_word,
+    reference_parse_words,
+)
 
 
 def letters(lp, text):
@@ -290,6 +296,122 @@ class TestWordGrammar:
 
 
 AB = Alphabet(("a", "b"))
+NAMES = burnside(4, 2).alphabet  # a1, a2, a3, a4 and t
+
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\n "])
+_EXPONENT = st.builds(
+    lambda minus, zeros, n: "-" * minus + "0" * zeros + str(n),
+    st.booleans(), st.integers(0, 2), st.integers(0, 12),
+)
+_PRIMARY = st.sampled_from(["a1", "a2", "a3", "a4", "t", "1"] * 3 + ["a5", "a", "t1"])
+_WORD = st.recursive(
+    _PRIMARY,
+    lambda inner: st.one_of(
+        st.tuples(inner, _SPACE, _EXPONENT).map(lambda p: f"({p[0]}){p[1]}^{p[1]}{p[2]}"),
+        st.tuples(inner, _EXPONENT).map(lambda p: f"{p[0]}^{p[1]}"),
+        st.tuples(inner, _SPACE, inner).map(lambda p: f"{p[0]}{p[1]}*{p[1]}{p[2]}"),
+        st.tuples(inner, inner).map(lambda p: f"{p[0]} {p[1]}"),
+        st.tuples(inner, _SPACE, inner).map(lambda p: f"[{p[1]}{p[0]}{p[1]},{p[1]}{p[2]}]"),
+        st.tuples(inner, inner).map(lambda p: f"({p[0]})^({p[1]})"),
+        st.tuples(inner, _PRIMARY).map(lambda p: f"{p[0]}^{p[1]}"),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _word_lists(draw):
+    words = draw(st.lists(_WORD, max_size=4))
+    ends = st.sampled_from(["", "", " ", ","])
+    separators = st.sampled_from([",", ", ", " ", " , ", ",,", "\t", " ,\n"])
+    text = draw(ends) + "".join(draw(separators) * (i > 0) + w for i, w in enumerate(words))
+    return text + draw(ends)
+
+
+@st.composite
+def _mutated(draw, texts):
+    """A text with up to three one-character insertions or deletions."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()) or not text:
+            text = text[:pos] + draw(st.sampled_from("()[],*^- ")) + text[pos:]
+        else:
+            pos = min(pos, len(text) - 1)
+            text = text[:pos] + text[pos + 1 :]
+    return text
+
+
+def _outcome(parse, alphabet, text):
+    try:
+        return parse(alphabet, text)
+    except ParseError:
+        return ParseError
+
+
+class TestReferenceParserDifferential:
+    """The one-scan parser against the recursive descent it replaced, kept
+    in ``helpers`` as the reference: equal results, or ParseError from both."""
+
+    @pytest.mark.parametrize(
+        "parse,reference",
+        [
+            (parse_word, reference_parse_word),
+            (parse_words, reference_parse_words),
+            (parse_subgroup, reference_parse_subgroup),
+        ],
+        ids=["parse_word", "parse_words", "parse_subgroup"],
+    )
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(_mutated(_WORD), _mutated(_word_lists())))
+    def test_same_words_or_both_refuse(self, parse, reference, text):
+        assert _outcome(parse, NAMES, text) == _outcome(reference, NAMES, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a1^\u0663", "a1^-0\u0663", "a1\u00a0a2", "a1,\u2003a2", "a1\u00b2", "\u00e9",
+         "a1\u00e9", "_", "t^01", "1^1", "\u0661", "a1^ -2", "[a1 , a2] ,", ",,", " \t",
+         "(a1]", "a1)(", "[a1,a2,a3]", "(a1,a2)", "a1^t^a2", "a1^(t)^-1", "a1 ^2 a2"],
+    )
+    def test_fixed_texts(self, text):
+        for parse, reference in [
+            (parse_word, reference_parse_word),
+            (parse_words, reference_parse_words),
+            (parse_subgroup, reference_parse_subgroup),
+        ]:
+            assert _outcome(parse, NAMES, text) == _outcome(reference, NAMES, text)
+
+    def test_non_ascii_generator_never_parses(self):
+        abc = Alphabet(("a", "\u00e9"))
+        for text in ["\u00e9", "a*\u00e9"]:
+            assert _outcome(parse_word, abc, text) is ParseError
+            assert _outcome(reference_parse_word, abc, text) is ParseError
+
+
+class TestNesting:
+    DEEP = 10_000
+
+    def test_deep_round_brackets(self):
+        text = "(" * self.DEEP + "a" + ")^2" * self.DEEP
+        assert parse_word(AB, "(" * self.DEEP + "a" + ")" * self.DEEP) == parse_word(AB, "a")
+        with pytest.raises(ParseError, match="power longer than"):
+            parse_word(AB, text)
+
+    def test_deep_commutators(self):
+        assert parse_word(AB, "[a," * self.DEEP + "a" + "]" * self.DEEP).is_identity
+        # [a,w] has about twice the letters of w
+        with pytest.raises(ParseError, match="word longer than"):
+            parse_word(AB, "[a," * self.DEEP + "b" + "]" * self.DEEP)
+
+    def test_deep_lists(self):
+        deep = "(" * self.DEEP + "b" + ")" * self.DEEP
+        assert parse_words(AB, f"{deep}, [a, {deep}] {deep}") == parse_words(AB, "b [a,b] b")
+        assert parse_subgroup(AB, deep + " a").generators == tuple(parse_words(AB, "b a"))
+
+    @pytest.mark.parametrize("text", ["a^", "a^-", "b*(a", "[a,b", "b, a^", "a^(b"])
+    def test_early_end_says_so(self, text):
+        with pytest.raises(ParseError, match="end of input"):
+            parse_words(AB, text)
 
 GRIG_FILE = """
 # the first Grigorchuk group

@@ -769,6 +769,30 @@ class TestLowIndex:
         with pytest.raises(InputError, match="max_tables"):
             low_index(bas, 3, max_tables=-1)
 
+    def test_coset_ceiling_caps_the_candidate_rows(self, bas, monkeypatch):
+        full = {e.subgroup.table.rows for e in low_index(bas, 4).entries}
+        monkeypatch.setattr(lpcoset.subgroups, "DEFAULT_MAX_COSETS", 20)
+        # 20 rows at index 4 are 5 tables, conjugates included
+        with pytest.raises(LowIndexIncomplete, match="after 5 candidate tables.* 20 rows") as info:
+            low_index(bas, 4)
+        partial = info.value.partial
+        assert not partial.complete
+        assert 0 < len(partial.entries) <= 5
+        assert {e.subgroup.table.rows for e in partial.entries} <= full
+        # the tighter of the two caps stops the search and names itself
+        with pytest.raises(LowIndexIncomplete, match="after 3 candidate tables$"):
+            low_index(bas, 4, max_tables=3)
+        with pytest.raises(LowIndexIncomplete, match="20 rows"):
+            low_index(bas, 4, max_tables=6)
+
+    def test_free_covering_stops_at_the_coset_ceiling(self, monkeypatch):
+        # burnside(3,2) at level 0 leaves a1, a2, a3 free: without the row
+        # cap the descent to index 8 fills gigabytes
+        monkeypatch.setattr(lpcoset.subgroups, "DEFAULT_MAX_COSETS", 400)
+        with pytest.raises(LowIndexIncomplete, match="after 50 candidate tables") as info:
+            low_index(builtin_presentation("burnside(3,2)"), 8, level=0)
+        assert not info.value.partial.complete
+
 
 class TestMarkNormalAndMaximal:
     def test_grigorchuk_up_to_four(self, grig_low4):
