@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, ParseError, PreconditionError
-from .perms import Permutation, PermutationRep
+from .perms import PermutationRep
 from .presentations import FinitePresentation, SubgroupSpec
 from .words import Alphabet, Word, _require_same_alphabet
 
@@ -376,15 +376,11 @@ def todd_coxeter(
 def _verify_closed(table: CosetTable, fp: FinitePresentation, sub: SubgroupSpec) -> None:
     if not table.is_closed:
         raise RuntimeError("enumeration stopped with an incomplete table")
-    rows = table.rows
-    relators = [(r, _col_word(r)) for r in fp.relators]
-    for c in range(1, table.size + 1):
-        for r, w in relators:
-            d = c
-            for col in w:
-                d = rows[d - 1][col]
-            if d != c:
-                raise RuntimeError(f"relator {r} does not close from coset {c}")
+    # the first coset that some relator moves, with the first such relator
+    rep = to_perm_rep(table)
+    moved = min(rep.outside_kernel(fp.relators), key=lambda m: m[2], default=None)
+    if moved is not None:
+        raise RuntimeError(f"relator {moved[0]} does not close from coset {moved[2]}")
     for g in sub.generators:
         if trace(table, 1, g) != 1:
             raise RuntimeError(f"subgroup generator {g} does not fix coset 1")
@@ -436,15 +432,13 @@ def standardize(table: CosetTable, base: int = 1) -> CosetTable:
 
 
 def to_perm_rep(table: CosetTable) -> PermutationRep:
-    """The permutation action of each generator on the cosets."""
+    """The permutation action of each generator on the cosets.  A closed
+    table's generator columns are permutations, because every entry has its
+    mirror, so they are not checked again."""
     if not table.is_closed:
         raise PreconditionError("permutation representation requires a closed table")
-    perms = []
-    for g in range(len(table.alphabet)):
-        perms.append(
-            Permutation(tuple(table.rows[c][2 * g] for c in range(table.size)))
-        )
-    return PermutationRep(table.alphabet, table.size, tuple(perms))
+    cols = [[row[2 * g] - 1 for row in table.rows] for g in range(len(table.alphabet))]
+    return PermutationRep.from_tables(table.alphabet, table.size, cols)
 
 
 def coset_representatives(table: CosetTable) -> list[Word]:

@@ -6,6 +6,8 @@ violations on otherwise well-formed input, and resource exhaustion.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 
 class LpcosetError(Exception):
     """Base class for all errors raised by this package."""
@@ -41,8 +43,12 @@ class GaveUp(ResourceLimitError):
 
 
 class LowIndexIncomplete(ResourceLimitError):
-    """Low-index enumeration stopped early; carries the completed portion."""
+    """Low-index enumeration stopped early; ``partial`` folds on first read."""
 
     def __init__(self, message: str, partial):
         super().__init__(message)
-        self.partial = partial
+        self._partial = partial
+
+    @cached_property
+    def partial(self):
+        return self._partial()

@@ -6,16 +6,16 @@ Permutations act on the right and compose left to right: ``(p * q)`` means
 apply ``p`` first.  This matches the convention of tracing a word through a
 coset table letter by letter, so taking images of words is a homomorphism.
 
-Products run on one encoding (:class:`_Encoding`), computed at most once
-per representation and kept on it; a ``Permutation`` is built only for a
-result that a caller reads.
+A representation is stored once, as 0-based generator tables on which
+every product runs; a ``Permutation`` is decoded only where a caller
+reads one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .words import Alphabet, Word, _require_same_alphabet
@@ -74,45 +74,89 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True)
+_FULL = bytes(range(256))
+
+
 class PermutationRep:
-    """One permutation of {1..degree} per generator of the alphabet."""
+    """One permutation of {1..degree} per generator of the alphabet, stored
+    once as 0-based tables: ``generators[g]`` is generator g + 1, up to
+    degree 256 as bytes padded with fixed points to 256 entries (a product
+    is one ``bytes.translate``), above as a tuple.  ``compose(e, t)``
+    applies ``e`` first.  ``letters[x]`` is the table of letter x, and
+    ``letters[-x]`` its inverse, built on first read: image groups and
+    kernel tests read only ``generators``.  ``perms`` is decoded on first
+    read.  The constructor checks its input; :meth:`from_tables` does not.
+    Representations compare by identity."""
 
-    alphabet: Alphabet
-    degree: int
-    perms: tuple[Permutation, ...]
+    def __init__(self, alphabet: Alphabet, degree: int, perms: Sequence[Permutation]):
+        perms = tuple(perms)
+        if len(perms) != len(alphabet):
+            raise InputError(f"expected {len(alphabet)} permutations, got {len(perms)}")
+        if any(p.degree != degree for p in perms):
+            raise InputError("permutation degree mismatch")
+        self._set_tables(alphabet, degree, [[x - 1 for x in p.images] for p in perms])
+        self.perms = perms  # the decoded form is the input
 
-    def __post_init__(self):
-        perms = tuple(self.perms)
-        object.__setattr__(self, "perms", perms)
-        if len(perms) != len(self.alphabet):
-            raise InputError(
-                f"expected {len(self.alphabet)} permutations, got {len(perms)}"
-            )
-        for p in perms:
-            if p.degree != self.degree:
-                raise InputError("permutation degree mismatch")
+    @classmethod
+    def from_tables(cls, alphabet: Alphabet, degree: int, tables) -> PermutationRep:
+        """Generators with the 0-based ``tables``, unchecked: they must be
+        permutations of 0..degree-1, as a closed table's columns are."""
+        rep = cls.__new__(cls)
+        rep._set_tables(alphabet, degree, tables)
+        return rep
+
+    def _set_tables(self, alphabet: Alphabet, degree: int, tables) -> None:
+        self.alphabet, self.degree = alphabet, degree
+        if degree <= 256:
+            pad = _FULL[degree:]
+            self.generators = tuple([bytes(t) + pad for t in tables])
+            self.identity, self.compose = _FULL[:degree], bytes.translate
+        else:
+            self.generators = tuple([tuple(t) for t in tables])
+            self.identity, self.compose = tuple(range(degree)), _compose_tuples
 
     @cached_property
-    def _encoded(self) -> _Encoding:
-        """The encoding, kept from first use; not a field, so never compared."""
-        return _encoding([[x - 1 for x in p.images] for p in self.perms], self.degree)
+    def letters(self) -> tuple:
+        invs = _inverses(self.generators, self.degree)
+        return (self.identity, *self.generators, *reversed(invs))
+
+    @cached_property
+    def perms(self) -> tuple[Permutation, ...]:
+        return tuple(self.permutation(t[: self.degree]) for t in self.generators)
+
+    def image(self, letters: Sequence[int]) -> bytes | tuple[int, ...]:
+        """The encoded image of the word with ``letters``."""
+        img, compose, tables = self.identity, self.compose, self.letters
+        for x in letters:
+            img = compose(img, tables[x])
+        return img
+
+    def permutation(self, img: bytes | tuple[int, ...]) -> Permutation:
+        return Permutation(tuple([x + 1 for x in img]))  # a list sizes the tuple exactly
+
+    def outside_kernel(self, words: Iterable[Word]) -> Iterator[tuple]:
+        """``(word, image, point)`` for each of ``words`` whose image is not
+        the identity, in order; ``point`` is the first one it moves, 1-based."""
+        identity = self.identity
+        for w in words:
+            img = self.image(w.letters)
+            if img != identity:
+                yield w, img, next(c for c, x in enumerate(img, start=1) if x != c - 1)
 
     def precompose(self, endo) -> "PermutationRep":
-        """The representation w -> self(endo(w)), encoded as it is built."""
+        """The representation w -> self(endo(w)), built from its image tables."""
         _require_same_alphabet(self.alphabet, endo.alphabet)
-        enc = self._encoded
-        images = [enc.image(w.letters) for w in endo.images]
-        rep = PermutationRep(self.alphabet, self.degree, tuple(map(enc.permutation, images)))
-        object.__setattr__(rep, "_encoded", _encoding(images, self.degree))
-        return rep
+        images = [self.image(w.letters) for w in endo.images]
+        return PermutationRep.from_tables(self.alphabet, self.degree, images)
+
+    def __repr__(self) -> str:
+        return f"PermutationRep({self.alphabet!r}, {self.degree}, {self.perms!r})"
 
 
 def word_image(phi: PermutationRep, w: Word) -> Permutation:
     """Image of a word: the product of its letter images."""
     _require_same_alphabet(phi.alphabet, w.alphabet)
-    enc = phi._encoded
-    return enc.permutation(enc.image(w.letters))
+    return phi.permutation(phi.image(w.letters))
 
 
 @dataclass(frozen=True)
@@ -137,65 +181,23 @@ def _compose_tuples(e: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in e)
 
 
-@dataclass
-class _Encoding:
-    """A representation's letters as 0-based tables: ``letters[x]`` is the
-    table of letter ``x``, ``letters[-x]`` that of its inverse, and
-    ``compose(e, t)`` applies ``e`` first.  Degrees up to 256 run on byte
-    strings padded to 256-entry tables, where a product is a single
-    ``bytes.translate`` call; larger degrees on tuples.
-
-    The inverse tables are built on the first read of ``letters``: image
-    groups and kernel tests read only ``generators``, so a representation
-    that the validity walk prunes never builds them."""
-
-    generators: tuple
-    identity: bytes | tuple[int, ...]
-    compose: Callable
-
-    @cached_property
-    def letters(self) -> tuple:
-        invs = _inverses(self.generators, len(self.identity))
-        return (self.identity, *self.generators, *reversed(invs))
-
-    def image(self, letters: Sequence[int]) -> bytes | tuple[int, ...]:
-        img, compose, tables = self.identity, self.compose, self.letters
-        for x in letters:
-            img = compose(img, tables[x])
-        return img
-
-    def permutation(self, img: bytes | tuple[int, ...]) -> Permutation:
-        return Permutation(tuple([x + 1 for x in img]))  # a list sizes the tuple exactly
-
-
-def _encoding(images: Sequence[Sequence[int]], degree: int) -> _Encoding:
-    """Encode the generators with 0-based ``images``."""
-    if degree <= 256:
-        full = bytes(range(256))
-        return _Encoding(
-            tuple(bytes(t) + full[degree:] for t in images), full[:degree], bytes.translate
-        )
-    return _Encoding(tuple(tuple(t) for t in images), tuple(range(degree)), _compose_tuples)
-
-
 def _inverses(generators: Sequence, degree: int) -> list:
     """The inverse tables of encoded ``generators``, in their encoding."""
     if degree <= 256:
-        full = bytes(range(256))
-        return [bytes.maketrans(t, full) for t in generators]
+        return [bytes.maketrans(t, _FULL) for t in generators]
     return [tuple(sorted(range(degree), key=t.__getitem__)) for t in generators]
 
 
-def _closure(enc: _Encoding, cap: int):
+def _closure(phi: PermutationRep, cap: int):
     """Transitions of the breadth-first closure of the identity under right
     multiplication by the generators, or ``None`` once past ``cap`` elements."""
-    ident, compose = enc.identity, enc.compose
+    ident, compose = phi.identity, phi.compose
     elements = [ident]
     index = {ident: 0}
     transitions: list[tuple[int, ...]] = []
     for e in elements:
         row = []
-        for t in enc.generators:
+        for t in phi.generators:
             x = compose(e, t)
             j = index.get(x)
             if j is None:
@@ -209,18 +211,18 @@ def _closure(enc: _Encoding, cap: int):
     return transitions
 
 
-def _replay_consistent(transitions, enc: _Encoding) -> bool:
+def _replay_consistent(transitions, phi: PermutationRep) -> bool:
     """Replay a breadth-first closure's transitions with the generators of
-    ``enc``: does every edge land where the replayed target does?
+    ``phi``: does every edge land where the replayed target does?
 
     The closure numbers elements in discovery order, so an edge whose target
     is the next unseen index is that element's discovery edge and fixes its
     replayed value; every other edge is checked against it.
     """
-    compose = enc.compose
-    mirror = [enc.identity]
+    compose = phi.compose
+    mirror = [phi.identity]
     for m, row in zip(mirror, transitions):
-        for t, j in zip(enc.generators, row):
+        for t, j in zip(phi.generators, row):
             x = compose(m, t)
             if j == len(mirror):
                 mirror.append(x)
@@ -233,7 +235,7 @@ def image_group(phi: PermutationRep, cap: int) -> ImageGroup | None:
     """Enumerate the image group of ``phi``; ``None`` once past ``cap`` elements."""
     if cap < 1:
         raise InputError("cap must be positive")
-    transitions = _closure(phi._encoded, cap)
+    transitions = _closure(phi, cap)
     if transitions is None:
         return None
     return ImageGroup(tuple(transitions))
@@ -247,14 +249,14 @@ def kernel_contained(
 ) -> bool | None:
     """Does ker(rep_target) lie inside ker(rep_source)?  ``None`` = cap hit.
 
-    If the generator images coincide the answer is immediate.  Otherwise
-    the target's image group is replayed on the encoding that ``rep_source``
-    keeps: each Schreier generator of the target's kernel (element-word
+    If the generator tables coincide the answer is immediate.  Otherwise
+    the target's image group is replayed on the generator tables of
+    ``rep_source``: each Schreier generator of the target's kernel (element-word
     times generator times inverse representative) must land on the identity.
     """
-    if rep_target.perms == rep_source.perms:
+    if rep_target.generators == rep_source.generators:
         return True
     ig = target_group if target_group is not None else image_group(rep_target, cap)
     if ig is None:
         return None
-    return _replay_consistent(ig.transitions, rep_source._encoded)
+    return _replay_consistent(ig.transitions, rep_source)

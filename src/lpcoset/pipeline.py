@@ -94,12 +94,8 @@ def _relator_witness(
 ) -> InvalidWitness | None:
     """Witness for ``endo``: the first of ``relators`` that ``rep`` does not
     kill.  Images are compared encoded; only a witness's is decoded."""
-    enc = rep._encoded
-    for r in relators:
-        img = enc.image(r.letters)
-        if img != enc.identity:
-            coset = next(c for c, x in enumerate(img, start=1) if x != c - 1)
-            return InvalidWitness(r, endo, enc.permutation(img), coset)
+    for r, img, coset in rep.outside_kernel(relators):
+        return InvalidWitness(r, endo, rep.permutation(img), coset)
     return None
 
 
@@ -133,7 +129,7 @@ def is_valid_perm_rep(
             )
     visited = [(identity, phi)]
     groups: list[ImageGroup | None] = []
-    by_images = {phi._encoded.generators: 0}
+    by_images = {phi.generators: 0}
     queue: list[tuple[EndoWord, PermutationRep]] = [(e, phi) for e in identity.descendants()]
     head = 0
     checks: list[EndoWord] = []
@@ -144,7 +140,7 @@ def is_valid_perm_rep(
         head += 1
         # built on dequeue from the kept parent, so only kept ones stay alive
         rep_d = parent.precompose(delta.family[delta.factors[0]])
-        kept = by_images.get(rep_d._encoded.generators)
+        kept = by_images.get(rep_d.generators)
         if kept is None:
             for i, (_, sigma) in enumerate(visited):
                 if i == len(groups):  # built on first use, in walk order
@@ -161,7 +157,7 @@ def is_valid_perm_rep(
         witness = _relator_witness(lp.iterated, rep_d, delta)
         if witness is not None:
             break
-        by_images[rep_d._encoded.generators] = len(visited)
+        by_images[rep_d.generators] = len(visited)
         visited.append((delta, rep_d))
         queue.extend((child, rep_d) for child in delta.descendants())
     return ValidityOutcome(
@@ -202,7 +198,7 @@ def cyclic_reduction_pair(
         reps.append(reps[-1].precompose(sigma))
         j += 1
         for i in range(j):
-            if reps[i].perms == reps[j].perms:
+            if reps[i].generators == reps[j].generators:
                 return (i, j)
             ig = groups.get(i)
             attempt = cap

@@ -191,8 +191,7 @@ def intersect(u: FiniteIndexSubgroup, v: FiniteIndexSubgroup) -> FiniteIndexSubg
 def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteIndexSubgroup:
     """The kernel of the coset action: the image group acting on itself by
     right multiplication, i.e. the largest normal subgroup inside u."""
-    # a fresh representation, so that no encoding stays alive on u.rep
-    ig = image_group(PermutationRep(u.owner.alphabet, u.index, u.rep.perms), cap)
+    ig = image_group(u.rep, cap)
     if ig is None:
         raise ResourceLimitError(
             f"image group of the coset action exceeds {cap} elements"
@@ -591,8 +590,8 @@ def low_index(
     :func:`_fold_by_class`) and duplicates are removed, so the output does
     not depend on the level.  ``max_tables`` caps the complete candidate
     tables, conjugates included; when the descent stops at it a
-    :class:`LowIndexIncomplete` is raised carrying the folded portion,
-    which holds whole conjugacy classes of candidates only.  The coset
+    :class:`LowIndexIncomplete` is raised whose ``partial``, folded on
+    first read, holds whole conjugacy classes of candidates only.  The coset
     ceiling ``DEFAULT_MAX_COSETS`` caps the candidate rows the same way,
     as ``DEFAULT_MAX_COSETS // max_index`` tables, so a covering with few
     relators stops instead of filling memory.
@@ -606,21 +605,18 @@ def low_index(
         fp.alphabet, max_index, scanned, deferred, row_cap if by_rows else max_tables
     )
     _emit(trace, "low-index-candidates", count=sum(size for _, size in classes))
-    entries = []
-    seen = set()
-    for folded in _fold_by_class(lp, [t for t, _ in classes], cap, trace):
-        if folded.rows in seen:
-            continue
-        seen.add(folded.rows)
-        entries.append(
-            SubgroupEntry(
-                FiniteIndexSubgroup.from_table(lp, folded, cap, revalidate=False)
-            )
+
+    def fold() -> SubgroupList:
+        folds = {f.rows: f for f in _fold_by_class(lp, [t for t, _ in classes], cap, trace)}
+        _emit(trace, "low-index-classes", classes=len(classes), deferred=len(deferred))
+        entries = sorted(
+            (SubgroupEntry(FiniteIndexSubgroup.from_table(lp, f, cap, revalidate=False))
+             for f in folds.values()),
+            key=lambda e: e.subgroup.sort_key(),
         )
-    _emit(trace, "low-index-classes", classes=len(classes), deferred=len(deferred))
-    entries.sort(key=lambda e: e.subgroup.sort_key())
-    result = SubgroupList(lp, max_index, tuple(entries), complete=not capped)
-    _emit(trace, "low-index-subgroups", count=len(entries))
+        _emit(trace, "low-index-subgroups", count=len(entries))
+        return SubgroupList(lp, max_index, tuple(entries), complete=not capped)
+
     if capped:
         why = (
             f"stopped after {row_cap} candidate tables of up to {max_index} "
@@ -628,8 +624,8 @@ def low_index(
             if by_rows
             else f"stopped after {max_tables} candidate tables"
         )
-        raise LowIndexIncomplete(why, partial=result)
-    return result
+        raise LowIndexIncomplete(why, partial=fold)
+    return fold()
 
 
 def _is_normal_table(table: CosetTable) -> bool:

@@ -85,12 +85,15 @@ class Word:
     def __post_init__(self):
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
+        n, prev, reduced = len(self.alphabet.names), 0, True
         for x in letters:
-            if not self.alphabet.is_valid_letter(x):
+            if not (isinstance(x, int) and 0 < abs(x) <= n):
                 raise InputError(f"letter {x} out of range for {self.alphabet.names}")
-        for a, b in zip(letters, letters[1:]):
-            if a == -b:
-                raise InputError(f"word {letters} is not freely reduced")
+            if x == -prev:
+                reduced = False
+            prev = x
+        if not reduced:
+            raise InputError(f"word {letters} is not freely reduced")
 
     @classmethod
     def reduce(cls, alphabet: Alphabet, letters: Iterable[int]) -> "Word":

@@ -165,6 +165,20 @@ def random_word(rng: random.Random, alphabet, max_len: int) -> Word:
     return Word.reduce(alphabet, random_raw_letters(rng, len(alphabet), max_len))
 
 
+def checked_word_letters(alphabet: Alphabet, letters) -> tuple[int, ...]:
+    """The former checks of ``Word.__post_init__``: every letter valid
+    for the alphabet, then no adjacent inverse pair; raises the same
+    :class:`InputError` messages.  Reference for its one-pass loop."""
+    letters = tuple(letters)
+    for x in letters:
+        if not alphabet.is_valid_letter(x):
+            raise InputError(f"letter {x} out of range for {alphabet.names}")
+    for a, b in zip(letters, letters[1:]):
+        if a == -b:
+            raise InputError(f"word {letters} is not freely reduced")
+    return letters
+
+
 def brute_force_reduce(letters) -> tuple[int, ...]:
     """Quadratic cancellation: rescan from the start after every hit."""
     out = list(letters)

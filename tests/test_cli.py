@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -210,6 +211,28 @@ class TestLowIndexCommand:
             "error: stopped after 50 candidate tables of up to 8 cosets, "
             "400 rows in all (the coset ceiling)\n"
         )
+
+    def test_a_capped_run_folds_nothing(self, monkeypatch):
+        # the command reports the cap and never reads the partial list, so
+        # it folds none of the candidates; a library caller that reads it
+        # gets the folds
+        monkeypatch.setattr(lpcoset.subgroups, "DEFAULT_MAX_COSETS", 400)
+        folds = mock.Mock(side_effect=lpcoset.subgroups.fold_to_valid)
+        monkeypatch.setattr(lpcoset.subgroups, "fold_to_valid", folds)
+        argv = ("low-index", "builtin:burnside(3,2)", "--level", "0", "--max-index", "8")
+        code, out, err = run_cli(*argv, "-v")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert folds.call_count == 0
+        lines = err.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "low-index", "low-index-candidates", "error:"
+        ]
+        assert lines[-1].startswith("error: stopped after 50 candidate tables")
+        with pytest.raises(lpcoset.LowIndexIncomplete) as info:
+            lpcoset.low_index(lpcoset.builtin_presentation("burnside(3,2)"), 8, level=0)
+        assert folds.call_count == 0
+        assert not info.value.partial.complete
+        assert folds.call_count > 0
 
     def test_negative_candidate_cap_is_input_error(self):
         code, _, err = run_cli(

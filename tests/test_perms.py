@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lpcoset import (
     Alphabet,
+    CosetTable,
     EndoWord,
     FreeEndomorphism,
     InputError,
@@ -25,7 +26,6 @@ from lpcoset import (
     to_perm_rep,
     word_image,
 )
-from lpcoset import perms
 
 from helpers import (
     composite,
@@ -122,15 +122,54 @@ class TestOneProduct:
     @given(_reps(), _words, st.tuples(_words, _words, _words))
     def test_word_image_is_the_product_of_letter_images(self, rep, w, images):
         assert word_image(rep, w) == _product_of_letters(rep, w)
-        # precompose encodes its result from the image tables as it builds
-        # it; that encoding must be the one its permutations give
+        # precompose builds its result from the image tables, unchecked;
+        # its tables must be those that the checked constructor gives its
+        # decoded permutations
         endo = FreeEndomorphism(XYZ, images)
         pre = rep.precompose(endo)
         assert pre.perms == tuple(_product_of_letters(rep, img) for img in images)
         assert word_image(pre, w) == _product_of_letters(pre, w)
-        assert pre._encoded == perms._encoding(
-            [[x - 1 for x in p.images] for p in pre.perms], pre.degree
+        checked = PermutationRep(XYZ, pre.degree, pre.perms)
+        assert pre.generators == checked.generators
+        assert pre.letters == checked.letters
+        assert (pre.identity, pre.compose) == (checked.identity, checked.compose)
+
+
+@st.composite
+def _closed_tables(draw):
+    """Closed coset tables over x, y, z, across the byte limit."""
+    degree = draw(st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257])))
+    cols = []
+    for _ in range(len(XYZ)):
+        images = draw(st.permutations(range(1, degree + 1)))
+        inverse = [0] * degree
+        for c, d in enumerate(images, start=1):
+            inverse[d - 1] = c
+        cols += [images, inverse]
+    return CosetTable(XYZ, tuple(zip(*cols)))
+
+
+class TestTablePath:
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_tables())
+    def test_unchecked_table_path_matches_the_checked_constructor(self, table):
+        # to_perm_rep builds from the generator columns without checking
+        # them; the checked constructor, given the same permutations read
+        # from the rows, must hold the same tables
+        n = table.size
+        checked = PermutationRep(
+            XYZ,
+            n,
+            tuple(
+                Permutation(tuple(table.rows[c][2 * g] for c in range(n)))
+                for g in range(len(XYZ))
+            ),
         )
+        rep = to_perm_rep(table)
+        assert rep.degree == n
+        assert rep.generators == checked.generators
+        assert rep.letters == checked.letters
+        assert rep.perms == checked.perms
 
 
 class TestEndoImage:

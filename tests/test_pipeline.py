@@ -121,21 +121,25 @@ class TestIsValidPermRep:
         assert [len(o.visited) for o in outcomes] == [27, 4, 3]
 
     def test_walk_encodes_each_representation_once(self):
-        # relator checks, image groups and kernel tests all compose on the
-        # encoding that each representation keeps, so the walk encodes no
-        # representation twice
+        # a representation is its tables: the walk builds the root from the
+        # table's columns and each child once, from its parent's image
+        # tables, and decodes no Permutation on a valid table
         b23 = burnside(2, 3)
         table = enumerate_cosets(b23, parse_subgroup(b23.alphabet, "a1")).table
         with mock.patch.object(
-            perms, "_encoding", side_effect=perms._encoding
-        ) as encodings, mock.patch.object(
-            PermutationRep, "__post_init__", autospec=True,
-            side_effect=PermutationRep.__post_init__,
-        ) as built:
+            PermutationRep, "from_tables", side_effect=PermutationRep.from_tables
+        ) as built, mock.patch.object(
+            PermutationRep, "precompose", autospec=True,
+            side_effect=PermutationRep.precompose,
+        ) as children, mock.patch.object(
+            Permutation, "__post_init__", autospec=True,
+            side_effect=Permutation.__post_init__,
+        ) as decoded:
             outcome = is_valid_perm_rep(b23, to_perm_rep(table))
         assert outcome.valid
         assert len(outcome.visited) == 27
-        assert 0 < encodings.call_count <= built.call_count
+        assert built.call_count == 1 + children.call_count
+        assert decoded.call_count == 0
 
     def test_walk_builds_inverse_tables_only_for_kept_representations(self):
         # relator checks and the precompositions from a kept word read the
@@ -146,8 +150,7 @@ class TestIsValidPermRep:
         with mock.patch.object(
             perms, "_inverses", side_effect=perms._inverses
         ) as inverses, mock.patch.object(
-            PermutationRep, "__post_init__", autospec=True,
-            side_effect=PermutationRep.__post_init__,
+            PermutationRep, "from_tables", side_effect=PermutationRep.from_tables
         ) as built:
             outcome = is_valid_perm_rep(b23, to_perm_rep(table))
         assert outcome.valid

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpcoset import (
@@ -19,6 +19,7 @@ from lpcoset import (
 
 from helpers import (
     brute_force_reduce,
+    checked_word_letters,
     compose,
     composite,
     identity_endomorphism,
@@ -57,6 +58,29 @@ class TestReduce:
     def test_constructor_rejects_unreduced(self):
         with pytest.raises(InputError):
             Word(ABC, (1, -1))
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [1, -1, 2, -2, 4, -4, 0, 5, -5, True, False, 1.0, "a", None, 2**70]
+            ),
+            max_size=10,
+        )
+    )
+    @example([1, -1, 5])
+    @example([True, -1])
+    def test_constructor_checks_match_the_reference(self, letters):
+        # range, sign, int-ness (a bool is an int) and reduction in one
+        # pass, with the reference's messages and the same precedence
+        def outcome(build):
+            try:
+                return build()
+            except InputError as exc:
+                return str(exc)
+
+        expected = outcome(lambda: checked_word_letters(ABC, letters))
+        assert outcome(lambda: Word(ABC, letters).letters) == expected
 
     def test_word_times_inverse_is_identity(self):
         rng = random.Random(7)
