@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse error, 3 precondition or input error,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -133,18 +134,20 @@ def _trace_printer(args, err):
 
 
 def _emit_payload(args, payload: dict, out) -> None:
-    """Uniform scalar output: aligned text, key,value CSV, or JSON."""
+    """Uniform scalar output: aligned text, key,value CSV, or JSON.  Outside
+    JSON, lists and dicts are left out and booleans read ``true``/``false``."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
-    elif args.format == "csv":
-        for key, value in payload.items():
-            if isinstance(value, (list, dict)):
-                continue
-            print(f"{key},{value}", file=out)
+        return
+    scalars = [
+        (key, str(value).lower() if isinstance(value, bool) else value)
+        for key, value in payload.items()
+        if not isinstance(value, (list, dict))
+    ]
+    if args.format == "csv":
+        csv.writer(out, lineterminator="\n").writerows(scalars)
     else:
-        for key, value in payload.items():
-            if isinstance(value, (list, dict)):
-                continue
+        for key, value in scalars:
             print(f"{key}: {value}", file=out)
 
 
@@ -164,10 +167,9 @@ def _subgroup_payload(result: FiniteIndexSubgroup, args) -> dict:
     }
 
 
-def _cmd_index(args, cfg: EnumerationConfig, out, err) -> int:
-    lp = load_presentation(args.presentation)
+def _cmd_index(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
     spec = parse_subgroup(lp.alphabet, args.subgroup)
-    result = enumerate_cosets(lp, spec, cfg, _trace_printer(args, err))
+    result = enumerate_cosets(lp, spec, cfg, trace)
     payload = {
         "index": result.index,
         "level": result.level_used,
@@ -178,29 +180,21 @@ def _cmd_index(args, cfg: EnumerationConfig, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_member(args, cfg: EnumerationConfig, out, err) -> int:
-    lp = load_presentation(args.presentation)
-    sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(args, err))
+def _cmd_member(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
+    sub = _subgroup(lp, args.subgroup, cfg, trace)
     w = parse_word(lp.alphabet, args.word)
-    member = sub.contains(w)
-    if args.format == "json":
-        _emit_payload(args, {"member": member}, out)
-    else:
-        _emit_payload(args, {"member": str(member).lower()}, out)
+    _emit_payload(args, {"member": sub.contains(w)}, out)
     return EXIT_OK
 
 
-def _cmd_core(args, cfg: EnumerationConfig, out, err) -> int:
-    lp = load_presentation(args.presentation)
-    sub = _subgroup(lp, args.subgroup, cfg, _trace_printer(args, err))
+def _cmd_core(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
+    sub = _subgroup(lp, args.subgroup, cfg, trace)
     result = core(sub, cfg.reduction_cap)
     _emit_payload(args, _subgroup_payload(result, args), out)
     return EXIT_OK
 
 
-def _cmd_intersect(args, cfg: EnumerationConfig, out, err) -> int:
-    lp = load_presentation(args.presentation)
-    trace = _trace_printer(args, err)
+def _cmd_intersect(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
     u = _subgroup(lp, args.subgroup, cfg, trace)
     v = _subgroup(lp, args.subgroup2, cfg, trace)
     result = intersect(u, v)
@@ -208,8 +202,7 @@ def _cmd_intersect(args, cfg: EnumerationConfig, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_low_index(args, cfg: EnumerationConfig, out, err) -> int:
-    lp = load_presentation(args.presentation)
+def _cmd_low_index(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
     level = 1 if args.level is None else args.level
     slist = low_index(
         lp,
@@ -217,16 +210,13 @@ def _cmd_low_index(args, cfg: EnumerationConfig, out, err) -> int:
         level=level,
         cap=cfg.reduction_cap,
         max_tables=args.max_tables,
-        trace=_trace_printer(args, err),
+        trace=trace,
     )
     mark = args.normal or args.maximal or args.list
     if mark:
         slist = mark_normal_and_maximal(slist)
     if args.format == "json":
-        print(
-            json.dumps(report_json(slist, include_entries=args.list), sort_keys=True, indent=2),
-            file=out,
-        )
+        _emit_payload(args, report_json(slist, include_entries=args.list), out)
     elif args.format == "csv":
         out.write(format_csv(slist, show_normal=args.normal, show_maximal=args.maximal))
     else:
@@ -244,17 +234,14 @@ def _cmd_low_index(args, cfg: EnumerationConfig, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args, cfg: EnumerationConfig, out, err) -> int:
-    lp = load_presentation(args.presentation)
+def _cmd_validate(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
     try:
         with open(args.table, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read table dump {args.table!r}: {exc}") from exc
     table = parse_table_dump(lp.alphabet, text)
-    outcome = decide_validity(
-        lp, to_perm_rep(table), cfg.reduction_cap, _trace_printer(args, err)
-    )
+    outcome = decide_validity(lp, to_perm_rep(table), cfg.reduction_cap, trace)
     payload: dict = {"verdict": "valid" if outcome.valid else "invalid"}
     if not outcome.valid:
         w = outcome.witness
@@ -282,7 +269,8 @@ def main(argv=None, out=None, err=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _enumeration_config(args)
-        return _COMMANDS[args.command](args, cfg, out, err)
+        lp = load_presentation(args.presentation)
+        return _COMMANDS[args.command](args, lp, cfg, _trace_printer(args, err), out)
     except ParseError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, ParseError, PreconditionError
-from .perms import PermutationRep
+from .perms import PermutationRep, _closure
 from .presentations import FinitePresentation, SubgroupSpec
 from .words import Alphabet, Word, _require_same_alphabet
 
@@ -411,24 +411,29 @@ def standardize(table: CosetTable, base: int = 1) -> CosetTable:
     n = table.size
     if not 1 <= base <= n:
         raise InputError(f"coset {base} out of range 1..{n}")
-    ngens = len(table.alphabet)
-    newid = {base: 1}
-    order = [base]
-    i = 0
-    while i < len(order):
-        c = order[i]
-        i += 1
-        for g in range(ngens):
-            d = table.rows[c - 1][2 * g]
-            if d not in newid:
-                newid[d] = len(order) + 1
-                order.append(d)
-    if len(order) != n:
+    transitions = _closure(base - 1, _generator_columns(table), lambda c, col: col[c])
+    if len(transitions) != n:
         raise PreconditionError(f"table is not transitive from coset {base}")
-    rows: list[tuple[int, ...]] = [()] * n
-    for c in range(1, n + 1):
-        rows[newid[c] - 1] = tuple(newid[d] for d in table.rows[c - 1])
-    return CosetTable(table.alphabet, tuple(rows))
+    return _closed_table(table.alphabet, transitions)
+
+
+def _closed_table(alphabet: Alphabet, transitions: Sequence[Sequence[int]]) -> CosetTable:
+    """The closed table whose generator columns are the 0-based row-major
+    ``transitions``, as :func:`perms._closure` numbers them: coset i + 1
+    times generator g + 1 is coset ``transitions[i][g]`` + 1.  Each inverse
+    column is filled in as the inverse of its generator's column."""
+    ngens = len(alphabet)
+    rows = [[0] * (2 * ngens) for _ in transitions]
+    for c, (row, targets) in enumerate(zip(rows, transitions), start=1):
+        for g, d in enumerate(targets):
+            row[2 * g] = d + 1
+            rows[d][2 * g + 1] = c
+    return CosetTable(alphabet, rows)
+
+
+def _generator_columns(table: CosetTable) -> list[list[int]]:
+    """The 0-based generator columns of a closed table."""
+    return [[row[2 * g] - 1 for row in table.rows] for g in range(len(table.alphabet))]
 
 
 def to_perm_rep(table: CosetTable) -> PermutationRep:
@@ -437,8 +442,7 @@ def to_perm_rep(table: CosetTable) -> PermutationRep:
     mirror, so they are not checked again."""
     if not table.is_closed:
         raise PreconditionError("permutation representation requires a closed table")
-    cols = [[row[2 * g] - 1 for row in table.rows] for g in range(len(table.alphabet))]
-    return PermutationRep.from_tables(table.alphabet, table.size, cols)
+    return PermutationRep.from_tables(table.alphabet, table.size, _generator_columns(table))
 
 
 def coset_representatives(table: CosetTable) -> list[Word]:

@@ -13,6 +13,7 @@ reads one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -188,24 +189,29 @@ def _inverses(generators: Sequence, degree: int) -> list:
     return [tuple(sorted(range(degree), key=t.__getitem__)) for t in generators]
 
 
-def _closure(phi: PermutationRep, cap: int):
-    """Transitions of the breadth-first closure of the identity under right
-    multiplication by the generators, or ``None`` once past ``cap`` elements."""
-    ident, compose = phi.identity, phi.compose
-    elements = [ident]
-    index = {ident: 0}
+def _closure(start, generators: Sequence, act, cap: int = sys.maxsize):
+    """Transitions of the breadth-first closure of ``start`` under
+    ``act(x, t)`` for each ``t`` of ``generators`` in order, or ``None`` once
+    past ``cap`` points.  Points are numbered in discovery order, ``start``
+    as 0; ``transitions[i][g]`` is the number of ``act(point i, generators[g])``.
+
+    The image group is the closure of the identity under composition, a
+    standardized table that of a coset under the generator columns, and an
+    intersection that of a pair of cosets under pairs of columns."""
+    points = [start]
+    index = {start: 0}
     transitions: list[tuple[int, ...]] = []
-    for e in elements:
+    for x in points:
         row = []
-        for t in phi.generators:
-            x = compose(e, t)
-            j = index.get(x)
+        for t in generators:
+            y = act(x, t)
+            j = index.get(y)
             if j is None:
-                if len(elements) >= cap:
+                if len(points) >= cap:
                     return None
-                j = len(elements)
-                index[x] = j
-                elements.append(x)
+                j = len(points)
+                index[y] = j
+                points.append(y)
             row.append(j)
         transitions.append(tuple(row))
     return transitions
@@ -235,7 +241,7 @@ def image_group(phi: PermutationRep, cap: int) -> ImageGroup | None:
     """Enumerate the image group of ``phi``; ``None`` once past ``cap`` elements."""
     if cap < 1:
         raise InputError("cap must be positive")
-    transitions = _closure(phi, cap)
+    transitions = _closure(phi.identity, phi.generators, phi.compose, cap)
     if transitions is None:
         return None
     return ImageGroup(tuple(transitions))

@@ -39,6 +39,9 @@ from .words import (
     EndoWord,
     FreeEndomorphism,
     Word,
+    _inverse,
+    _power,
+    _product,
     _require_same_alphabet,
     commutator,
 )
@@ -234,19 +237,6 @@ _CLOSERS = (")", "]", ",")
 _START, _STAR, _FACTOR, _EXPONENT, _NEGATIVE = range(5)
 
 
-def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([-a for a in reversed(x)])
-
-
-def _product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """x * y for freely reduced x and y, which cancel only where they meet."""
-    k = 0
-    n = min(len(x), len(y))
-    while k < n and x[-1 - k] == -y[k]:
-        k += 1
-    return x[: len(x) - k] + y[k:]
-
-
 def _append(letters: list[int], f: tuple[int, ...]) -> int:
     """``letters`` times ``f`` in place, both freely reduced; the new length."""
     k = 0
@@ -372,18 +362,11 @@ def _parse(alphabet: Alphabet, text: str, split: bool) -> list[Word]:
                 state = _START
                 continue
             elif state >= _EXPONENT and tok.isdecimal():
-                # w^n has 2k + n|c| letters for w = u*c*u^-1, k = |u| and c
-                # cyclically reduced; n cut to one digit more than the bound
-                # still passes it
+                # n cut to one digit more than the bound still passes it
                 n = int(tok.lstrip("0")[: len(str(bound)) + 1] or "0")
-                x = _inverse(cur) if state == _NEGATIVE else cur
-                m = len(x)
-                k = 0
-                while 2 * k + 1 < m and x[k] == -x[-1 - k]:
-                    k += 1
-                if n and 2 * k + n * (m - 2 * k) > bound:
+                cur = _power(_inverse(cur) if state == _NEGATIVE else cur, n, bound)
+                if cur is None:
                     raise error(f"power longer than {bound} letters")
-                cur = x[:k] + x[k : m - k] * n + x[m - k :] if n else ()
                 state = _FACTOR
                 continue
             elif tok == "1":

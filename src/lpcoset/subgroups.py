@@ -23,6 +23,8 @@ group.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -31,6 +33,7 @@ from typing import Callable, Iterable, Sequence
 from .coset_enum import (
     DEFAULT_MAX_COSETS,
     CosetTable,
+    _closed_table,
     _prepared_relators,
     dump_table,
     schreier_generators,
@@ -39,7 +42,7 @@ from .coset_enum import (
     trace as table_trace,
 )
 from .errors import InputError, LowIndexIncomplete, ResourceLimitError
-from .perms import PermutationRep, image_group
+from .perms import PermutationRep, _closure, image_group
 from .pipeline import (
     DEFAULT_REDUCTION_CAP,
     EnumerationConfig,
@@ -163,28 +166,12 @@ def intersect(u: FiniteIndexSubgroup, v: FiniteIndexSubgroup) -> FiniteIndexSubg
     the stabilizer of the base pair is exactly the intersection."""
     if u.owner != v.owner:
         raise InputError("subgroups of different presentations")
-    ngens = len(u.owner.alphabet)
-    index_of = {(1, 1): 1}
-    order = [(1, 1)]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        c, d = order[i]
-        i += 1
-        row = [0] * (2 * ngens)
-        for g in range(ngens):
-            target = (u.table.rows[c - 1][2 * g], v.table.rows[d - 1][2 * g])
-            t = index_of.get(target)
-            if t is None:
-                t = len(order) + 1
-                index_of[target] = t
-                order.append(target)
-            row[2 * g] = t
-        rows.append(row)
-    for c, row in enumerate(rows, start=1):
-        for g in range(ngens):
-            rows[row[2 * g] - 1][2 * g + 1] = c
-    table = CosetTable(u.owner.alphabet, tuple(tuple(r) for r in rows))
+    transitions = _closure(
+        (0, 0),
+        tuple(zip(u.rep.generators, v.rep.generators)),
+        lambda x, t: (t[0][x[0]], t[1][x[1]]),
+    )
+    table = _closed_table(u.owner.alphabet, transitions)
     return FiniteIndexSubgroup.from_table(u.owner, table, revalidate=False)
 
 
@@ -196,13 +183,7 @@ def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteInde
         raise ResourceLimitError(
             f"image group of the coset action exceeds {cap} elements"
         )
-    ngens = len(u.owner.alphabet)
-    rows: list[list[int]] = [[0] * (2 * ngens) for _ in range(ig.order)]
-    for i, row in enumerate(ig.transitions):
-        for g in range(ngens):
-            rows[i][2 * g] = row[g] + 1
-            rows[row[g]][2 * g + 1] = i + 1
-    table = CosetTable(u.owner.alphabet, tuple(tuple(r) for r in rows))
+    table = _closed_table(u.owner.alphabet, ig.transitions)
     return FiniteIndexSubgroup.from_table(u.owner, table, revalidate=False)
 
 
@@ -715,10 +696,13 @@ def format_report(
 def format_csv(
     slist: SubgroupList, *, show_normal: bool = False, show_maximal: bool = False
 ) -> str:
-    """The same rows as :func:`format_report`, comma-separated (empty maximal
-    cell at index 1)."""
-    rows = _report_rows(slist, show_normal, show_maximal, "")
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    """The same rows as :func:`format_report`, as CSV (empty maximal cell at
+    index 1), written as the CLI writes its key-value CSV."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        _report_rows(slist, show_normal, show_maximal, "")
+    )
+    return text.getvalue()
 
 
 def report_json(slist: SubgroupList, include_entries: bool = False) -> dict:

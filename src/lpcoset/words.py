@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -28,6 +29,34 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(x)
     return tuple(out)
+
+
+def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-a for a in reversed(x)])
+
+
+def _product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """x * y for freely reduced x and y, which cancel only where they meet."""
+    k = 0
+    n = min(len(x), len(y))
+    while k < n and x[-1 - k] == -y[k]:
+        k += 1
+    return x[: len(x) - k] + y[k:]
+
+
+def _power(x: tuple[int, ...], n: int, bound: int | None = None) -> tuple[int, ...] | None:
+    """x^n for freely reduced x and n >= 0, built as u * c^n * u^-1 for
+    x = u * c * u^-1 with c cyclically reduced; ``None`` when it would have
+    more than ``bound`` letters."""
+    if not n:
+        return ()
+    m = len(x)
+    k = 0
+    while 2 * k + 1 < m and x[k] == -x[-1 - k]:
+        k += 1
+    if bound is not None and 2 * k + n * (m - 2 * k) > bound:
+        return None
+    return x[:k] + x[k : m - k] * n + x[m - k :]
 
 
 @dataclass(frozen=True)
@@ -63,9 +92,6 @@ class Alphabet:
         except KeyError:
             raise InputError(f"unknown generator {name!r}") from None
 
-    def is_valid_letter(self, letter: int) -> bool:
-        return isinstance(letter, int) and letter != 0 and abs(letter) <= len(self.names)
-
 
 def _require_same_alphabet(a: Alphabet, b: Alphabet) -> None:
     if a != b:
@@ -97,12 +123,16 @@ class Word:
 
     @classmethod
     def reduce(cls, alphabet: Alphabet, letters: Iterable[int]) -> "Word":
-        """The unique freely reduced word with the given letter sequence."""
-        letters = tuple(letters)
-        for x in letters:
-            if not alphabet.is_valid_letter(x):
+        """The unique freely reduced word with the given letter sequence;
+        every letter is checked, cancelled ones too."""
+        n = len(alphabet.names)
+
+        def checked(x: int) -> int:
+            if not (isinstance(x, int) and 0 < abs(x) <= n):
                 raise InputError(f"letter {x} out of range for {alphabet.names}")
-        return cls(alphabet, free_reduce(letters))
+            return x
+
+        return cls(alphabet, free_reduce(map(checked, letters)))
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
@@ -127,19 +157,14 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         _require_same_alphabet(self.alphabet, other.alphabet)
-        return Word(self.alphabet, free_reduce(self.letters + other.letters))
+        return Word(self.alphabet, _product(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple(-x for x in reversed(self.letters)))
+        return Word(self.alphabet, _inverse(self.letters))
 
     def __pow__(self, n: int) -> "Word":
-        """Built as u * c^n * u^-1 for self = u * c * u^-1, c cyclically reduced."""
-        if n <= 0:
-            return self.inverse() ** -n if n else Word.identity(self.alphabet)
-        x, k = self.letters, 0
-        while 2 * k + 1 < len(x) and x[k] == -x[-1 - k]:
-            k += 1
-        return Word(self.alphabet, x[:k] + x[k : len(x) - k] * n + x[len(x) - k :])
+        x = self.letters if n >= 0 else _inverse(self.letters)
+        return Word(self.alphabet, _power(x, abs(n)))
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g^-1 * self * g."""
@@ -188,17 +213,11 @@ class FreeEndomorphism:
     def apply(self, w: Word) -> Word:
         """Substitute every letter by its image and freely reduce."""
         _require_same_alphabet(self.alphabet, w.alphabet)
-        out: list[int] = []
-        for x in w.letters:
-            img = self.images[abs(x) - 1].letters
-            if x < 0:
-                img = tuple(-y for y in reversed(img))
-            for y in img:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return Word(self.alphabet, tuple(out))
+        images = self.images
+        return Word(self.alphabet, free_reduce(chain.from_iterable(
+            images[x - 1].letters if x > 0 else _inverse(images[-x - 1].letters)
+            for x in w.letters
+        )))
 
 
 @total_ordering

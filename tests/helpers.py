@@ -27,6 +27,7 @@ from lpcoset import (
     dump_table,
     enumerate_cosets,
     fold_to_valid,
+    image_group,
     kernel_contained,
     standardize,
     todd_coxeter,
@@ -43,7 +44,7 @@ from lpcoset.coset_enum import (
     _verify_closed,
 )
 from lpcoset.presentations import MAX_WORD_LETTERS, FinitePresentation
-from lpcoset.errors import InputError, ParseError
+from lpcoset.errors import InputError, ParseError, PreconditionError, ResourceLimitError
 from lpcoset.subgroups import _low_index_tables, _split_relators
 from lpcoset.words import Alphabet, Word, _require_same_alphabet, commutator
 
@@ -171,7 +172,7 @@ def checked_word_letters(alphabet: Alphabet, letters) -> tuple[int, ...]:
     :class:`InputError` messages.  Reference for its one-pass loop."""
     letters = tuple(letters)
     for x in letters:
-        if not alphabet.is_valid_letter(x):
+        if not (isinstance(x, int) and x != 0 and abs(x) <= len(alphabet.names)):
             raise InputError(f"letter {x} out of range for {alphabet.names}")
     for a, b in zip(letters, letters[1:]):
         if a == -b:
@@ -270,6 +271,78 @@ def transitive_tables_by_exhaustion(lp, max_index: int, level: int):
             keys.add(t.rows)
             unique.append(t)
     return unique
+
+
+def reference_standardize(table: CosetTable, base: int = 1) -> CosetTable:
+    """The former ``coset_enum.standardize``, with its own breadth-first
+    loop.  Reference for the closure it now shares with ``image_group``."""
+    if not table.is_closed:
+        raise PreconditionError("standardize requires a closed table")
+    n = table.size
+    if not 1 <= base <= n:
+        raise InputError(f"coset {base} out of range 1..{n}")
+    ngens = len(table.alphabet)
+    newid = {base: 1}
+    order = [base]
+    i = 0
+    while i < len(order):
+        c = order[i]
+        i += 1
+        for g in range(ngens):
+            d = table.rows[c - 1][2 * g]
+            if d not in newid:
+                newid[d] = len(order) + 1
+                order.append(d)
+    if len(order) != n:
+        raise PreconditionError(f"table is not transitive from coset {base}")
+    rows: list[tuple[int, ...]] = [()] * n
+    for c in range(1, n + 1):
+        rows[newid[c] - 1] = tuple(newid[d] for d in table.rows[c - 1])
+    return CosetTable(table.alphabet, tuple(rows))
+
+
+def reference_intersect_table(u_table: CosetTable, v_table: CosetTable) -> CosetTable:
+    """The table the former ``subgroups.intersect`` built: the action on
+    pairs of cosets reachable from (1, 1), numbered breadth-first."""
+    ngens = len(u_table.alphabet)
+    index_of = {(1, 1): 1}
+    order = [(1, 1)]
+    rows: list[list[int]] = []
+    i = 0
+    while i < len(order):
+        c, d = order[i]
+        i += 1
+        row = [0] * (2 * ngens)
+        for g in range(ngens):
+            target = (u_table.rows[c - 1][2 * g], v_table.rows[d - 1][2 * g])
+            t = index_of.get(target)
+            if t is None:
+                t = len(order) + 1
+                index_of[target] = t
+                order.append(target)
+            row[2 * g] = t
+        rows.append(row)
+    for c, row in enumerate(rows, start=1):
+        for g in range(ngens):
+            rows[row[2 * g] - 1][2 * g + 1] = c
+    return CosetTable(u_table.alphabet, tuple(tuple(r) for r in rows))
+
+
+def reference_core_table(rep: PermutationRep, cap: int) -> CosetTable:
+    """The table the former ``subgroups.core`` built from the image group
+    of ``rep``: the group acting on itself by right multiplication."""
+    ig = image_group(rep, cap)
+    if ig is None:
+        raise ResourceLimitError(
+            f"image group of the coset action exceeds {cap} elements"
+        )
+    ngens = len(rep.alphabet)
+    rows: list[list[int]] = [[0] * (2 * ngens) for _ in range(ig.order)]
+    for i, row in enumerate(ig.transitions):
+        for g in range(ngens):
+            rows[i][2 * g] = row[g] + 1
+            rows[row[g]][2 * g + 1] = i + 1
+    return CosetTable(rep.alphabet, tuple(tuple(r) for r in rows))
 
 
 def reroot(table: CosetTable, root: int) -> CosetTable:

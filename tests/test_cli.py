@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import subprocess
@@ -327,6 +328,68 @@ class TestValidateCommand:
         assert code == EXIT_PARSE
         assert out == ""
         assert "cannot read table dump" in err
+
+
+def _csv_cell(value) -> str:
+    """The CSV text of a JSON payload value: a list of words is one
+    comma-separated field, a boolean reads true/false."""
+    if isinstance(value, list):
+        return ", ".join(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+class TestCsvParsesIntoTheJsonPayload:
+    """Every CSV line is one record that ``csv.reader`` splits into the
+    fields of the JSON payload; a field that holds a comma is quoted."""
+
+    def test_key_value_records(self, tmp_path):
+        from lpcoset import Permutation, PermutationRep, basilica, dump_table
+        from helpers import table_from_rep
+
+        # a valid degree-3 action and the invalid degree-6 one of
+        # TestValidateCommand, whose payload names a witness
+        cycles = Permutation.from_cycles
+        actions = [
+            (3, (cycles(3, [(1, 2, 3)]), cycles(3, [(2, 3)]))),
+            (6, (cycles(6, [(1, 2), (3, 4)]), cycles(6, [(1, 3, 5), (2, 4, 6)]))),
+        ]
+        dumps = []
+        for degree, perms in actions:
+            dumps.append(tmp_path / f"{degree}.dump")
+            rep = PermutationRep(basilica().alphabet, degree, perms)
+            dumps[-1].write_text(dump_table(table_from_rep(rep)))
+        commands = [
+            ("index", "builtin:basilica", *BAS_U),
+            ("member", "builtin:basilica", *BAS_U, "--word", "b^2*a^3"),
+            ("member", "builtin:basilica", *BAS_U, "--word", "a"),
+            ("core", "builtin:basilica", *BAS_U),
+            ("intersect", "builtin:basilica", *BAS_U, "--subgroup2", "a, b^2, b*a*b^-1"),
+            *(("validate", "builtin:basilica", "--table", str(d)) for d in dumps),
+        ]
+        for argv in commands:
+            code, text, _ = run_cli(*argv, "--format", "csv")
+            assert code == EXIT_OK
+            records = list(csv.reader(io.StringIO(text)))
+            assert all(len(r) == 2 for r in records), argv
+            _, payload, _ = run_cli(*argv, "--format", "json")
+            expected = {k: _csv_cell(v) for k, v in json.loads(payload).items() if k != "table"}
+            assert dict(records) == expected, argv
+            assert len(records) == len(expected), argv
+
+    def test_count_rows(self):
+        argv = ("low-index", "builtin:grigorchuk", "--max-index", "4", "--normal", "--maximal")
+        _, text, _ = run_cli(*argv, "--format", "csv")
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == ["index", "subgroups", "normal", "maximal"]
+        payload = json.loads(run_cli(*argv, "--format", "json")[1])
+        counts = [payload[k] for k in ("counts", "normal_counts", "maximal_counts")]
+        assert [r[0] for r in rows] == list(counts[0])
+        for idx, *cells in rows:
+            # the maximal cell at index 1 is blank by convention
+            expected = [str(c[idx]) for c in counts]
+            assert cells == (expected[:2] + [""] if idx == "1" else expected)
 
 
 class TestErrorPaths:

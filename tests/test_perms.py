@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -12,17 +13,27 @@ from lpcoset import (
     Alphabet,
     CosetTable,
     EndoWord,
+    FiniteIndexSubgroup,
+    FinitePresentation,
     FreeEndomorphism,
     InputError,
+    LPresentation,
     Permutation,
     PermutationRep,
+    PreconditionError,
+    ResourceLimitError,
     SubgroupSpec,
     Word,
+    basilica,
     burnside,
+    core,
     enumerate_cosets,
+    grigorchuk,
     image_group,
+    intersect,
     kernel_contained,
     low_index,
+    standardize,
     to_perm_rep,
     word_image,
 )
@@ -32,6 +43,9 @@ from helpers import (
     endo_image,
     random_word,
     reduces,
+    reference_core_table,
+    reference_intersect_table,
+    reference_standardize,
     replay_image_group,
     sigma_power,
     trivial_rep,
@@ -136,9 +150,9 @@ class TestOneProduct:
 
 
 @st.composite
-def _closed_tables(draw):
-    """Closed coset tables over x, y, z, across the byte limit."""
-    degree = draw(st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257])))
+def _closed_tables(draw, degrees=st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257]))):
+    """Closed coset tables over x, y, z, by default across the byte limit."""
+    degree = draw(degrees)
     cols = []
     for _ in range(len(XYZ)):
         images = draw(st.permutations(range(1, degree + 1)))
@@ -170,6 +184,107 @@ class TestTablePath:
         assert rep.generators == checked.generators
         assert rep.letters == checked.letters
         assert rep.perms == checked.perms
+
+
+def _outcome(build):
+    """The result of ``build()``, or the type and message of the library
+    error it raises."""
+    try:
+        return build()
+    except (InputError, PreconditionError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _disjoint_union(t: CosetTable, u: CosetTable) -> CosetTable:
+    """The action of ``t`` beside that of ``u`` on the cosets after it: no
+    base reaches every coset."""
+    shift = t.size
+    return CosetTable(XYZ, t.rows + tuple(tuple(d + shift for d in r) for r in u.rows))
+
+
+FREE_XYZ = LPresentation.from_finite(FinitePresentation(XYZ, ()))
+
+
+@functools.cache
+def _low_index_pools():
+    """Subgroups of index at most 5 of both groups, one pool per group."""
+    return [[e.subgroup for e in low_index(lp, 5).entries] for lp in (grigorchuk(), basilica())]
+
+
+class TestOneClosure:
+    """``standardize``, ``intersect``, ``core`` and ``image_group`` number
+    their tables through one breadth-first closure; the builders each had
+    before are the references in ``helpers``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_closed_tables(), st.data())
+    def test_standardize_matches_the_reference(self, table, data):
+        base = data.draw(st.integers(1, table.size))
+        assert _outcome(lambda: standardize(table, base).rows) == _outcome(
+            lambda: reference_standardize(table, base).rows
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(_closed_tables(), _closed_tables(), st.data())
+    def test_a_table_not_transitive_is_refused(self, t, u, data):
+        table = _disjoint_union(t, u)
+        base = data.draw(st.integers(1, table.size))
+        got = _outcome(lambda: standardize(table, base))
+        assert got == _outcome(lambda: reference_standardize(table, base))
+        assert got[0] is PreconditionError
+
+    @settings(max_examples=30, deadline=None)
+    @given(_closed_tables())
+    def test_a_base_out_of_range_is_refused(self, table):
+        for base in (0, -1, table.size + 1):
+            got = _outcome(lambda: standardize(table, base))
+            assert got == _outcome(lambda: reference_standardize(table, base))
+            assert got[0] is InputError
+
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_tables(), _closed_tables(st.integers(1, 12)))
+    def test_intersect_matches_the_reference(self, t, u):
+        got = intersect(FiniteIndexSubgroup(FREE_XYZ, t), FiniteIndexSubgroup(FREE_XYZ, u))
+        assert got.table.rows == reference_intersect_table(t, u).rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_tables())
+    def test_core_matches_the_reference(self, table):
+        sub = FiniteIndexSubgroup(FREE_XYZ, table)
+        assert _outcome(lambda: core(sub, 300).table.rows) == _outcome(
+            lambda: reference_core_table(sub.rep, 300).rows
+        )
+
+    def test_low_index_pools_match_the_references(self):
+        for pool in _low_index_pools():
+            for u in pool:
+                for base in range(1, u.index + 1):
+                    assert standardize(u.table, base) == reference_standardize(u.table, base)
+                assert core(u).table == reference_core_table(u.rep, 10**5)
+                for v in pool:
+                    assert intersect(u, v).table == reference_intersect_table(u.table, v.table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_tables(st.integers(1, 5)))
+    def test_image_group_transitions_replay(self, table):
+        _assert_replays(to_perm_rep(table))
+
+    def test_image_group_transitions_replay_on_the_pools(self):
+        for pool in _low_index_pools():
+            for u in pool:
+                _assert_replays(u.rep)
+
+
+def _assert_replays(rep: PermutationRep) -> None:
+    """The elements replayed from the transitions are distinct and every
+    transition lands on its product: the transitions are the closure,
+    numbered breadth-first."""
+    ig = image_group(rep, 10**5)
+    elements, _ = replay_image_group(ig, rep)
+    assert len(set(elements)) == len(elements) == ig.order
+    for i, row in enumerate(ig.transitions):
+        for g, j in enumerate(row):
+            assert elements[i] * rep.perms[g] == elements[j]
 
 
 class TestEndoImage:

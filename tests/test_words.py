@@ -38,6 +38,19 @@ letters_strategy = st.lists(
 )
 
 
+raw_letters = st.lists(
+    st.sampled_from([1, -1, 2, -2, 4, -4, 0, 5, -5, True, False, 1.0, "a", None, 2**70]),
+    max_size=10,
+)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InputError as exc:
+        return str(exc)
+
+
 def word(alphabet, *letters) -> Word:
     return Word.reduce(alphabet, letters)
 
@@ -59,28 +72,33 @@ class TestReduce:
         with pytest.raises(InputError):
             Word(ABC, (1, -1))
 
+    def test_cancelling_pair_out_of_range(self):
+        with pytest.raises(InputError, match="letter 5 out of range"):
+            Word.reduce(AB, (5, -5))
+
     @settings(max_examples=300)
-    @given(
-        st.lists(
-            st.sampled_from(
-                [1, -1, 2, -2, 4, -4, 0, 5, -5, True, False, 1.0, "a", None, 2**70]
-            ),
-            max_size=10,
-        )
-    )
+    @given(raw_letters)
     @example([1, -1, 5])
     @example([True, -1])
     def test_constructor_checks_match_the_reference(self, letters):
         # range, sign, int-ness (a bool is an int) and reduction in one
         # pass, with the reference's messages and the same precedence
-        def outcome(build):
-            try:
-                return build()
-            except InputError as exc:
-                return str(exc)
+        expected = _outcome(lambda: checked_word_letters(ABC, letters))
+        assert _outcome(lambda: Word(ABC, letters).letters) == expected
 
-        expected = outcome(lambda: checked_word_letters(ABC, letters))
-        assert outcome(lambda: Word(ABC, letters).letters) == expected
+    @settings(max_examples=300)
+    @given(raw_letters)
+    @example([5, -5])
+    @example([1, -1, 5])
+    def test_reduce_checks_every_letter_as_the_reference(self, letters):
+        # each letter, cancelled or not, is checked in order before the
+        # reduced word is returned
+        def expected():
+            for x in letters:
+                checked_word_letters(ABC, (x,))
+            return free_reduce(letters)
+
+        assert _outcome(lambda: Word.reduce(ABC, letters).letters) == _outcome(expected)
 
     def test_word_times_inverse_is_identity(self):
         rng = random.Random(7)
@@ -115,6 +133,15 @@ class TestArithmetic:
     def test_alphabet_mismatch(self):
         with pytest.raises(InputError):
             word(ABC, 1) * word(AB, 1)
+
+    @settings(max_examples=300)
+    @given(letters_strategy, letters_strategy, st.integers(0, 24))
+    def test_product_is_the_reduced_concatenation(self, a, b, k):
+        # v starts with the inverse of up to k letters of u, so the two
+        # cancel at the seam, possibly past it
+        u = Word.reduce(ABC, a)
+        v = Word.reduce(ABC, [-x for x in reversed(u.letters[max(len(u) - k, 0) :])] + b)
+        assert u * v == Word.reduce(ABC, u.letters + v.letters)
 
     def test_powers(self):
         assert (word(AB, 1) ** 3).letters == (1, 1, 1)
