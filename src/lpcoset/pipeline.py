@@ -16,7 +16,7 @@ coincidences fold the table down without another enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
@@ -87,6 +87,7 @@ class ValidityOutcome:
     visited: tuple[EndoWord, ...]
     relator_checks: tuple[EndoWord, ...]
     reduction_pair: tuple[int, int] | None = None
+    capped: int = 0
 
 
 def _relator_witness(
@@ -113,7 +114,8 @@ def is_valid_perm_rep(
     finitely many generator-image tuples are exhausted, and repeats always
     reduce.  With one endomorphism the walk stops at the first pruned
     power j, reducing to the i-th; a valid outcome records ``(i, j)`` as
-    ``reduction_pair``.
+    ``reduction_pair``.  ``capped`` counts the kept words whose image group
+    passed ``cap``, so that no kernel containment in them was tested.
     """
     _require_same_alphabet(lp.alphabet, phi.alphabet)
     if cap < 1:
@@ -166,6 +168,7 @@ def is_valid_perm_rep(
         visited=tuple(endo for endo, _ in visited),
         relator_checks=tuple(checks),
         reduction_pair=pair,
+        capped=groups.count(None),
     )
 
 
@@ -178,43 +181,22 @@ def cyclic_reduction_pair(
     """For a single-endomorphism family: least j, then least i < j, with the
     kernel of the i-th power's representation inside the j-th power's.
 
-    Such a pair always exists because there are finitely many candidate
-    representations.  When the image-group enumeration overruns the cap the
-    test retries with a doubled cap up to ``cap_ceiling``.
-
-    The validity decision does not call this: :func:`is_valid_perm_rep`
-    finds the same pair where a one-endomorphism walk stops.  It stays as
-    public API and as the reference that the walk's pair is tested against.
+    This is where :func:`is_valid_perm_rep` stops on ``lp`` without its
+    relators, which then cannot stop the walk early.  Such a pair always
+    exists because there are finitely many candidate representations.  While
+    an image group passes the cap the walk reruns with a doubled cap, up to
+    ``cap_ceiling``.
     """
     if len(lp.endomorphisms) != 1:
         raise InputError("cyclic reduction needs exactly one endomorphism")
-    if cap < 1:
-        raise InputError("cap must be positive")
-    sigma = lp.endomorphisms[0]
-    reps = [phi]
-    groups: dict[int, ImageGroup] = {}
-    j = 0
-    while True:
-        reps.append(reps[-1].precompose(sigma))
-        j += 1
-        for i in range(j):
-            if reps[i].generators == reps[j].generators:
-                return (i, j)
-            ig = groups.get(i)
-            attempt = cap
-            while ig is None:
-                # a completed enumeration is the whole group, reusable at
-                # any cap, so only failures force a retry
-                ig = image_group(reps[i], attempt)
-                if ig is None:
-                    attempt *= 2
-                    if attempt > cap_ceiling:
-                        raise ResourceLimitError(
-                            f"image-group enumeration exceeded the cap ceiling {cap_ceiling}"
-                        )
-            groups[i] = ig
-            if kernel_contained(reps[i], reps[j], attempt, ig):
-                return (i, j)
+    relator_free = replace(lp, fixed=(), iterated=())
+    while (outcome := is_valid_perm_rep(relator_free, phi, cap)).capped:
+        cap *= 2
+        if cap > cap_ceiling:
+            raise ResourceLimitError(
+                f"image-group enumeration exceeded the cap ceiling {cap_ceiling}"
+            )
+    return outcome.reduction_pair
 
 
 def decide_validity(

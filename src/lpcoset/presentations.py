@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, ResourceLimitError
 from .words import (
     Alphabet,
     EndoWord,
@@ -132,14 +132,23 @@ class LPresentation:
         No composite is formed: the images under a word are those under the
         word without its last factor, mapped by that factor, so each level
         applies one endomorphism to the images of the level before.
+        A level has at most e * k times the letters of the level before, for e
+        endomorphisms of longest image k; a level whose bound passes
+        ``MAX_COVERING_LETTERS`` is refused before it is built.
         """
         if level < 0:
             raise InputError("level must be >= 0")
         family = self.endomorphisms
+        growth = len(family) * max((len(w) for e in family for w in e.images), default=0)
         relators = list(self.fixed) + list(self.iterated)
         # factor tuple -> images of the iterated relators, in increasing word order
         images = {(): self.iterated}
-        for _ in range(level):
+        for depth in range(1, level + 1):
+            letters = sum(len(r) for layer in images.values() for r in layer)
+            if letters * growth > MAX_COVERING_LETTERS:
+                raise ResourceLimitError(
+                    f"covering level {depth} may pass {MAX_COVERING_LETTERS} relator letters"
+                )
             shorter = images
             images = {}
             for factors in shorter:
@@ -189,6 +198,11 @@ def burnside(n: int, m: int) -> LPresentation:
     """
     if n < 1 or m < 1:
         raise InputError("burnside(n, m) needs n, m >= 1")
+    # t^m is one word; 2n endomorphisms have n + 2 image letters each
+    if m > MAX_WORD_LETTERS or 2 * n * (n + 2) > MAX_COVERING_LETTERS:
+        raise InputError(
+            f"burnside(n, m) needs m <= {MAX_WORD_LETTERS} and 2n(n+2) <= {MAX_COVERING_LETTERS}"
+        )
     names = tuple(f"a{i + 1}" for i in range(n)) + ("t",)
     abc = Alphabet(names)
     t = Word.generator(abc, n + 1)
@@ -227,6 +241,8 @@ def builtin_presentation(name: str) -> LPresentation:
 # --- word grammar ---------------------------------------------------------
 
 MAX_WORD_LETTERS = 10**6  # the longest word the grammar builds, reduced
+# the most letters of one covering level's relators or of burnside()'s images
+MAX_COVERING_LETTERS = 10**6
 
 # one token per match: an ASCII name, a run of digits, a run of whitespace,
 # or any other single character (a symbol, or one no token allows)

@@ -23,7 +23,6 @@ from lpcoset import (
     PermutationRep,
     SubgroupSpec,
     ValidityOutcome,
-    cyclic_reduction_pair,
     dump_table,
     enumerate_cosets,
     fold_to_valid,
@@ -135,13 +134,54 @@ def replay_image_group(ig: ImageGroup, phi: PermutationRep):
     return tuple(elements), tuple(words)
 
 
+def reference_reduction_pair(
+    lp, phi: PermutationRep, cap: int = 10**5, cap_ceiling: int = 10**7
+) -> tuple[int, int]:
+    """The former search of ``pipeline.cyclic_reduction_pair``: for j = 1,
+    2, ... and i < j, the first pair with equal generator images or the
+    kernel of the i-th power inside the j-th power's, each image group
+    enumerated at a cap doubled from ``cap`` until it completes, and
+    :class:`ResourceLimitError` once it would pass ``cap_ceiling``.
+    Reference for the validity walk's stop on the relator-free
+    presentation."""
+    if len(lp.endomorphisms) != 1:
+        raise InputError("cyclic reduction needs exactly one endomorphism")
+    if cap < 1:
+        raise InputError("cap must be positive")
+    sigma = lp.endomorphisms[0]
+    reps = [phi]
+    groups: dict[int, ImageGroup] = {}
+    j = 0
+    while True:
+        reps.append(reps[-1].precompose(sigma))
+        j += 1
+        for i in range(j):
+            if reps[i].generators == reps[j].generators:
+                return (i, j)
+            ig = groups.get(i)
+            attempt = cap
+            while ig is None:
+                # a completed enumeration is the whole group, reusable at
+                # any cap, so only failures force a retry
+                ig = image_group(reps[i], attempt)
+                if ig is None:
+                    attempt *= 2
+                    if attempt > cap_ceiling:
+                        raise ResourceLimitError(
+                            f"image-group enumeration exceeded the cap ceiling {cap_ceiling}"
+                        )
+            groups[i] = ig
+            if kernel_contained(reps[i], reps[j], attempt, ig):
+                return (i, j)
+
+
 def shortcut_validity(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutcome:
     """Validity of ``phi`` for a one-endomorphism family by the reduction
-    pair: find (i, j) with :func:`cyclic_reduction_pair`, then test the
+    pair: find (i, j) with :func:`reference_reduction_pair`, then test the
     iterated relators at the powers 1..j-1 only.  ``phi`` must kill every
     relator at the identity.  Reference for the monoid walk's pruning,
     which must reach the same verdict, witness and reduction pair."""
-    i, j = cyclic_reduction_pair(lp, phi, cap)
+    i, j = reference_reduction_pair(lp, phi, cap)
     powers = tuple(sigma_power(lp, k) for k in range(j))
     rep = phi
     checks = []

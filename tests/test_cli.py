@@ -516,6 +516,32 @@ class TestErrorPaths:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1 and "word longer than 1000000 letters" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("low-index builtin:grigorchuk --max-index 2 --level 40", EXIT_RESOURCE),
+            ("index builtin:grigorchuk --subgroup a,b,c,d --level 40", EXIT_RESOURCE),
+            ("low-index builtin:burnside(2,2) --max-index 2 --level 30", EXIT_RESOURCE),
+            ("index builtin:burnside(1,100000000) --subgroup a1", EXIT_INPUT),
+            ("index builtin:burnside(3000,2) --subgroup a1", EXIT_INPUT),
+        ],
+    )
+    def test_unbounded_presentations_are_refused_within_memory(self, argv, code):
+        # coverings whose letters multiply with each level, and Burnside
+        # groups past the letter bounds, are refused before they are built
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (15 * 10**8, 15 * 10**8))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpcoset.cli", *argv.split()],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=300,
+        )
+        assert proc.returncode == code
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_env_var_ceiling(self, monkeypatch):
         code, _, _ = run_cli(
             "index",

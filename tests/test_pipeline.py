@@ -50,6 +50,7 @@ from helpers import (
     ladder_attempts,
     ladder_enumerate_cosets,
     plain_low_index_tables,
+    reference_reduction_pair,
     reroot,
     shortcut_validity,
     sigma_power,
@@ -96,6 +97,7 @@ class TestIsValidPermRep:
         # dies with sigma's, and the relator itself is covered by the
         # level-zero precondition
         assert [c.factors for c in outcome.relator_checks] == [(0,), (0, 0)]
+        assert outcome.capped == 0
 
     def test_walk_substitutes_no_words(self, grig, bas):
         # the walk applies one factor at a time to a representation, so it
@@ -252,6 +254,7 @@ class TestIsValidPermRep:
         assert [v.factors for v in outcome.visited] == [
             (0,) * k for k in range(5)
         ]
+        assert outcome.capped >= 1
 
 
 class TestCyclicReductionPair:
@@ -281,6 +284,76 @@ class TestCyclicReductionPair:
             e.kind == "reduction-pair" and e.get("i") == 1 and e.get("j") == 3
             for e in events
         )
+
+
+def _random_rep(draw, lp, degree: int) -> PermutationRep:
+    points = list(range(1, degree + 1))
+    return PermutationRep(
+        lp.alphabet,
+        degree,
+        tuple(Permutation(tuple(draw(st.permutations(points)))) for _ in lp.alphabet.names),
+    )
+
+
+def _with_caps(draw, lp, phi):
+    """``(lp, phi, cap, cap_ceiling)``: a cap from {1, 2, 6, 10^5} and a
+    ceiling below, at or above the order of the image group of ``phi``,
+    which contains the image group of every power."""
+    order = len(perms.image_group(phi, 10**6).transitions)
+    cap = draw(st.sampled_from([1, 2, 6, 10**5]))
+    ceiling = draw(st.sampled_from([order // 2, order - 1, order, 2 * order]))
+    return lp, phi, cap, max(1, ceiling)
+
+
+@st.composite
+def _reduction_pair_inputs(draw):
+    """A random Basilica representation of degree 1-8, a random Grigorchuk
+    one of degree 1-7, or a low-index candidate of either group, with caps
+    from :func:`_with_caps`.  A random Grigorchuk representation of degree
+    8 mostly generates S_8 and pairs only after about a hundred powers,
+    seconds each; ``test_matches_on_degree_eight_grigorchuk`` draws those."""
+    if draw(st.booleans()):
+        lp, top = draw(st.sampled_from([(grigorchuk(), 7), (basilica(), 8)]))
+        phi = _random_rep(draw, lp, draw(st.integers(1, top)))
+    else:
+        # the one-endomorphism pools; indexes, not sampled_from, which
+        # labels a strategy by its elements
+        pools = _candidate_pools()[:4]
+        pool = pools[draw(st.integers(0, len(pools) - 1))]
+        lp, table = pool[draw(st.integers(0, len(pool) - 1))]
+        phi = to_perm_rep(table)
+    return _with_caps(draw, lp, phi)
+
+
+def _same_pair_or_both_refuse(lp, phi, cap, ceiling):
+    answers = []
+    for search in (reference_reduction_pair, cyclic_reduction_pair):
+        try:
+            answers.append(search(lp, phi, cap, ceiling))
+        except ResourceLimitError:
+            answers.append(ResourceLimitError)
+    assert answers[0] == answers[1]
+
+
+class TestReductionPairIsTheWalksStop:
+    """``cyclic_reduction_pair`` reads where the relator-free walk stops;
+    ``helpers.reference_reduction_pair`` is the search it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_reduction_pair_inputs())
+    def test_matches_the_reference_search(self, case):
+        _same_pair_or_both_refuse(*case)
+
+    @pytest.mark.stretch
+    @settings(max_examples=5, deadline=None)
+    @given(st.data())
+    def test_matches_on_degree_eight_grigorchuk(self, data):
+        lp = grigorchuk()
+        _same_pair_or_both_refuse(*_with_caps(data.draw, lp, _random_rep(data.draw, lp, 8)))
+
+    def test_cap_is_checked(self, bas, bas_index3_rep):
+        with pytest.raises(InputError):
+            cyclic_reduction_pair(bas, bas_index3_rep, cap=0)
 
 
 class TestFolding:

@@ -10,11 +10,15 @@ from lpcoset import (
     Alphabet,
     FinitePresentation,
     LPresentation,
+    InputError,
     ParseError,
+    ResourceLimitError,
     Word,
     builtin_presentation,
     burnside,
+    grigorchuk,
     load_presentation,
+    low_index,
     parse_lpresentation,
     parse_subgroup,
     parse_word,
@@ -101,6 +105,23 @@ class TestBurnside:
         with pytest.raises(InputError):
             burnside(0, 2)
 
+    def test_rejects_an_exponent_past_the_word_bound(self):
+        # t^m would be one relator of m letters
+        with pytest.raises(InputError):
+            burnside(1, 100_000_000)
+        with pytest.raises(InputError):
+            burnside(1, presentations.MAX_WORD_LETTERS + 1)
+
+    def test_rejects_images_past_the_letter_bound(self, monkeypatch):
+        # 2n endomorphisms of n + 1 images, n of one letter and one of two
+        with pytest.raises(InputError):
+            burnside(3000, 2)
+        monkeypatch.setattr(presentations, "MAX_COVERING_LETTERS", 96)
+        lp = burnside(6, 2)
+        assert sum(len(w) for e in lp.endomorphisms for w in e.images) == 2 * 6 * 8 == 96
+        with pytest.raises(InputError):
+            burnside(7, 2)
+
 
 class TestCovering:
     def test_basilica_level_zero(self, bas):
@@ -170,6 +191,35 @@ class TestCovering:
         )
         for level in range(5):
             assert lp.covering(level) == composite_covering(lp, level)
+
+    def test_deep_level_is_a_resource_limit(self):
+        # Grigorchuk's relator letters double with each level: the bound
+        # refuses a level before building it, not after running out of memory
+        with pytest.raises(ResourceLimitError):
+            grigorchuk().covering(40)
+        with pytest.raises(ResourceLimitError):
+            low_index(grigorchuk(), 2, level=40)
+
+    @pytest.mark.parametrize(
+        "name", ["grigorchuk", "basilica", "burnside(1,3)", "burnside(2,2)", "burnside(3,2)"]
+    )
+    def test_letter_bound_holds_below_the_budget(self, monkeypatch, name):
+        # each level adds at most the budget in letters, and a refused
+        # level stays refused one level deeper
+        budget = 500
+        monkeypatch.setattr(presentations, "MAX_COVERING_LETTERS", budget)
+        lp = builtin_presentation(name)
+        base = sum(map(len, lp.fixed + lp.iterated))
+        for level in range(16):
+            try:
+                fp = lp.covering(level)
+            except ResourceLimitError:
+                break
+            assert sum(map(len, fp.relators)) <= base + level * budget
+        else:
+            pytest.fail("no level refused")
+        with pytest.raises(ResourceLimitError):
+            lp.covering(level + 1)
 
     def test_negative_level_rejected(self, bas):
         from lpcoset import InputError
