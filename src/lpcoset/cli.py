@@ -16,14 +16,12 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 
 from .coset_enum import parse_table_dump, to_perm_rep
 from .errors import InputError, ParseError, ResourceLimitError
 from .pipeline import (
     EnumerationConfig,
-    TraceEvent,
     decide_validity,
     enumerate_cosets,
 )
@@ -50,8 +48,6 @@ EXIT_PARSE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 
-HARD_CEILING_ENV = "LPCOSET_HARD_CEILING"
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,32 +66,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "builtin:burnside(n,m)",
     )
     defaults = EnumerationConfig()
-    common.add_argument("--level", type=int, default=None, help="initial truncation level")
-    common.add_argument("--max-cosets", type=int, default=defaults.initial_max_cosets)
-    common.add_argument("--escalation-factor", type=int, default=defaults.escalation_factor)
-    common.add_argument("--hard-ceiling", type=int, default=None)
     common.add_argument("--reduction-cap", type=int, default=defaults.reduction_cap)
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    common.add_argument("-v", "--verbose", action="count", default=0)
+    common.add_argument("-v", "--verbose", action="store_true")
+    # for the commands that enumerate a subgroup from its generators
+    enumerating = argparse.ArgumentParser(add_help=False)
+    enumerating.add_argument("--subgroup", required=True, help="comma-separated generator words")
+    enumerating.add_argument("--level", type=int, default=0, help="initial truncation level")
+    enumerating.add_argument("--max-cosets", type=int, default=defaults.initial_max_cosets)
+    enumerating.add_argument("--escalation-factor", type=int, default=defaults.escalation_factor)
+    enumerating.add_argument("--hard-ceiling", type=int, default=defaults.hard_ceiling)
+    both = [common, enumerating]
 
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("index", parents=both, help="index of a subgroup")
 
-    p = sub.add_parser("index", parents=[common], help="index of a subgroup")
-    p.add_argument("--subgroup", required=True, help="comma-separated generator words")
-
-    p = sub.add_parser("member", parents=[common], help="membership in a subgroup")
-    p.add_argument("--subgroup", required=True)
+    p = sub.add_parser("member", parents=both, help="membership in a subgroup")
     p.add_argument("--word", required=True)
 
-    p = sub.add_parser("core", parents=[common], help="core of a subgroup")
-    p.add_argument("--subgroup", required=True)
+    sub.add_parser("core", parents=both, help="core of a subgroup")
 
-    p = sub.add_parser("intersect", parents=[common], help="intersection of two subgroups")
-    p.add_argument("--subgroup", required=True)
+    p = sub.add_parser("intersect", parents=both, help="intersection of two subgroups")
     p.add_argument("--subgroup2", required=True)
 
     p = sub.add_parser("low-index", parents=[common], help="all subgroups up to an index")
     p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--level", type=int, default=1, help="covering level of the search")
     p.add_argument("--normal", action="store_true", help="show normal-subgroup counts")
     p.add_argument("--maximal", action="store_true", help="show maximal-subgroup counts")
     p.add_argument("--list", action="store_true", help="list every subgroup")
@@ -106,31 +102,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _enumeration_config(args) -> EnumerationConfig:
-    ceiling = args.hard_ceiling
-    if ceiling is None:
-        raw = os.environ.get(HARD_CEILING_ENV, EnumerationConfig().hard_ceiling)
-        try:
-            ceiling = int(raw)
-        except ValueError:
-            raise ParseError(f"{HARD_CEILING_ENV}={raw!r} is not an integer") from None
-    return EnumerationConfig(
-        initial_level=0 if args.level is None else args.level,
+def _enumerating(args) -> tuple[LPresentation, EnumerationConfig]:
+    """The presentation and the escalation settings of a command that
+    enumerates; the settings are checked before the presentation is read."""
+    cfg = EnumerationConfig(
+        initial_level=args.level,
         initial_max_cosets=args.max_cosets,
         escalation_factor=args.escalation_factor,
-        hard_ceiling=ceiling,
+        hard_ceiling=args.hard_ceiling,
         reduction_cap=args.reduction_cap,
     )
-
-
-def _trace_printer(args, err):
-    if args.verbose < 1:
-        return None
-
-    def emit(event: TraceEvent) -> None:
-        print(str(event), file=err)
-
-    return emit
+    return load_presentation(args.presentation), cfg
 
 
 def _emit_payload(args, payload: dict, out) -> None:
@@ -167,7 +149,8 @@ def _subgroup_payload(result: FiniteIndexSubgroup, args) -> dict:
     }
 
 
-def _cmd_index(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
+def _cmd_index(args, trace, out) -> None:
+    lp, cfg = _enumerating(args)
     spec = parse_subgroup(lp.alphabet, args.subgroup)
     result = enumerate_cosets(lp, spec, cfg, trace)
     payload = {
@@ -177,38 +160,36 @@ def _cmd_index(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> i
         "table": [list(row) for row in result.table.rows],
     }
     _emit_payload(args, payload, out)
-    return EXIT_OK
 
 
-def _cmd_member(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
+def _cmd_member(args, trace, out) -> None:
+    lp, cfg = _enumerating(args)
     sub = _subgroup(lp, args.subgroup, cfg, trace)
     w = parse_word(lp.alphabet, args.word)
     _emit_payload(args, {"member": sub.contains(w)}, out)
-    return EXIT_OK
 
 
-def _cmd_core(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
+def _cmd_core(args, trace, out) -> None:
+    lp, cfg = _enumerating(args)
     sub = _subgroup(lp, args.subgroup, cfg, trace)
-    result = core(sub, cfg.reduction_cap)
+    result = core(sub, args.reduction_cap)
     _emit_payload(args, _subgroup_payload(result, args), out)
-    return EXIT_OK
 
 
-def _cmd_intersect(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
+def _cmd_intersect(args, trace, out) -> None:
+    lp, cfg = _enumerating(args)
     u = _subgroup(lp, args.subgroup, cfg, trace)
     v = _subgroup(lp, args.subgroup2, cfg, trace)
     result = intersect(u, v)
     _emit_payload(args, _subgroup_payload(result, args), out)
-    return EXIT_OK
 
 
-def _cmd_low_index(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
-    level = 1 if args.level is None else args.level
+def _cmd_low_index(args, trace, out) -> None:
     slist = low_index(
-        lp,
+        load_presentation(args.presentation),
         args.max_index,
-        level=level,
-        cap=cfg.reduction_cap,
+        level=args.level,
+        cap=args.reduction_cap,
         max_tables=args.max_tables,
         trace=trace,
     )
@@ -231,17 +212,17 @@ def _cmd_low_index(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) 
                     flags.append("maximal")
                 suffix = f" [{', '.join(flags)}]" if flags else ""
                 print(f"index {e.subgroup.index}{suffix}: <{gens}>", file=out)
-    return EXIT_OK
 
 
-def _cmd_validate(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -> int:
+def _cmd_validate(args, trace, out) -> None:
+    lp = load_presentation(args.presentation)
     try:
         with open(args.table, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read table dump {args.table!r}: {exc}") from exc
     table = parse_table_dump(lp.alphabet, text)
-    outcome = decide_validity(lp, to_perm_rep(table), cfg.reduction_cap, trace)
+    outcome = decide_validity(lp, to_perm_rep(table), args.reduction_cap, trace)
     payload: dict = {"verdict": "valid" if outcome.valid else "invalid"}
     if not outcome.valid:
         w = outcome.witness
@@ -250,7 +231,6 @@ def _cmd_validate(args, lp: LPresentation, cfg: EnumerationConfig, trace, out) -
         payload["coset"] = w.coset
     payload["table"] = [list(row) for row in table.rows]
     _emit_payload(args, payload, out)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -268,9 +248,9 @@ def main(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _enumeration_config(args)
-        lp = load_presentation(args.presentation)
-        return _COMMANDS[args.command](args, lp, cfg, _trace_printer(args, err), out)
+        trace = functools.partial(print, file=err) if args.verbose else None
+        _COMMANDS[args.command](args, trace, out)
+        return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE

@@ -173,29 +173,23 @@ def is_valid_perm_rep(
 
 
 def cyclic_reduction_pair(
-    lp: LPresentation,
-    phi: PermutationRep,
-    cap: int = DEFAULT_REDUCTION_CAP,
-    cap_ceiling: int = 10**7,
+    lp: LPresentation, phi: PermutationRep, cap: int = DEFAULT_REDUCTION_CAP
 ) -> tuple[int, int]:
     """For a single-endomorphism family: least j, then least i < j, with the
     kernel of the i-th power's representation inside the j-th power's.
 
     This is where :func:`is_valid_perm_rep` stops on ``lp`` without its
     relators, which then cannot stop the walk early.  Such a pair always
-    exists because there are finitely many candidate representations.  While
-    an image group passes the cap the walk reruns with a doubled cap, up to
-    ``cap_ceiling``.
+    exists because there are finitely many candidate representations.  An
+    image group past ``cap`` leaves a kernel containment untested, so the
+    pair found may not be the least: that raises
+    :class:`ResourceLimitError`.
     """
     if len(lp.endomorphisms) != 1:
         raise InputError("cyclic reduction needs exactly one endomorphism")
-    relator_free = replace(lp, fixed=(), iterated=())
-    while (outcome := is_valid_perm_rep(relator_free, phi, cap)).capped:
-        cap *= 2
-        if cap > cap_ceiling:
-            raise ResourceLimitError(
-                f"image-group enumeration exceeded the cap ceiling {cap_ceiling}"
-            )
+    outcome = is_valid_perm_rep(replace(lp, fixed=(), iterated=()), phi, cap)
+    if outcome.capped:
+        raise ResourceLimitError(f"image group of a power exceeds the cap of {cap} elements")
     return outcome.reduction_pair
 
 

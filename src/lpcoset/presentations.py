@@ -443,6 +443,23 @@ def parse_subgroup(alphabet: Alphabet, text: str) -> SubgroupSpec:
 _ENDO_HEAD_RE = re.compile(r"^endomorphism(?:\s+([A-Za-z_][A-Za-z_0-9]*))?\s*:\s*(.*)$")
 
 
+def _mappings(body: str) -> list[str]:
+    """The ``x -> w`` parts of an endomorphism line: split at every comma
+    outside brackets, since an image may be a commutator ``[u,v]``."""
+    parts = []
+    depth = start = 0
+    for i, ch in enumerate(body):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]" and depth:
+            depth -= 1
+        elif ch == "," and not depth:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts
+
+
 def parse_lpresentation(text: str) -> LPresentation:
     alphabet = None
     fixed: list[str] = []
@@ -456,6 +473,9 @@ def parse_lpresentation(text: str) -> LPresentation:
             if alphabet is not None:
                 raise ParseError(f"line {lineno}: repeated generators line")
             names = line[len("generators:"):].split()
+            for name in names:  # the word grammar reads ASCII names only
+                if not name.isascii():
+                    raise ParseError(f"line {lineno}: generator name {name!r} is not ASCII")
             try:
                 alphabet = Alphabet(tuple(names))
             except InputError as exc:
@@ -485,7 +505,7 @@ def parse_lpresentation(text: str) -> LPresentation:
     names = []
     for name, body in endo_lines:
         images: dict[int, Word] = {}
-        for part in body.split(","):
+        for part in _mappings(body):
             if "->" not in part:
                 raise ParseError(f"bad mapping {part.strip()!r} in endomorphism {name}")
             lhs, rhs = part.split("->", 1)

@@ -418,7 +418,8 @@ def _low_index_tables(
                 capped = True
                 raise _SearchCapped
             total += size
-            rows = tuple(zip(*(arr[1 : n + 1] for arr in cols)))
+            # with no generators zip would give no rows, not n empty ones
+            rows = tuple(zip(*(arr[1 : n + 1] for arr in cols))) if cols else ((),) * n
             results.append((CosetTable(alphabet, rows), size))
             return
         col = 2 * gi
@@ -577,6 +578,8 @@ def low_index(
     as ``DEFAULT_MAX_COSETS // max_index`` tables, so a covering with few
     relators stops instead of filling memory.
     """
+    if cap < 1:
+        raise InputError("cap must be positive")
     fp = lp.covering(level)
     _emit(trace, "low-index", level=level, max_index=max_index, relators=len(fp.relators))
     scanned, deferred = _split_relators(fp, max_index)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction
+from math import factorial, prod
 from typing import Iterable, Sequence
 from unittest import mock
 
@@ -1315,3 +1317,39 @@ def composite_covering(lp, level: int):
     for endo in words:
         relators.extend(composite(endo).apply(r) for r in lp.iterated)
     return FinitePresentation(lp.alphabet, tuple(relators))
+
+
+def hall_counts(orders: Sequence[int], n: int) -> dict[int, Fraction]:
+    """Subgroups of each index 1..n of the free product of cyclic groups of
+    the given orders, m = 0 standing for Z, by Hall's formula (M. Hall,
+    1949): with h_k the number of homomorphisms into S_k,
+    a_k = h_k / (k-1)! - sum over i < k of h_{k-i} / (k-i)! * a_i.
+
+    A homomorphism of a free product is one per factor, so h_k is the
+    product over the factors of t_m(k), the number of x in S_k with
+    x^m = 1: t_m(0) = 1 and t_m(k) = sum over d | m, d <= k, of
+    (k-1)! / (k-d)! * t_m(k-d), the cycle through k having length d; Z has
+    t_0(k) = k!.  Exact fractions, so a slip in the formula shows as a
+    non-integer count.
+    """
+
+    def roots(m: int) -> list[int]:
+        t = [1]
+        for k in range(1, n + 1):
+            if m == 0:
+                t.append(factorial(k))
+            else:
+                t.append(sum(
+                    factorial(k - 1) // factorial(k - d) * t[k - d]
+                    for d in range(1, min(m, k) + 1) if m % d == 0
+                ))
+        return t
+
+    factors = [roots(m) for m in orders]
+    h = [prod(t[k] for t in factors) for k in range(n + 1)]
+    a: dict[int, Fraction] = {}
+    for k in range(1, n + 1):
+        a[k] = Fraction(h[k], factorial(k - 1)) - sum(
+            Fraction(h[k - i], factorial(k - i)) * a[i] for i in range(1, k)
+        )
+    return a

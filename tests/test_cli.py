@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -14,11 +15,8 @@ from lpcoset import cli
 from lpcoset.cli import EXIT_INPUT, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 
 
-def run_cli(*argv, env=None, monkeypatch=None):
+def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
-    if env and monkeypatch:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
     code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -138,6 +136,18 @@ class TestLowIndexCommand:
         code, out, _ = run_cli("low-index", "builtin:basilica", "--max-index", "1")
         assert code == EXIT_OK
         assert out.splitlines()[1].split() == ["1", "1"]
+
+    def test_presentation_without_generators(self, tmp_path):
+        path = tmp_path / "trivial.lp"
+        path.write_text("generators:\n")
+        code, out, err = run_cli("low-index", str(path), "--max-index", "2", "--list")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "index  subgroups\n"
+            "    1          1\n"
+            "    2          0\n"
+            "index 1 [normal]: <>\n"
+        )
 
     def test_listing(self):
         code, out, _ = run_cli(
@@ -542,46 +552,6 @@ class TestErrorPaths:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
-    def test_env_var_ceiling(self, monkeypatch):
-        code, _, _ = run_cli(
-            "index",
-            "builtin:burnside(1,3)",
-            "--subgroup",
-            "",
-            "--max-cosets",
-            "100",
-            env={"LPCOSET_HARD_CEILING": "100"},
-            monkeypatch=monkeypatch,
-        )
-        assert code == EXIT_RESOURCE
-
-    def test_non_integer_env_var_ceiling(self, monkeypatch):
-        code, _, err = run_cli(
-            "index",
-            "builtin:basilica",
-            *BAS_U,
-            env={"LPCOSET_HARD_CEILING": "abc"},
-            monkeypatch=monkeypatch,
-        )
-        assert code == EXIT_PARSE
-        assert "LPCOSET_HARD_CEILING" in err
-
-    def test_flag_overrides_env(self, monkeypatch):
-        code, out, _ = run_cli(
-            "index",
-            "builtin:burnside(1,3)",
-            "--subgroup",
-            "",
-            "--max-cosets",
-            "100",
-            "--hard-ceiling",
-            "1000000",
-            env={"LPCOSET_HARD_CEILING": "100"},
-            monkeypatch=monkeypatch,
-        )
-        assert code == EXIT_OK
-        assert "index: 3" in out
-
     def test_early_end_names_the_end_of_input(self):
         code, out, err = run_cli("index", "builtin:basilica", "--subgroup", "b, a^")
         assert (code, out) == (EXIT_PARSE, "")
@@ -671,4 +641,77 @@ class TestParserBuiltOnce:
         assert (2, captured.out, captured.err) == fresh_cli(*argv)
         # the parser that refused it still serves the next command
         code, out, _ = run_cli("index", "builtin:basilica", *BAS_U)
+        assert (code, out.splitlines()[0]) == (EXIT_OK, "index: 3")
+
+
+_COMMON = {"-h", "--help", "presentation", "--reduction-cap", "--format", "-v", "--verbose"}
+_ENUMERATING = _COMMON | {
+    "--subgroup", "--level", "--max-cosets", "--escalation-factor", "--hard-ceiling"
+}
+
+
+class TestEachCommandReadsItsSettings:
+    def test_options_per_command(self):
+        sub = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: {s for a in p._actions for s in (a.option_strings or [a.dest])}
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "index": _ENUMERATING,
+            "member": _ENUMERATING | {"--word"},
+            "core": _ENUMERATING,
+            "intersect": _ENUMERATING | {"--subgroup2"},
+            "low-index": _COMMON | {
+                "--max-index", "--level", "--normal", "--maximal", "--list", "--max-tables"
+            },
+            "validate": _COMMON | {"--table"},
+        }
+
+    def test_level_defaults(self):
+        parse = cli._build_parser().parse_args
+        assert parse(["low-index", "builtin:basilica", "--max-index", "2"]).level == 1
+        assert parse(["index", "builtin:basilica", "--subgroup", ""]).level == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "low-index builtin:grigorchuk --max-index 2 --hard-ceiling 5",
+            "low-index builtin:grigorchuk --max-index 2 --max-cosets 4",
+            "validate builtin:basilica --table u.dump --level 3",
+        ],
+    )
+    def test_a_setting_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: lpcoset ")
+        assert f"error: unrecognized arguments: {' '.join(argv.split()[-2:])}\n" in captured.err
+
+    def test_reduction_cap_is_checked_by_the_library(self, tmp_path):
+        # the candidate cap stops the descent before any validity walk
+        dump = tmp_path / "whole.dump"
+        dump.write_text("1\t1\t1\t1\n")
+        for argv in [
+            ("low-index", "builtin:basilica", "--max-index", "3", "--max-tables", "0"),
+            ("validate", "builtin:basilica", "--table", str(dump)),
+        ]:
+            assert run_cli(*argv, "--reduction-cap", "0", "-v") == (
+                EXIT_INPUT, "", "error: cap must be positive\n"
+            ), argv
+
+    def test_verbose_is_a_switch(self):
+        argv = ("low-index", "builtin:basilica", "--max-index", "3", "--list")
+        assert cli._build_parser().parse_args([*argv, "-vv"]).verbose is True
+        assert run_cli(*argv, "-vv") == run_cli(*argv, "-v")
+
+    def test_the_environment_sets_no_ceiling(self, monkeypatch):
+        monkeypatch.setenv("LPCOSET_HARD_CEILING", "abc")
+        code, out, _ = run_cli(
+            "index", "builtin:burnside(1,3)", "--subgroup", "", "--max-cosets", "100"
+        )
         assert (code, out.splitlines()[0]) == (EXIT_OK, "index: 3")

@@ -270,9 +270,13 @@ class TestCyclicReductionPair:
             cyclic_reduction_pair(lp, trivial_rep(lp.alphabet))
 
     def test_cap_ceiling_is_a_resource_limit(self, bas, bas_index3_rep):
-        # the index-3 rep's image group has 6 elements, past a ceiling of 1
-        with pytest.raises(ResourceLimitError):
-            cyclic_reduction_pair(bas, bas_index3_rep, cap=1, cap_ceiling=1)
+        # the index-3 rep's image group has 6 elements, past a cap of 1: one
+        # walk finds that, and none reruns at a larger cap
+        walk = mock.Mock(side_effect=is_valid_perm_rep)
+        with mock.patch.object(pipeline, "is_valid_perm_rep", walk):
+            with pytest.raises(ResourceLimitError, match="exceeds the cap of 1 elements"):
+                cyclic_reduction_pair(bas, bas_index3_rep, cap=1)
+        assert walk.call_count == 1
 
     def test_shortcut_checks_exactly_the_needed_powers(self, bas, bas_index3_rep):
         events = []
@@ -295,21 +299,20 @@ def _random_rep(draw, lp, degree: int) -> PermutationRep:
     )
 
 
-def _with_caps(draw, lp, phi):
-    """``(lp, phi, cap, cap_ceiling)``: a cap from {1, 2, 6, 10^5} and a
-    ceiling below, at or above the order of the image group of ``phi``,
-    which contains the image group of every power."""
+def _with_cap(draw, lp, phi):
+    """``(lp, phi, cap)``: a cap from {1, 2, 6, 10^5} or below, at or above
+    the order of the image group of ``phi``, which contains the image group
+    of every power."""
     order = len(perms.image_group(phi, 10**6).transitions)
-    cap = draw(st.sampled_from([1, 2, 6, 10**5]))
-    ceiling = draw(st.sampled_from([order // 2, order - 1, order, 2 * order]))
-    return lp, phi, cap, max(1, ceiling)
+    cap = draw(st.sampled_from([1, 2, 6, 10**5, order // 2, order - 1, order, 2 * order]))
+    return lp, phi, max(1, cap)
 
 
 @st.composite
 def _reduction_pair_inputs(draw):
     """A random Basilica representation of degree 1-8, a random Grigorchuk
     one of degree 1-7, or a low-index candidate of either group, with caps
-    from :func:`_with_caps`.  A random Grigorchuk representation of degree
+    from :func:`_with_cap`.  A random Grigorchuk representation of degree
     8 mostly generates S_8 and pairs only after about a hundred powers,
     seconds each; ``test_matches_on_degree_eight_grigorchuk`` draws those."""
     if draw(st.booleans()):
@@ -322,17 +325,29 @@ def _reduction_pair_inputs(draw):
         pool = pools[draw(st.integers(0, len(pools) - 1))]
         lp, table = pool[draw(st.integers(0, len(pool) - 1))]
         phi = to_perm_rep(table)
-    return _with_caps(draw, lp, phi)
+    return _with_cap(draw, lp, phi)
 
 
-def _same_pair_or_both_refuse(lp, phi, cap, ceiling):
-    answers = []
-    for search in (reference_reduction_pair, cyclic_reduction_pair):
+def _reference_pair_or_capped_walk(lp, phi, cap):
+    """``cyclic_reduction_pair`` walks once: its pair is the reference
+    search's, and it refuses only when that walk left an image group past
+    the cap."""
+    walks = []
+
+    def walk(*args):
+        walks.append(is_valid_perm_rep(*args))
+        return walks[-1]
+
+    with mock.patch.object(pipeline, "is_valid_perm_rep", walk):
         try:
-            answers.append(search(lp, phi, cap, ceiling))
+            pair = cyclic_reduction_pair(lp, phi, cap)
         except ResourceLimitError:
-            answers.append(ResourceLimitError)
-    assert answers[0] == answers[1]
+            pair = None
+    assert len(walks) == 1
+    if pair is None:
+        assert walks[0].capped > 0
+    else:
+        assert pair == reference_reduction_pair(lp, phi)
 
 
 class TestReductionPairIsTheWalksStop:
@@ -342,14 +357,14 @@ class TestReductionPairIsTheWalksStop:
     @settings(max_examples=150, deadline=None)
     @given(_reduction_pair_inputs())
     def test_matches_the_reference_search(self, case):
-        _same_pair_or_both_refuse(*case)
+        _reference_pair_or_capped_walk(*case)
 
     @pytest.mark.stretch
     @settings(max_examples=5, deadline=None)
     @given(st.data())
     def test_matches_on_degree_eight_grigorchuk(self, data):
         lp = grigorchuk()
-        _same_pair_or_both_refuse(*_with_caps(data.draw, lp, _random_rep(data.draw, lp, 8)))
+        _reference_pair_or_capped_walk(*_with_cap(data.draw, lp, _random_rep(data.draw, lp, 8)))
 
     def test_cap_is_checked(self, bas, bas_index3_rep):
         with pytest.raises(InputError):

@@ -501,6 +501,16 @@ class TestPresentationFiles:
         assert lp.endomorphism_names == ("one", "two")
         assert lp.endomorphisms[0].images[0].letters == (2,)
 
+    def test_endomorphism_image_may_be_a_commutator(self):
+        lp = parse_lpresentation(
+            "generators: a b\nendomorphism s: a -> [a,b], b -> b\niterated: a^2\n"
+        )
+        assert [w.letters for w in lp.endomorphisms[0].images] == [(-1, -2, 1, 2), (2,)]
+
+    def test_non_ascii_generator_name_is_refused(self):
+        with pytest.raises(ParseError, match="^line 2: generator name 'α' is not ASCII$"):
+            parse_lpresentation("# no word uses it\ngenerators: α b\nfixed: b^2\n")
+
     @pytest.mark.parametrize(
         "text",
         [

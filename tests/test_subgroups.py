@@ -30,6 +30,7 @@ from lpcoset import (
     intersect,
     low_index,
     mark_normal_and_maximal,
+    parse_lpresentation,
     parse_subgroup,
     parse_word,
     parse_words,
@@ -50,6 +51,7 @@ from lpcoset.words import Alphabet
 from helpers import (
     conjugates,
     contains_by_generators,
+    hall_counts,
     fold_and_dedup,
     fold_every_coset,
     is_normal_table,
@@ -758,6 +760,11 @@ class TestLowIndex:
         slist = low_index(LPresentation.from_finite(fp), 8, level=0)
         assert slist.counts() == expected
 
+    def test_presentation_without_generators(self):
+        slist = low_index(parse_lpresentation("generators:\n"), 3)
+        assert slist.counts() == {1: 1}
+        assert [e.subgroup.table.rows for e in slist.entries] == [((),)]
+
     def test_candidate_cap_raises_with_partial(self, bas):
         with pytest.raises(LowIndexIncomplete) as info:
             low_index(bas, 3, max_tables=3)
@@ -768,6 +775,12 @@ class TestLowIndex:
     def test_negative_candidate_cap_is_input_error(self, bas):
         with pytest.raises(InputError, match="max_tables"):
             low_index(bas, 3, max_tables=-1)
+
+    def test_reduction_cap_is_checked_before_the_descent(self, bas):
+        # a descent stopped at max_tables folds nothing, so only a check
+        # before it can refuse the cap
+        with pytest.raises(InputError, match="cap must be positive"):
+            low_index(bas, 3, cap=0, max_tables=0)
 
     def test_coset_ceiling_caps_the_candidate_rows(self, bas, monkeypatch):
         full = {e.subgroup.table.rows for e in low_index(bas, 4).entries}
@@ -792,6 +805,41 @@ class TestLowIndex:
         with pytest.raises(LowIndexIncomplete, match="after 50 candidate tables") as info:
             low_index(builtin_presentation("burnside(3,2)"), 8, level=0)
         assert not info.value.partial.complete
+
+
+def _cyclic_free_product(orders) -> LPresentation:
+    """The free product of cyclic groups of the given orders, 0 for Z."""
+    abc = Alphabet(tuple("abc"[: len(orders)]))
+    gens = [Word.generator(abc, i + 1) for i in range(len(orders))]
+    return LPresentation.from_finite(
+        FinitePresentation(abc, tuple(g ** m for g, m in zip(gens, orders) if m))
+    )
+
+
+def _nonzero(counts: dict) -> dict:
+    return {k: v for k, v in counts.items() if v}
+
+
+class TestHallsFormula:
+    """Subgroup counts of free products of cyclic groups against
+    ``helpers.hall_counts``, which counts them without coset tables."""
+
+    @pytest.mark.parametrize(
+        "orders, max_index",
+        [((0, 0), 5), ((0, 2), 7), ((2, 3), 10), ((3, 3), 8), ((2, 4), 9), ((2, 2, 2), 7)],
+    )
+    def test_free_products(self, orders, max_index):
+        slist = low_index(_cyclic_free_product(orders), max_index, level=0)
+        assert slist.counts() == _nonzero(hall_counts(orders, max_index))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_l_presented_free_product(self, level):
+        # <a,b,c | | a->a, b->c, c->c | a^2, b^3> is C2*C3*C3: the
+        # iterated relators give a^2, b^3 and c^3, and level 0 has no c^3
+        lp = parse_lpresentation(
+            "generators: a b c\nendomorphism: a -> a, b -> c, c -> c\niterated: a^2 b^3\n"
+        )
+        assert low_index(lp, 5, level=level).counts() == _nonzero(hall_counts((2, 3, 3), 5))
 
 
 class TestMarkNormalAndMaximal:
