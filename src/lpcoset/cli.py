@@ -99,6 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="replay validity on a table dump")
     p.add_argument("--table", required=True, help="path to a coset-table dump")
+    # an option the command does not read is refused in the command's usage
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -246,7 +249,9 @@ _COMMANDS = {
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         trace = functools.partial(print, file=err) if args.verbose else None
         _COMMANDS[args.command](args, trace, out)

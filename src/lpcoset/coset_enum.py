@@ -273,7 +273,8 @@ def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:
     :func:`_verify_closed` checks ``fp.relators`` as given: a fault here
     raises there instead of returning a wrong table.  The result is kept
     on ``fp``, so a presentation is prepared once however often it is
-    enumerated or weighed.
+    enumerated or weighed; an L-presentation keeps its coverings, so each
+    of its levels is prepared once in the life of the object.
     """
     if fp._prepared is not None:
         return fp._prepared

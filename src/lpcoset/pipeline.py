@@ -17,7 +17,6 @@ coincidences fold the table down without another enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .coset_enum import (
@@ -403,23 +402,26 @@ def enumerate_cosets(
       generators)`` endomorphism words (:func:`_deepest_level`), so a
       small ``escalation_factor`` cannot build coverings beyond the memory
       of a table at the ceiling.
+    - ``lp`` keeps every covering it builds, and each covering keeps its
+      prepared relators (:meth:`LPresentation.covering`), so a level is
+      built and prepared once for every query on the same presentation
+      object; a weight or attempt at a level built before reads it back.
 
     Termination is guaranteed only when the index is finite; hitting the
     hard ceiling raises :class:`GaveUp`, which asserts nothing about the
     index.
     """
     _require_same_alphabet(lp.alphabet, sub.alphabet)
-    covering = cache(lp.covering)
     columns = 2 * len(lp.alphabet)
 
     def weight(level: int) -> int:
-        return sum(map(len, _prepared_relators(covering(level)))) + columns
+        return sum(map(len, _prepared_relators(lp.covering(level)))) + columns
 
     attempts = _attempts(config, len(lp.endomorphisms), len(lp.alphabet), weight)
     for escalations, (level, limit) in enumerate(attempts):
         if escalations:
             _emit(trace, "escalate", level=level, max_cosets=limit)
-        table = todd_coxeter(covering(level), sub, max_cosets=limit)
+        table = todd_coxeter(lp.covering(level), sub, max_cosets=limit)
         if table is None:
             _emit(trace, "tc-overflow", level=level, max_cosets=limit)
             continue

@@ -99,6 +99,9 @@ class LPresentation:
     endomorphisms: tuple[FreeEndomorphism, ...]
     iterated: tuple[Word, ...]
     endomorphism_names: tuple[str, ...] = ()
+    # level -> (covering, images of the iterated relators under the words of
+    # that length), for levels 0 to the deepest built, filled by ``covering``
+    _coverings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fixed", _dedup_relators(self.alphabet, self.fixed))
@@ -129,36 +132,37 @@ class LPresentation:
         Relators are the fixed ones followed by the images of each iterated
         relator under every endomorphism word of length at most ``level``,
         in increasing word order; level 0 keeps just fixed plus iterated.
-        No composite is formed: the images under a word are those under the
-        word without its last factor, mapped by that factor, so each level
-        applies one endomorphism to the images of the level before.
-        A level has at most e * k times the letters of the level before, for e
-        endomorphisms of longest image k; a level whose bound passes
-        ``MAX_COVERING_LETTERS`` is refused before it is built.
+        No composite is formed: the images under the words of one length
+        are those of the length before, mapped by each endomorphism in
+        family order.  A level has at most e * k times the letters of the
+        level before, for e endomorphisms of longest image k; a level whose
+        bound passes ``MAX_COVERING_LETTERS`` is refused before it is built.
+
+        The presentation keeps every level it builds, so a level is built
+        once, a deeper one extends the deepest built, and a covering's
+        prepared relators (``coset_enum._prepared_relators``) last as long
+        as the presentation.  A refused level keeps nothing.  Levels are
+        stored by number, so two threads that build the same level store
+        equal coverings.
         """
         if level < 0:
             raise InputError("level must be >= 0")
+        built = self._coverings
+        if not built:
+            fp = FinitePresentation(self.alphabet, self.fixed + self.iterated)
+            built[0] = (fp, self.iterated)
         family = self.endomorphisms
         growth = len(family) * max((len(w) for e in family for w in e.images), default=0)
-        relators = list(self.fixed) + list(self.iterated)
-        # factor tuple -> images of the iterated relators, in increasing word order
-        images = {(): self.iterated}
-        for depth in range(1, level + 1):
-            letters = sum(len(r) for layer in images.values() for r in layer)
-            if letters * growth > MAX_COVERING_LETTERS:
+        while level not in built:
+            deepest = len(built) - 1
+            fp, images = built[deepest]
+            if sum(map(len, images)) * growth > MAX_COVERING_LETTERS:
                 raise ResourceLimitError(
-                    f"covering level {depth} may pass {MAX_COVERING_LETTERS} relator letters"
+                    f"covering level {deepest + 1} may pass {MAX_COVERING_LETTERS} relator letters"
                 )
-            shorter = images
-            images = {}
-            for factors in shorter:
-                for k in range(len(family)):
-                    longer = (k,) + factors
-                    last = family[longer[-1]]
-                    images[longer] = tuple(last.apply(r) for r in shorter[longer[:-1]])
-                    relators.extend(images[longer])
-        return FinitePresentation(self.alphabet, tuple(relators))
-
+            images = tuple([e.apply(r) for e in family for r in images])
+            built[deepest + 1] = (FinitePresentation(self.alphabet, fp.relators + images), images)
+        return built[level][0]
 
 
 def grigorchuk() -> LPresentation:

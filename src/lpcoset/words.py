@@ -103,6 +103,9 @@ class Word:
     """A freely reduced word; the constructor rejects unreduced input.
 
     Use :meth:`reduce` to build a word from an arbitrary letter sequence.
+    Products, inverses, powers and endomorphism images are reduced by
+    construction and built through :meth:`from_reduced`, which checks
+    nothing.
     """
 
     alphabet: Alphabet
@@ -135,6 +138,15 @@ class Word:
         return cls(alphabet, free_reduce(map(checked, letters)))
 
     @classmethod
+    def from_reduced(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "Word":
+        """The word with the given ``letters``, unchecked: they must be a
+        freely reduced tuple of letters of ``alphabet``."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
         return cls(alphabet, ())
 
@@ -157,14 +169,14 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         _require_same_alphabet(self.alphabet, other.alphabet)
-        return Word(self.alphabet, _product(self.letters, other.letters))
+        return Word.from_reduced(self.alphabet, _product(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, _inverse(self.letters))
+        return Word.from_reduced(self.alphabet, _inverse(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         x = self.letters if n >= 0 else _inverse(self.letters)
-        return Word(self.alphabet, _power(x, abs(n)))
+        return Word.from_reduced(self.alphabet, _power(x, abs(n)))
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g^-1 * self * g."""
@@ -214,7 +226,7 @@ class FreeEndomorphism:
         """Substitute every letter by its image and freely reduce."""
         _require_same_alphabet(self.alphabet, w.alphabet)
         images = self.images
-        return Word(self.alphabet, free_reduce(chain.from_iterable(
+        return Word.from_reduced(self.alphabet, free_reduce(chain.from_iterable(
             images[x - 1].letters if x > 0 else _inverse(images[-x - 1].letters)
             for x in w.letters
         )))

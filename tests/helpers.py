@@ -1353,3 +1353,27 @@ def hall_counts(orders: Sequence[int], n: int) -> dict[int, Fraction]:
             Fraction(h[k - i], factorial(k - i)) * a[i] for i in range(1, k)
         )
     return a
+
+
+# L-presentations of free products of cyclic groups, as presentation-file
+# text, each with the orders that ``hall_counts`` takes.  Their coverings
+# are free products too, of more factors or of Z in place of a cyclic
+# group below the level where every relator of the group is present, so a
+# low-index count that depended on the level would show against Hall's.
+L_PRESENTED_FREE_PRODUCTS = {
+    # a^2, b^3 and the images c^3 of b^3: C2*C3*C3 from level 1 on
+    "C2*C3*C3": (
+        "generators: a b c\nendomorphism: a -> a, b -> c, c -> c\niterated: a^2 b^3\n",
+        (2, 3, 3),
+    ),
+    # the shift x1 -> x2 -> x3 -> x3 gives x2^2 at level 1 and x3^2 at 2
+    "C2*C2*C2": (
+        "generators: x1 x2 x3\nendomorphism: x1 -> x2, x2 -> x3, x3 -> x3\niterated: x1^2\n",
+        (2, 2, 2),
+    ),
+    # the images of a^4 are its conjugates b^k*a^4*b^-k, so C4*C2 at every level
+    "C4*C2": (
+        "generators: a b\nendomorphism: a -> b*a*b^-1, b -> b\niterated: a^4 b^2\n",
+        (4, 2),
+    ),
+}

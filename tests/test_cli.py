@@ -681,16 +681,22 @@ class TestEachCommandReadsItsSettings:
             "low-index builtin:grigorchuk --max-index 2 --hard-ceiling 5",
             "low-index builtin:grigorchuk --max-index 2 --max-cosets 4",
             "validate builtin:basilica --table u.dump --level 3",
+            "index builtin:basilica --subgroup a --word a",
         ],
     )
     def test_a_setting_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        # the usage and the error name the command, whose usage lists what it reads
+        command = argv.split()[0]
         with pytest.raises(SystemExit) as info:
             main(argv.split())
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: lpcoset ")
-        assert f"error: unrecognized arguments: {' '.join(argv.split()[-2:])}\n" in captured.err
+        assert captured.err.startswith(f"usage: lpcoset {command} [-h] ")
+        assert captured.err.endswith(
+            f"\nlpcoset {command}: error: unrecognized arguments: "
+            f"{' '.join(argv.split()[-2:])}\n"
+        )
 
     def test_reduction_cap_is_checked_by_the_library(self, tmp_path):
         # the candidate cap stops the descent before any validity walk

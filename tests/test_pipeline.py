@@ -681,9 +681,11 @@ class TestEscalationSchedule:
         )
         assert new.table.rows == old.table.rows
 
-    def test_first_attempt_closing_builds_one_covering(self, bas):
+    def test_first_attempt_closing_builds_one_covering(self):
         # the subgroup queries close on the first attempt: one covering and
-        # one relator preparation, the enumeration's own
+        # one relator preparation, the enumeration's own; a fresh
+        # presentation, since a shared one keeps the coverings it built
+        bas = basilica()
         calls = []
         prepare = coset_enum._prepared_relators
         cover = LPresentation.covering

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -14,8 +15,10 @@ from lpcoset import (
     ParseError,
     ResourceLimitError,
     Word,
+    basilica,
     builtin_presentation,
     burnside,
+    enumerate_cosets,
     grigorchuk,
     load_presentation,
     low_index,
@@ -25,6 +28,7 @@ from lpcoset import (
     parse_words,
 )
 from lpcoset import presentations
+from lpcoset.coset_enum import _prepared_relators
 
 from helpers import (
     composite_covering,
@@ -226,6 +230,76 @@ class TestCovering:
 
         with pytest.raises(InputError):
             bas.covering(-1)
+
+
+class TestCoveringMemo:
+    """``LPresentation.covering`` keeps every level it builds on the
+    presentation object."""
+
+    @pytest.mark.parametrize("name", ["grigorchuk", "basilica", "burnside(2,2)", "burnside(2,3)"])
+    def test_levels_in_any_order_match_a_fresh_object(self, name):
+        lp = builtin_presentation(name)
+        for level in (3, 0, 2, 1):
+            kept = lp.covering(level)
+            assert kept.relators == builtin_presentation(name).covering(level).relators
+            assert kept.relators == composite_covering(lp, level).relators
+            assert lp.covering(level) is kept
+
+    def test_a_level_is_prepared_once(self):
+        lp = burnside(2, 3)
+        prepared = _prepared_relators(lp.covering(2))
+        assert _prepared_relators(lp.covering(2)) is prepared
+
+    def test_repeated_queries_build_no_covering(self, monkeypatch):
+        # the first query overflows at level 0 and builds levels 0 to 2;
+        # the second reads them back and answers the same
+        lp = burnside(2, 3)
+        sub = parse_subgroup(lp.alphabet, "a1")
+        built = []
+        plain = presentations.FinitePresentation
+
+        def counted(*args):
+            built.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(presentations, "FinitePresentation", counted)
+        first = enumerate_cosets(lp, sub)
+        assert first.escalations > 0 and len(built) == first.level_used + 1
+        built.clear()
+        again = enumerate_cosets(lp, sub)
+        assert built == []
+        assert (again.index, again.level_used, again.escalations) == (
+            first.index, first.level_used, first.escalations
+        )
+        assert again.table.rows == first.table.rows
+
+    def test_kept_coverings_take_no_part_in_comparison(self):
+        lp, fresh = grigorchuk(), grigorchuk()
+        lp.covering(2)
+        assert lp == fresh
+        assert hash(lp) == hash(fresh)
+        assert repr(lp) == repr(fresh)
+
+    def test_a_replaced_presentation_starts_with_no_coverings(self):
+        lp = grigorchuk()
+        lp.covering(2)
+        bare = dataclasses.replace(lp, fixed=(), iterated=())
+        assert bare._coverings == {}
+        assert bare.covering(2).relators == ()
+        assert len(lp._coverings) == 3
+
+    def test_a_refused_level_keeps_nothing_and_stays_refused(self, monkeypatch):
+        # Basilica's iterated relator and its sigma-image have 8 and 12
+        # letters, and sigma's longest image 2: a budget of 20 lets level 1
+        # (2 * 8) through and refuses level 2 (2 * 12)
+        monkeypatch.setattr(presentations, "MAX_COVERING_LETTERS", 20)
+        lp = basilica()
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="covering level 2"):
+                lp.covering(3)
+            assert len(lp._coverings) == 2
+        monkeypatch.setattr(presentations, "MAX_COVERING_LETTERS", 10**6)
+        assert lp.covering(3).relators == basilica().covering(3).relators
 
 
 class TestWordGrammar:

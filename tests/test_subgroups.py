@@ -49,6 +49,7 @@ from lpcoset.subgroups import (
 from lpcoset.words import Alphabet
 
 from helpers import (
+    L_PRESENTED_FREE_PRODUCTS,
     conjugates,
     contains_by_generators,
     hall_counts,
@@ -820,6 +821,13 @@ def _nonzero(counts: dict) -> dict:
     return {k: v for k, v in counts.items() if v}
 
 
+def _l_presented(name: str) -> tuple[LPresentation, tuple[int, ...]]:
+    """A fresh presentation of ``helpers.L_PRESENTED_FREE_PRODUCTS`` and
+    its cyclic orders."""
+    text, orders = L_PRESENTED_FREE_PRODUCTS[name]
+    return parse_lpresentation(text), orders
+
+
 class TestHallsFormula:
     """Subgroup counts of free products of cyclic groups against
     ``helpers.hall_counts``, which counts them without coset tables."""
@@ -836,10 +844,69 @@ class TestHallsFormula:
     def test_l_presented_free_product(self, level):
         # <a,b,c | | a->a, b->c, c->c | a^2, b^3> is C2*C3*C3: the
         # iterated relators give a^2, b^3 and c^3, and level 0 has no c^3
-        lp = parse_lpresentation(
-            "generators: a b c\nendomorphism: a -> a, b -> c, c -> c\niterated: a^2 b^3\n"
-        )
-        assert low_index(lp, 5, level=level).counts() == _nonzero(hall_counts((2, 3, 3), 5))
+        lp, orders = _l_presented("C2*C3*C3")
+        assert low_index(lp, 5, level=level).counts() == _nonzero(hall_counts(orders, 5))
+
+    @pytest.mark.parametrize(
+        "name, max_indexes",
+        [
+            ("C2*C2*C2", (4, 5, 6)),
+            ("C4*C2", (7, 7, 7)),
+            pytest.param("C2*C2*C2", (5, 6, 7), marks=pytest.mark.stretch),
+            pytest.param("C4*C2", (8, 8, 8), marks=pytest.mark.stretch),
+        ],
+        ids=["C2*C2*C2", "C4*C2", "C2*C2*C2-deeper", "C4*C2-deeper"],
+    )
+    def test_l_presented_free_products_at_levels_0_to_2(self, name, max_indexes):
+        # one presentation object, read at levels 0, 1 and 2 in turn
+        lp, orders = _l_presented(name)
+        for level, max_index in enumerate(max_indexes):
+            slist = low_index(lp, max_index, level=level)
+            assert slist.counts() == _nonzero(hall_counts(orders, max_index)), level
+
+    def test_free_covering_passes_the_coset_ceiling(self, monkeypatch):
+        # level 0 of C2*C2*C2 is C2*Z*Z, whose candidate tables of index 6
+        # pass the coset ceiling
+        lp, orders = _l_presented("C2*C2*C2")
+        with pytest.raises(LowIndexIncomplete, match="the coset ceiling"):
+            low_index(lp, 6, level=0)
+        # what a lower ceiling lets through folds to subgroups of C2*C2*C2,
+        # so no index has more than Hall's count
+        monkeypatch.setattr(lpcoset.subgroups, "DEFAULT_MAX_COSETS", 6000)
+        with pytest.raises(LowIndexIncomplete, match="after 1000 candidate tables") as info:
+            low_index(lp, 6, level=0)
+        partial = info.value.partial.counts()
+        hall = hall_counts(orders, 6)
+        assert partial and all(count <= hall[k] for k, count in partial.items())
+
+
+class TestAbelianQuotientCounts:
+    """A subgroup contains the derived subgroup exactly when its coset
+    action is abelian, so the low-index entries whose generator images
+    commute are the subgroups of the abelianization: Z^2 for Basilica,
+    with sigma(n) subgroups of index n, (Z/2)^3 for Grigorchuk and
+    (Z/3)^2 for B(2,3)."""
+
+    @pytest.mark.parametrize(
+        "name, max_index, level, expected",
+        [
+            ("basilica", 10, 3, {1: 1, 2: 3, 3: 4, 4: 7, 5: 6, 6: 12, 7: 8, 8: 15, 9: 13, 10: 18}),
+            ("grigorchuk", 8, 2, {1: 1, 2: 7, 4: 7, 8: 1}),
+            ("burnside(2,3)", 9, 2, {1: 1, 3: 4, 9: 1}),
+            pytest.param(
+                "grigorchuk", 16, 3, {1: 1, 2: 7, 4: 7, 8: 1}, marks=pytest.mark.stretch
+            ),
+        ],
+    )
+    def test_abelian_entries_are_the_subgroups_of_the_abelianization(
+        self, name, max_index, level, expected
+    ):
+        counts: dict[int, int] = {}
+        for e in low_index(builtin_presentation(name), max_index, level=level).entries:
+            perms = e.subgroup.rep.perms
+            if all(p * q == q * p for p, q in itertools.combinations(perms, 2)):
+                counts[e.subgroup.index] = counts.get(e.subgroup.index, 0) + 1
+        assert counts == expected
 
 
 class TestMarkNormalAndMaximal:

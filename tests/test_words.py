@@ -211,6 +211,54 @@ class TestEndomorphisms:
             assert compose(compose(e, f), g) == compose(e, compose(f, g))
 
 
+reduced_words = letters_strategy.map(lambda letters: Word.reduce(ABC, letters))
+endomorphisms = st.lists(reduced_words, min_size=4, max_size=4).map(
+    lambda images: FreeEndomorphism(ABC, tuple(images))
+)
+
+
+def inverse_letters(w: Word) -> list[int]:
+    return [-x for x in reversed(w.letters)]
+
+
+class TestUncheckedResults:
+    """Products, inverses, powers and endomorphism images are built by
+    ``Word.from_reduced``, which checks nothing; each must be the word
+    that the checked paths build from the same letters."""
+
+    @staticmethod
+    def assert_checked(w: Word, expected: Word) -> None:
+        assert type(w.letters) is tuple
+        checked = Word(w.alphabet, w.letters)  # raises on a letter out of range or unreduced
+        assert w == checked == expected
+        assert hash(w) == hash(checked)
+
+    @settings(max_examples=150)
+    @given(reduced_words, reduced_words, st.integers(0, 24), st.integers(-6, 6), endomorphisms)
+    @example(Word(ABC, (1, 2)), Word(ABC, ()), 0, 2, FreeEndomorphism(
+        ABC, (word(ABC, 2), word(ABC, -2), word(ABC, 3), word(ABC, 4))
+    ))
+    def test_match_the_checked_constructor(self, u, tail, k, n, e):
+        # v begins with the inverse of up to k letters of u, so u * v
+        # cancels at the seam, completely when k covers u and tail is empty
+        v = u.letters[max(len(u) - k, 0):]
+        v = Word.reduce(ABC, [-x for x in reversed(v)] + list(tail.letters))
+        powered = u.letters if n >= 0 else tuple(inverse_letters(u))
+        images = [
+            x for y in u.letters
+            for x in (e.images[y - 1].letters if y > 0 else inverse_letters(e.images[-y - 1]))
+        ]
+        for w, expected in [
+            (u * v, Word.reduce(ABC, u.letters + v.letters)),
+            (u * u.inverse(), Word(ABC, ())),
+            (u.inverse(), Word.reduce(ABC, inverse_letters(u))),
+            (u**n, Word.reduce(ABC, powered * abs(n))),
+            (u.conjugated_by(v), Word.reduce(ABC, inverse_letters(v) + list(u) + list(v))),
+            (e.apply(u), Word.reduce(ABC, images)),
+        ]:
+            self.assert_checked(w, expected)
+
+
 FAMILY = (BAS_SIGMA, compose(BAS_SIGMA, BAS_SIGMA))
 
 
