@@ -188,6 +188,8 @@ def _cmd_intersect(args, trace, out) -> None:
 
 
 def _cmd_low_index(args, trace, out) -> None:
+    if args.list and args.format == "csv":
+        args.parser.error("--list has no CSV form; use --format table or json")
     slist = low_index(
         load_presentation(args.presentation),
         args.max_index,

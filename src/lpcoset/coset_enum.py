@@ -2,11 +2,12 @@
 
 Two table forms: a mutable engine used while enumerating (rows indexed by
 coset id with a union-find over ids and a coincidence queue) and an
-immutable snapshot (:class:`CosetTable`) used by everything else.  Signed
-letters map to column indices so that a column's inverse is ``col ^ 1``.
-Coset ids are dense positive integers; ids freed by coincidences are never
-reused within a run, and snapshots are compressed back to 1..n preserving
-id order.
+immutable closed table (:class:`CosetTable`) used by everything else.
+Signed letters map to column indices so that a column's inverse is
+``col ^ 1``.  Coset ids are dense positive integers; ids freed by
+coincidences are never reused within a run, and a snapshot numbers the
+live cosets breadth-first from coset 1, so every table the enumerator
+returns is standardized.
 
 The enumeration is relator driven (HLT, Havas, "Coset enumeration
 strategies", ISSAC 1991): one HLT pass scans the relators coset by coset,
@@ -58,11 +59,11 @@ def _cyclically_reduce(w: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Action of the generators on cosets 1..n; entry 0 means undefined.
+    """Closed action of the generators on cosets 1..n.
 
     ``rows[c - 1][col]`` is the image of coset c under the column's signed
-    letter.  Whenever an entry is defined its mirror is too, so defined
-    entries always satisfy the action-consistency invariant.
+    letter.  Every entry is defined and has its mirror, so each column is a
+    permutation of the cosets and the inverse column its inverse.
     """
 
     alphabet: Alphabet
@@ -76,9 +77,10 @@ class CosetTable:
         for c, row in enumerate(rows, start=1):
             if len(row) != ncols:
                 raise InputError(f"row {c} has {len(row)} entries, expected {ncols}")
+            if 0 in row:
+                raise InputError(f"row {c} has an undefined entry")
+        for c, row in enumerate(rows, start=1):
             for col, d in enumerate(row):
-                if d == 0:
-                    continue
                 if not 1 <= d <= n:
                     raise InputError(f"entry {d} out of range in row {c}")
                 if rows[d - 1][col ^ 1] != c:
@@ -90,13 +92,9 @@ class CosetTable:
     def size(self) -> int:
         return len(self.rows)
 
-    @property
-    def is_closed(self) -> bool:
-        return all(all(d != 0 for d in row) for row in self.rows)
 
-
-def trace(table: CosetTable, start: int, w: Word) -> int | None:
-    """Follow ``w`` letter by letter from ``start``; None when undefined."""
+def trace(table: CosetTable, start: int, w: Word) -> int:
+    """Follow ``w`` letter by letter from ``start``."""
     if not 1 <= start <= table.size:
         raise InputError(f"coset {start} out of range 1..{table.size}")
     _require_same_alphabet(table.alphabet, w.alphabet)
@@ -104,8 +102,6 @@ def trace(table: CosetTable, start: int, w: Word) -> int | None:
     rows = table.rows
     for x in w.letters:
         c = rows[c - 1][_col_of(x)]
-        if c == 0:
-            return None
     return c
 
 
@@ -239,16 +235,20 @@ class _Engine:
             i += 1
 
     def snapshot(self, alphabet: Alphabet) -> CosetTable:
-        """Compress live cosets to 1..n in id order."""
-        live = [c for c in range(1, len(self.tab)) if self.p[c] == c]
-        newid = {c: i + 1 for i, c in enumerate(live)}
-        rows = []
-        for c in live:
-            row = []
-            for d in self.tab[c]:
-                row.append(newid[self.find(d)] if d else 0)
-            rows.append(tuple(row))
-        return CosetTable(alphabet, tuple(rows))
+        """The live cosets as a standardized closed table: numbered
+        breadth-first from coset 1 over the generator columns, as
+        :func:`standardize` numbers them.
+
+        An undefined entry in a live row is a fault of the enumeration and
+        raises ``RuntimeError``; live cosets that coset 1 does not reach
+        raise :class:`PreconditionError`."""
+        tab, p, find = self.tab, self.p, self.find
+        if any(0 in tab[c] for c in range(1, len(tab)) if p[c] == c):
+            raise RuntimeError("enumeration left an undefined entry in a live row")
+        transitions = _closure(1, range(0, self.ncols, 2), lambda c, col: find(tab[c][col]))
+        if len(transitions) != self.alive:
+            raise PreconditionError("table is not transitive from coset 1")
+        return _closed_table(alphabet, transitions)
 
 
 def _prepared_relators(fp: FinitePresentation) -> list[tuple[int, ...]]:
@@ -342,10 +342,10 @@ def todd_coxeter(
     deterministic, so a run that overflows is a prefix of the same run
     with a larger limit.
 
-    Returns the closed table, or ``None`` when the limit was hit (a normal
-    outcome that callers treat as a signal to escalate).  The closed table
-    is verified before being returned: every relator closes from every
-    coset and every subgroup generator closes from coset 1.
+    Returns the closed table, standardized, or ``None`` when the limit was
+    hit (a normal outcome that callers treat as a signal to escalate).  The
+    table is verified before being returned: every relator closes from
+    every coset and every subgroup generator closes from coset 1.
     """
     _require_same_alphabet(fp.alphabet, sub.alphabet)
     if max_cosets < 1:
@@ -375,8 +375,6 @@ def todd_coxeter(
 
 
 def _verify_closed(table: CosetTable, fp: FinitePresentation, sub: SubgroupSpec) -> None:
-    if not table.is_closed:
-        raise RuntimeError("enumeration stopped with an incomplete table")
     # the first coset that some relator moves, with the first such relator
     rep = to_perm_rep(table)
     moved = min(rep.outside_kernel(fp.relators), key=lambda m: m[2], default=None)
@@ -390,6 +388,9 @@ def _verify_closed(table: CosetTable, fp: FinitePresentation, sub: SubgroupSpec)
 def merge_coincidences(
     table: CosetTable, pairs: Iterable[tuple[int, int]]
 ) -> CosetTable:
+    """The quotient of ``table`` in which each pair of cosets coincides,
+    standardized.  Coset 1 must reach every coset of the quotient, as it
+    does when ``table`` is transitive; otherwise :class:`PreconditionError`."""
     ncols = 2 * len(table.alphabet)
     eng = _Engine.from_rows(table.rows, ncols)
     for c, d in pairs:
@@ -407,8 +408,6 @@ def standardize(table: CosetTable, base: int = 1) -> CosetTable:
     exactly when their standardized forms are identical.  With ``base`` = c
     the result is the table of the conjugate subgroup stabilizing coset c.
     """
-    if not table.is_closed:
-        raise PreconditionError("standardize requires a closed table")
     n = table.size
     if not 1 <= base <= n:
         raise InputError(f"coset {base} out of range 1..{n}")
@@ -441,15 +440,11 @@ def to_perm_rep(table: CosetTable) -> PermutationRep:
     """The permutation action of each generator on the cosets.  A closed
     table's generator columns are permutations, because every entry has its
     mirror, so they are not checked again."""
-    if not table.is_closed:
-        raise PreconditionError("permutation representation requires a closed table")
     return PermutationRep.from_tables(table.alphabet, table.size, _generator_columns(table))
 
 
 def coset_representatives(table: CosetTable) -> list[Word]:
     """Shortest transversal words, breadth-first, generators before inverses."""
-    if not table.is_closed:
-        raise PreconditionError("transversal requires a closed table")
     ngens = len(table.alphabet)
     step_letters = [g + 1 for g in range(ngens)] + [-(g + 1) for g in range(ngens)]
     reps: list[Word | None] = [None] * (table.size + 1)

@@ -368,8 +368,8 @@ def _low_index_tables(
         """-1 when the table re-rooted at ``root`` is smaller at the first
         entry where the two differ, 1 when it is larger there, 0 when they
         agree everywhere, ``None`` when an undefined entry comes first."""
-        newid = [0] * (n + 1)
-        newid[root] = 1
+        label = [0] * (n + 1)
+        label[root] = 1
         order = [0, root]
         fresh = 2
         for r in range(1, n + 1):
@@ -379,9 +379,9 @@ def _low_index_tables(
                 u = arr[r]
                 if not t or not u:
                     return None
-                m = newid[t]
+                m = label[t]
                 if not m:
-                    m = newid[t] = fresh
+                    m = label[t] = fresh
                     fresh += 1
                     order.append(t)
                 if m != u:
@@ -418,9 +418,8 @@ def _low_index_tables(
                 capped = True
                 raise _SearchCapped
             total += size
-            # with no generators zip would give no rows, not n empty ones
-            rows = tuple(zip(*(arr[1 : n + 1] for arr in cols))) if cols else ((),) * n
-            results.append((CosetTable(alphabet, rows), size))
+            transitions = [[arr[c] - 1 for arr in gencols] for c in range(1, n + 1)]
+            results.append((_closed_table(alphabet, transitions), size))
             return
         col = 2 * gi
         fwd = cols[col]

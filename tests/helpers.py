@@ -318,8 +318,6 @@ def transitive_tables_by_exhaustion(lp, max_index: int, level: int):
 def reference_standardize(table: CosetTable, base: int = 1) -> CosetTable:
     """The former ``coset_enum.standardize``, with its own breadth-first
     loop.  Reference for the closure it now shares with ``image_group``."""
-    if not table.is_closed:
-        raise PreconditionError("standardize requires a closed table")
     n = table.size
     if not 1 <= base <= n:
         raise InputError(f"coset {base} out of range 1..{n}")

@@ -315,6 +315,16 @@ class TestValidateCommand:
         code, _, err = run_cli("validate", "builtin:basilica", "--table", str(dump))
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_partial_dump_is_parse_error(self, tmp_path, fmt):
+        # a = (1 2) and b fixing coset 2, both ways undefined at coset 1:
+        # every defined entry has its mirror
+        dump = tmp_path / "partial.dump"
+        dump.write_text("2\t0\t2\t0\n1\t2\t1\t2\n")
+        assert run_cli(
+            "validate", "builtin:basilica", "--table", str(dump), "--format", fmt
+        ) == (EXIT_PARSE, "", "error: inconsistent table dump: row 1 has an undefined entry\n")
+
     def test_missing_dump_file(self):
         code, _, _ = run_cli("validate", "builtin:basilica", "--table", "/nonexistent")
         assert code == EXIT_PARSE
@@ -697,6 +707,21 @@ class TestEachCommandReadsItsSettings:
             f"\nlpcoset {command}: error: unrecognized arguments: "
             f"{' '.join(argv.split()[-2:])}\n"
         )
+
+    def test_list_has_no_csv_form(self, capsys):
+        # the CSV report is the count table alone, so the list would be lost
+        argv = "low-index builtin:basilica --max-index 3 --list --format csv".split()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: lpcoset low-index [-h] ")
+        assert captured.err.endswith(
+            "\nlpcoset low-index: error: --list has no CSV form; use --format table or json\n"
+        )
+        code, out, _ = run_cli(*argv[:-1], "json")
+        assert code == EXIT_OK and len(json.loads(out)["subgroups"]) == 11
 
     def test_reduction_cap_is_checked_by_the_library(self, tmp_path):
         # the candidate cap stops the descent before any validity walk

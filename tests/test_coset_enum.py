@@ -15,7 +15,6 @@ from lpcoset import (
     ParseError,
     Permutation,
     PermutationRep,
-    PreconditionError,
     SubgroupSpec,
     Word,
     basilica,
@@ -301,7 +300,6 @@ class TestToddCoxeter:
         abc = Alphabet(())
         table = todd_coxeter(FinitePresentation(abc, ()), SubgroupSpec(abc, ()))
         assert table.size == 1
-        assert table.is_closed
 
     def test_closed_invariants(self, grig):
         fp = grig.covering(1)
@@ -310,7 +308,6 @@ class TestToddCoxeter:
             tuple(parse_words(grig.alphabet, "b, c, d, a*b*a, a*c*a, a*d*a")),
         )
         table = todd_coxeter(fp, sub)
-        assert table.is_closed
         for c in range(1, table.size + 1):
             for r in fp.relators:
                 assert trace(table, c, r) == c
@@ -456,11 +453,11 @@ class TestVerifyClosed:
         _verify_closed(*self.s3("a^2, b^2, (a*b)^3", "b"))
 
     def test_incomplete_table(self):
-        abc = Alphabet(("a",))
-        table = CosetTable(abc, ((0, 0),))
-        fp = FinitePresentation(abc, ())
-        with pytest.raises(RuntimeError, match="incomplete table"):
-            _verify_closed(table, fp, SubgroupSpec(abc, ()))
+        # a live row with an undefined entry is an engine fault, raised
+        # where the engine's table is read out
+        eng = _Engine.from_rows(((2, 2), (1, 0)), 2)
+        with pytest.raises(RuntimeError, match="undefined entry in a live row"):
+            eng.snapshot(Alphabet(("a",)))
 
     def test_names_the_relator_and_the_first_coset_it_fails_from(self):
         # b fails from cosets 2 and 3, a*b*a from 1; cosets are checked in
@@ -489,11 +486,6 @@ class TestTrace:
         assert table.rows[0][0] == 2  # a from coset 1
         assert table.rows[1][1] == 1  # a^-1 from coset 2
         assert trace(table, 1, Word.identity(table.alphabet)) == 1
-
-    def test_partial_table_returns_none(self, bas):
-        rows = ((0, 0, 0, 0),)
-        table = CosetTable(bas.alphabet, rows)
-        assert trace(table, 1, Word.generator(bas.alphabet, 1)) is None
 
     def test_out_of_range_start(self, bas_u_result):
         with pytest.raises(InputError):
@@ -541,8 +533,7 @@ class TestMergeCoincidence:
 
     def test_merged_table_stays_closed_and_reachable(self, bas_u_result):
         merged = merge_coincidences(bas_u_result.table, [(1, 2)])
-        assert merged.is_closed
-        standardize(merged)  # raises if some coset is unreachable
+        assert standardize(merged).rows == merged.rows
 
 
 class TestStandardize:
@@ -567,9 +558,10 @@ class TestStandardize:
         assert rep.perms[1] == Permutation.from_cycles(3, [(2, 3)])
 
     def test_requires_closed(self, bas):
-        table = CosetTable(bas.alphabet, ((0, 0, 0, 0),))
-        with pytest.raises(PreconditionError):
-            standardize(table)
+        # every table is closed: one with an undefined entry is refused
+        # before any function can read it
+        with pytest.raises(InputError, match="^row 2 has an undefined entry$"):
+            CosetTable(bas.alphabet, ((2, 2, 2, 2), (1, 0, 1, 1)))
 
     def test_base_gives_the_rerooted_table(self, bas_u_result):
         table = standardize(bas_u_result.table)
@@ -632,6 +624,11 @@ class TestDumpFormat:
         with pytest.raises(ParseError):
             parse_table_dump(bas.alphabet, bad)
 
+    def test_rejects_undefined_entry(self, bas, bas_u_result):
+        text = dump_table(bas_u_result.table).replace("3", "0", 1)
+        with pytest.raises(ParseError, match="undefined entry"):
+            parse_table_dump(bas.alphabet, text)
+
     def test_comments_and_blanks_ignored(self, bas, bas_u_result):
         text = "# header\n\n" + dump_table(bas_u_result.table)
         assert parse_table_dump(bas.alphabet, text).rows == bas_u_result.table.rows
@@ -642,6 +639,22 @@ class TestTableValidation:
         with pytest.raises(InputError):
             CosetTable(bas.alphabet, ((5, 1, 1, 1),))
 
+    def test_undefined_entry(self, bas_u_result):
+        # a 0 anywhere is refused, whether or not its mirror is defined
+        table = bas_u_result.table
+        for c, row in enumerate(table.rows, start=1):
+            for col in range(len(row)):
+                rows = list(table.rows)
+                rows[c - 1] = row[:col] + (0,) + row[col + 1 :]
+                with pytest.raises(InputError) as err:
+                    CosetTable(table.alphabet, tuple(rows))
+                assert str(err.value) == f"row {c} has an undefined entry"
+
     def test_row_width(self, bas):
         with pytest.raises(InputError):
             CosetTable(bas.alphabet, ((1, 1),))
+
+    def test_short_row_after_an_entry_pointing_at_it(self):
+        # widths are checked before any mirror is looked up
+        with pytest.raises(InputError, match="^row 2 has 1 entries, expected 2$"):
+            CosetTable(Alphabet(("a",)), ((2, 1), (1,)))

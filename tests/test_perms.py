@@ -33,6 +33,7 @@ from lpcoset import (
     intersect,
     kernel_contained,
     low_index,
+    merge_coincidences,
     standardize,
     to_perm_rep,
     word_image,
@@ -40,6 +41,7 @@ from lpcoset import (
 
 from helpers import (
     composite,
+    congruence_quotient_size,
     endo_image,
     random_word,
     reduces,
@@ -232,6 +234,30 @@ class TestOneClosure:
         got = _outcome(lambda: standardize(table, base))
         assert got == _outcome(lambda: reference_standardize(table, base))
         assert got[0] is PreconditionError
+
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_tables(st.integers(1, 6)), _closed_tables(st.integers(1, 6)), st.data())
+    def test_a_merge_must_join_the_orbits(self, t, u, data):
+        # merge_coincidences numbers its quotient from coset 1 through the
+        # closure, so the pairs must join every orbit to coset 1's
+        table = _disjoint_union(t, u)
+        n = table.size
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3))
+        parent = list(range(n + 1))
+
+        def find(c):
+            while parent[c] != c:
+                c = parent[c]
+            return c
+
+        for c, d in [(c, d) for c, row in enumerate(table.rows, start=1) for d in row] + pairs:
+            parent[find(c)] = find(d)
+        got = _outcome(lambda: merge_coincidences(table, pairs))
+        if len({find(c) for c in range(1, n + 1)}) == 1:
+            assert standardize(got).rows == got.rows
+            assert got.size == congruence_quotient_size(table, pairs)
+        else:
+            assert got == (PreconditionError, "table is not transitive from coset 1")
 
     @settings(max_examples=30, deadline=None)
     @given(_closed_tables())
