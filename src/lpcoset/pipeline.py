@@ -36,7 +36,7 @@ from .perms import (
     image_group,
     kernel_contained,
 )
-from .presentations import LPresentation, SubgroupSpec
+from .presentations import LPresentation, SubgroupSpec, abelian_rank
 from .words import EndoWord, Word, _require_same_alphabet
 
 DEFAULT_REDUCTION_CAP = 10**5
@@ -405,22 +405,35 @@ def enumerate_cosets(
       prepared relators (:meth:`LPresentation.covering`), so a level is
       built and prepared once for every query on the same presentation
       object; a weight or attempt at a level built before reads it back.
+    - An attempt whose overflow is certain skips the enumerator: when the
+      exponent sums of the covering's relators and the subgroup's
+      generators span less than Q^m for m generators
+      (:func:`abelian_rank`), H * G_L' and so H have infinite index in the
+      covering group G_L.  The attempt counts as one all the same and
+      traces ``tc-infinite`` in place of ``tc-overflow``.  The certificate
+      concerns G_L only and says nothing about the index in the
+      L-presented group, so it changes no answer.
 
     Termination is guaranteed only when the index is finite; hitting the
     hard ceiling raises :class:`GaveUp`, which asserts nothing about the
     index.
     """
     _require_same_alphabet(lp.alphabet, sub.alphabet)
-    columns = 2 * len(lp.alphabet)
+    m = len(lp.alphabet)
 
     def weight(level: int) -> int:
-        return sum(map(len, _prepared_relators(lp.covering(level)))) + columns
+        return sum(map(len, _prepared_relators(lp.covering(level)))) + 2 * m
 
-    attempts = _attempts(config, len(lp.endomorphisms), len(lp.alphabet), weight)
+    attempts = _attempts(config, len(lp.endomorphisms), m, weight)
     for escalations, (level, limit) in enumerate(attempts):
         if escalations:
             _emit(trace, "escalate", level=level, max_cosets=limit)
-        table = todd_coxeter(lp.covering(level), sub, max_cosets=limit)
+        cover = lp.covering(level)
+        rank = abelian_rank(cover, sub.generators)
+        if rank < m:
+            _emit(trace, "tc-infinite", level=level, max_cosets=limit, rank=rank, generators=m)
+            continue
+        table = todd_coxeter(cover, sub, max_cosets=limit)
         if table is None:
             _emit(trace, "tc-overflow", level=level, max_cosets=limit)
             continue

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import gcd
+from typing import Iterable
 
 from .errors import InputError, ParseError, ResourceLimitError
 from .words import (
@@ -66,11 +68,75 @@ class FinitePresentation:
     relators: tuple[Word, ...]
     # the column words of coset_enum._prepared_relators, set on first use
     _prepared: list = field(default=None, init=False, repr=False, compare=False)
+    # the echelon basis of the relators' exponent sums, set by abelian_rank
+    _abelian: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "relators", _dedup_relators(self.alphabet, self.relators)
         )
+
+
+def _exponent_sums(w: Word) -> list[int]:
+    """The image of ``w`` in Z^m: the exponent sum of every generator."""
+    x = w.letters
+    return [x.count(i) - x.count(-i) for i in range(1, len(w.alphabet) + 1)]
+
+
+def _echelon_insert(basis: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Reduce the integer row ``v`` against ``basis`` and append what is
+    left, unless it is zero; whether it was appended.
+
+    ``basis`` holds (pivot column, row) pairs in insertion order, each row
+    zero at the pivots of the rows before it, so one pass in that order
+    clears every pivot of ``v``.  Elimination is over the integers: ``v``
+    and the basis row are scaled by the least multipliers that cancel the
+    pivot, and a new row is divided by the gcd of its entries.  Nothing is
+    reduced modulo a prime, where a rank can come out too small.
+    """
+    for p, b in basis:
+        c = v[p]
+        if c:
+            g = gcd(c, b[p])
+            c, d = c // g, b[p] // g
+            v = [d * x - c * y for x, y in zip(v, b)]
+    g = gcd(*v)
+    if not g:
+        return False
+    if g > 1:
+        v = [x // g for x in v]
+    basis.append((next(i for i, x in enumerate(v) if x), v))
+    return True
+
+
+def abelian_rank(fp: FinitePresentation, words: Iterable[Word]) -> int:
+    """The rank over Q of the exponent-sum vectors of the relators of
+    ``fp`` together with those of ``words``.
+
+    Below m, the number of generators, the subgroup H that ``words``
+    generate has infinite index in the group G that ``fp`` presents: the
+    vectors span the image of H * G' in the abelianization Z^m / R of G,
+    whose index is that of H * G' in G (Bartholdi, Eick and Hartung, 2008).
+
+    The echelon basis of the relators is built on first use and kept on
+    ``fp``; it stops growing at rank m, so a presentation of full
+    relator rank answers in O(1) from then on.
+    """
+    m = len(fp.alphabet)
+    if fp._abelian is None:
+        basis: list[tuple[int, list[int]]] = []
+        for r in fp.relators:
+            if len(basis) == m:
+                break
+            _echelon_insert(basis, _exponent_sums(r))
+        object.__setattr__(fp, "_abelian", tuple(basis))
+    if len(fp._abelian) == m:
+        return m
+    basis = list(fp._abelian)
+    for w in words:
+        if _echelon_insert(basis, _exponent_sums(w)) and len(basis) == m:
+            break
+    return len(basis)
 
 
 @dataclass(frozen=True)

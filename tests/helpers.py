@@ -798,6 +798,7 @@ class _FelschEngine(_Engine):
                         self.tab[mu][col] = nu
                         self.tab[nu][col ^ 1] = mu
                 self.deductions.append((mu, col))
+            self.tab[dead] = None
 
     def scan(self, a, w):
         """Trace the cycle ``w`` based at ``a``; deduce or coincide, never
@@ -1375,3 +1376,30 @@ L_PRESENTED_FREE_PRODUCTS = {
         (4, 2),
     ),
 }
+
+
+def fraction_rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank over Q by Gauss-Jordan elimination on ``Fraction``
+    entries.  Reference for ``presentations._echelon_insert``, which stays
+    in the integers."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def exponent_sum_vector(w: Word) -> list[int]:
+    """The exponent sum of every generator in ``w``, letter by letter."""
+    v = [0] * len(w.alphabet)
+    for x in w.letters:
+        v[abs(x) - 1] += 1 if x > 0 else -1
+    return v

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 import lpcoset.subgroups
-from lpcoset import cli
+from lpcoset import cli, pipeline
 from lpcoset.cli import EXIT_INPUT, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 
 
@@ -485,6 +485,16 @@ class TestErrorPaths:
         )
         assert code == EXIT_RESOURCE
         assert "no closed table within 65536 cosets at level 2" in err
+
+    def test_certified_give_up_enumerates_nothing(self):
+        # <a> has infinite index in every covering of the Basilica group,
+        # whose relators are commutators: each attempt is skipped, and the
+        # give-up reads as before
+        with mock.patch.object(pipeline, "todd_coxeter", wraps=pipeline.todd_coxeter) as tc:
+            code, out, err = run_cli("index", "builtin:basilica", "--subgroup", "a")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == "error: no closed table within 1000000 cosets at level 3\n"
+        assert tc.call_count == 0
 
     def test_small_escalation_factor_closes(self):
         # one level per doubling died building the covering of level 10;

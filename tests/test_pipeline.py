@@ -31,6 +31,7 @@ from lpcoset import (
     grigorchuk,
     is_valid_perm_rep,
     low_index,
+    parse_lpresentation,
     parse_subgroup,
     parse_word,
     standardize,
@@ -42,14 +43,17 @@ from lpcoset import (
 from lpcoset import coset_enum, perms, pipeline
 from lpcoset.coset_enum import DEFAULT_MAX_COSETS, _prepared_relators, coset_representatives
 from lpcoset.pipeline import _attempts, _deepest_level, _limits
+from lpcoset.presentations import abelian_rank
 from lpcoset.subgroups import _quotient_map
 
 from helpers import (
+    L_PRESENTED_FREE_PRODUCTS,
     composite,
     endo_image,
     ladder_attempts,
     ladder_enumerate_cosets,
     plain_low_index_tables,
+    random_word,
     reference_reduction_pair,
     reroot,
     shortcut_validity,
@@ -445,8 +449,14 @@ class TestEnumerate:
         assert res.index == 3
         assert res.level_used == 1
         assert res.escalations == 1
-        kinds = [e.kind for e in events]
-        assert "tc-overflow" in kinds and "escalate" in kinds
+        # t dies at level 0, whose covering is free on a1: the trivial
+        # subgroup has infinite index there, and the attempt is skipped
+        assert [str(e) for e in events] == [
+            "tc-infinite generators=2 level=0 max_cosets=256 rank=1",
+            "escalate level=1 max_cosets=256",
+            "tc-closed cosets=3 level=1",
+            "validity verdict=valid visited=3",
+        ]
 
     def test_result_invariants(self, bas, bas_u_result):
         assert bas_u_result.index == bas_u_result.table.size
@@ -490,6 +500,9 @@ BURNSIDE_INDEXES = (
     (2, 3, "a1", 9),
     (2, 3, "[a1,a2]", 9),
 )
+# the rank over Q of the exponent sums of t and a subgroup's generators,
+# the level-0 certificate of every subgroup of BURNSIDE_INDEXES
+LEVEL_ZERO_RANKS = {"1": 1, "a1": 2, "a1*a2*a3": 2, "a1,a2": 3, "[a1,a2]": 1}
 
 
 def prepared_weight(lp):
@@ -645,7 +658,9 @@ class TestEscalationSchedule:
             )
         assert info.value.max_cosets == 100
         assert info.value.level == 0
-        assert [str(e) for e in events] == ["tc-overflow level=0 max_cosets=100"]
+        assert [str(e) for e in events] == [
+            "tc-infinite generators=2 level=0 max_cosets=100 rank=1"
+        ]
 
     @pytest.mark.parametrize("n, m, gens, index", BURNSIDE_INDEXES)
     def test_burnside_indexes_and_overflows(self, n, m, gens, index):
@@ -653,13 +668,23 @@ class TestEscalationSchedule:
         events = []
         res = enumerate_cosets(lp, parse_subgroup(lp.alphabet, gens), trace=events.append)
         assert res.index == index
-        overflows = [
-            (e.get("level"), e.get("max_cosets")) for e in events if e.kind == "tc-overflow"
+        attempts = [
+            (e.kind, e.get("level"), e.get("max_cosets"))
+            for e in events
+            if e.kind.startswith("tc-") or e.kind == "escalate"
         ]
-        expected = [(0, 256)] if n == 1 else [(0, 256), (1, 256)]
-        assert overflows == expected
-        assert res.level_used == len(expected)
-        assert res.escalations == len(expected)
+        # level 0 is free on a1..an once t dies, so every proper subgroup
+        # has infinite index there and the attempt is skipped; level 1 has
+        # relators of full rank and overflows unless n = 1
+        closed = 1 if n == 1 else 2
+        expected = [("tc-infinite", 0, 256), ("escalate", 1, 256)]
+        if n > 1:
+            expected += [("tc-overflow", 1, 256), ("escalate", 2, 256)]
+        expected.append(("tc-closed", closed, None))
+        assert attempts == expected
+        assert events[0].get("rank") == LEVEL_ZERO_RANKS[gens]
+        assert events[0].get("generators") == n + 1
+        assert res.level_used == res.escalations == closed
         # the ladder overflowed at 4,096 cosets on level 1, then closed the
         # same run at level 2
         old = ladder_enumerate_cosets(lp, parse_subgroup(lp.alphabet, gens), EnumerationConfig())
@@ -870,3 +895,85 @@ class TestOneValidityWalk:
             for rep in layer:
                 for r in lp.iterated:
                     assert word_image(rep, r).is_identity
+
+
+@functools.cache
+def _certificate_cases() -> tuple[tuple[str, LPresentation, SubgroupSpec], ...]:
+    """(group, presentation, subgroup) triples: the subgroups of
+    BURNSIDE_INDEXES, every subgroup of index at most 4 of the Grigorchuk
+    and Basilica groups, and three random subgroups of one to three
+    generators of every group here and of L_PRESENTED_FREE_PRODUCTS."""
+    groups = {}
+    cases = []
+    for n, m, gens, _ in BURNSIDE_INDEXES:
+        lp = groups.setdefault(f"burnside({n},{m})", burnside(n, m))
+        cases.append((f"burnside({n},{m})", lp, parse_subgroup(lp.alphabet, gens)))
+    for name, (text, _) in L_PRESENTED_FREE_PRODUCTS.items():
+        groups[name] = parse_lpresentation(text)
+    for name, lp in (("grigorchuk", grigorchuk()), ("basilica", basilica())):
+        groups[name] = lp
+        cases.extend(
+            (name, lp, SubgroupSpec(lp.alphabet, e.subgroup.generators))
+            for e in low_index(lp, 4).entries
+        )
+    rng = random.Random(25)
+    for name, lp in groups.items():
+        for _ in range(3):
+            gens = tuple(random_word(rng, lp.alphabet, 4) for _ in range(rng.randint(1, 3)))
+            cases.append((name, lp, SubgroupSpec(lp.alphabet, gens)))
+    return tuple(cases)
+
+
+def _enumeration_outcome(lp, sub):
+    """The table, level and escalations of ``enumerate_cosets`` at a 2^16
+    ceiling, or where and how it gave up."""
+    try:
+        res = enumerate_cosets(lp, sub, EnumerationConfig(hard_ceiling=65536))
+    except GaveUp as exc:
+        return exc.level, exc.max_cosets, str(exc)
+    return res.table.rows, res.level_used, res.escalations
+
+
+class TestInfiniteIndexCertificate:
+    """An attempt whose covering's abelianization gives the subgroup
+    infinite index is skipped (``abelian_rank`` below the number of
+    generators)."""
+
+    def test_certified_attempts_never_close(self):
+        seen = set()
+        for name, lp, sub in _certificate_cases():
+            for level in range(3):
+                fp = lp.covering(level)
+                certified = abelian_rank(fp, sub.generators) < len(lp.alphabet)
+                closed = todd_coxeter(fp, sub, max_cosets=2**12) is not None
+                assert not (certified and closed), (name, level, [str(g) for g in sub.generators])
+                seen.add((certified, closed))
+        # the set has certified pairs, and pairs that close
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_skipping_changes_no_answer(self):
+        for name, lp, sub in _certificate_cases():
+            skipped = _enumeration_outcome(lp, sub)
+            with mock.patch.object(pipeline, "abelian_rank", lambda fp, words: len(fp.alphabet)):
+                enumerated = _enumeration_outcome(lp, sub)
+            assert skipped == enumerated, (name, [str(g) for g in sub.generators])
+
+    def test_skipped_attempts_enumerate_nothing(self):
+        # every level of the Basilica group has commutator relators only,
+        # so <a> is certified at each and the give-up runs no enumeration
+        lp = basilica()
+        events = []
+        with mock.patch.object(pipeline, "todd_coxeter", wraps=todd_coxeter) as tc:
+            with pytest.raises(GaveUp) as info:
+                enumerate_cosets(lp, parse_subgroup(lp.alphabet, "a"), trace=events.append)
+        assert tc.call_count == 0
+        assert (info.value.level, info.value.max_cosets) == (3, DEFAULT_MAX_COSETS)
+        # the thirteen attempts of the schedule, each one counted
+        attempts = [(level, limit) for limit in (2**8, 2**12, 2**16) for level in range(4)]
+        attempts.append((3, DEFAULT_MAX_COSETS))
+        expected = []
+        for i, (level, limit) in enumerate(attempts):
+            if i:
+                expected.append(f"escalate level={level} max_cosets={limit}")
+            expected.append(f"tc-infinite generators=2 level={level} max_cosets={limit} rank=1")
+        assert [str(e) for e in events] == expected

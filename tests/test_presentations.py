@@ -32,6 +32,8 @@ from lpcoset.coset_enum import _prepared_relators
 
 from helpers import (
     composite_covering,
+    exponent_sum_vector,
+    fraction_rank,
     parse_word_by_products,
     reference_parse_subgroup,
     reference_parse_word,
@@ -300,6 +302,80 @@ class TestCoveringMemo:
             assert len(lp._coverings) == 2
         monkeypatch.setattr(presentations, "MAX_COVERING_LETTERS", 10**6)
         assert lp.covering(3).relators == basilica().covering(3).relators
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices of up to 8 rows and 6 columns, some rows integer
+    combinations of the rows drawn before them, in any order."""
+    ncols = draw(st.integers(1, 6))
+    entries = st.integers(-9, 9) | st.integers(-(10**20), 10**20)
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return draw(st.permutations(rows))
+
+
+def echelon_rank(rows) -> int:
+    """The number of rows that ``presentations._echelon_insert`` keeps."""
+    basis = []
+    for row in rows:
+        presentations._echelon_insert(basis, list(row))
+    return len(basis)
+
+
+class TestAbelianRank:
+    @given(rows=_integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_fraction_elimination(self, rows):
+        assert echelon_rank(rows) == fraction_rank(rows)
+
+    def test_rank_is_not_taken_modulo_a_prime(self):
+        p = 2**61 - 1
+        assert echelon_rank([[p, 0], [0, 1]]) == 2
+        # determinant p: singular modulo p only
+        assert echelon_rank([[1, 2], [3, 6 + p]]) == 2
+
+    @pytest.mark.parametrize("name", ["grigorchuk", "basilica", "burnside(2,3)"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_covering_rank_matches_the_exponent_sums(self, name, data):
+        lp = builtin_presentation(name)
+        fp = lp.covering(data.draw(st.integers(0, 2)))
+        letters = st.sampled_from([x + e for x in lp.alphabet.names for e in ("", "^-1")])
+        texts = data.draw(st.lists(st.lists(letters, max_size=5), max_size=3))
+        words = [parse_word(lp.alphabet, "*".join(t) or "1") for t in texts]
+        rows = [exponent_sum_vector(w) for w in fp.relators + tuple(words)]
+        assert presentations.abelian_rank(fp, words) == fraction_rank(rows)
+
+    def test_full_relator_rank_reads_no_subgroup_word(self):
+        # the Grigorchuk relators span Q^4 at level 0: the rank is m
+        # whatever the words, which are never read
+        fp = grigorchuk().covering(0)
+
+        def unread():
+            raise AssertionError("a word was read")
+            yield
+
+        assert presentations.abelian_rank(fp, unread()) == 4
+        basis = fp._abelian
+        assert presentations.abelian_rank(fp, unread()) == 4
+        assert fp._abelian is basis
+
+    def test_basis_is_kept_on_the_covering(self):
+        # the Basilica relators are commutators: rank 0 at every level
+        lp = basilica()
+        fp = lp.covering(1)
+        assert fp._abelian is None
+        a, b = (parse_word(lp.alphabet, x) for x in "ab")
+        assert presentations.abelian_rank(fp, [a]) == 1
+        assert fp._abelian == ()
+        assert presentations.abelian_rank(fp, [a, b]) == 2
+        assert presentations.abelian_rank(fp, []) == 0
 
 
 class TestWordGrammar:
