@@ -12,6 +12,16 @@ reduction pair.  Kernel containment is decided through Schreier generators
 of the image group, with a generator-image equality fast path that also
 guarantees termination.  A failed check hands back a witness whose
 coincidences fold the table down without another enumeration.
+
+Every walk word's image lies in the image group of the root.  So a kernel
+test of a kept word whose images, on the generators where it agrees with
+the new word, already generate that group could succeed only on equal
+generator images, which the fast path has ruled out: the walk skips it
+(the span filter), and skips at once the bucket of kept words that share
+such an agreement.  A kept word's image group is built only when a test
+needs it.  The filter is on only when the root's image group is within
+the reduction cap, and then so is every kept word's, a subgroup of it, so
+the count of image groups past the cap is unchanged.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from .perms import (
     ImageGroup,
     Permutation,
     PermutationRep,
+    _closure,
     image_group,
     kernel_contained,
 )
@@ -81,6 +92,12 @@ class InvalidWitness:
 
 @dataclass(frozen=True)
 class ValidityOutcome:
+    """The verdict of :func:`is_valid_perm_rep`, its witness when invalid,
+    the kept words in walk order (the root first), the words whose
+    relators were checked, the reduction pair of a valid one-endomorphism
+    walk, and ``capped``: the number of kept words whose image group some
+    kernel test needed and found past the cap."""
+
     valid: bool
     witness: InvalidWitness | None
     visited: tuple[EndoWord, ...]
@@ -99,6 +116,86 @@ def _relator_witness(
     return None
 
 
+class _KeptWords:
+    """The representations of the validity walk's kept words, in walk
+    order, and the search for the first whose kernel lies in a new word's
+    (:func:`is_valid_perm_rep`).
+
+    An agreement is ``((g, table), ...)`` over the generators g on which a
+    kept word and the new one have equal tables; whether its tables
+    generate im(phi), phi the root, is decided once per agreement.  A
+    spanning one keys the bucket of every kept word with those tables.
+    ``order`` is |im(phi)|, read at the first search; it is 0 when the
+    root's image group is past the cap, and the filter is then off.
+    """
+
+    def __init__(self, phi: PermutationRep, cap: int):
+        self.reps = [phi]
+        self.cap = cap
+        self.groups: dict[int, ImageGroup | None] = {}
+        self.order: int | None = None  # |im(phi)|, 0 once past the cap
+        self.spanning: dict[tuple, bool] = {}
+        self.buckets: dict[tuple, set[int]] = {}
+        self.loose = [0]  # the kept words in no bucket, in walk order
+
+    def add(self, rep: PermutationRep) -> None:
+        i = len(self.reps)
+        self.reps.append(rep)
+        homes = [members for key, members in self.buckets.items() if _agrees(rep, key)]
+        for members in homes:
+            members.add(i)
+        if not homes:
+            self.loose.append(i)
+
+    def first_containing(self, rho: PermutationRep) -> int | None:
+        """The index of the first kept word whose kernel lies in ker(rho),
+        or ``None``; rho's tables differ from every kept word's."""
+        if self.order is None:
+            group = self.groups[0] = image_group(self.reps[0], self.cap)
+            self.order = 0 if group is None else group.order
+        if not self.order:
+            return next((i for i in range(len(self.reps)) if self._contained(i, rho)), None)
+        matched, unmatched = [], []
+        for key, members in self.buckets.items():
+            (matched if _agrees(rho, key) else unmatched).append(members)
+        candidates = sorted(set(self.loose).union(*unmatched)) if unmatched else self.loose
+        for i in candidates:
+            if matched and any(i in members for members in matched):
+                continue
+            pairs = zip(self.reps[i].generators, rho.generators)
+            agreement = tuple([(g, t) for g, (t, u) in enumerate(pairs) if t == u])
+            # an empty one spans only a trivial im(phi), where no search runs
+            if agreement and self._spans(agreement):
+                members = {j for j, rep in enumerate(self.reps) if _agrees(rep, agreement)}
+                self.buckets[agreement] = members
+                self.loose = [j for j in self.loose if j not in members]
+                matched.append(members)
+            elif self._contained(i, rho):
+                return i
+        return None
+
+    def _contained(self, i: int, rho: PermutationRep) -> bool:
+        if i not in self.groups:
+            self.groups[i] = image_group(self.reps[i], self.cap)
+        group = self.groups[i]
+        # an image group past the cap gives a conservative "no reduction"
+        return group is not None and kernel_contained(self.reps[i], rho, self.cap, group)
+
+    def _spans(self, agreement: tuple) -> bool:
+        spans = self.spanning.get(agreement)
+        if spans is None:
+            phi = self.reps[0]
+            tables = [t for _, t in agreement]
+            spans = len(_closure(phi.identity, tables, phi.compose)) == self.order
+            self.spanning[agreement] = spans
+        return spans
+
+
+def _agrees(rep: PermutationRep, agreement: tuple) -> bool:
+    generators = rep.generators
+    return all(generators[g] == t for g, t in agreement)
+
+
 def is_valid_perm_rep(
     lp: LPresentation, phi: PermutationRep, cap: int = DEFAULT_REDUCTION_CAP
 ) -> ValidityOutcome:
@@ -106,15 +203,32 @@ def is_valid_perm_rep(
 
     Breadth-first walk over the endomorphism monoid: dequeue a word and
     prune it if its kernel contains the kernel of a kept word sigma (equal
-    generator images, then :func:`kernel_contained`); its relator images
-    then die with sigma's, so it needs no relator test.  Otherwise test the
-    iterated relators under it, keep it, and enqueue its one-step
-    extensions.  The queue drains because representations repeat once the
-    finitely many generator-image tuples are exhausted, and repeats always
-    reduce.  With one endomorphism the walk stops at the first pruned
-    power j, reducing to the i-th; a valid outcome records ``(i, j)`` as
-    ``reduction_pair``.  ``capped`` counts the kept words whose image group
-    passed ``cap``, so that no kernel containment in them was tested.
+    generator images, then :func:`kernel_contained`, in walk order); its
+    relator images then die with sigma's, so it needs no relator test.
+    Otherwise test the iterated relators under it, keep it, and enqueue its
+    one-step extensions.  The queue drains because representations repeat
+    once the finitely many generator-image tuples are exhausted, and
+    repeats always reduce.  With one endomorphism the walk stops at the
+    first pruned power j, reducing to the i-th; a valid outcome records
+    ``(i, j)`` as ``reduction_pair``.
+
+    Kernel tests run only where they can succeed (the span filter).  Every
+    walk word sigma is phi after an endomorphism, so im(sigma) lies in
+    im(phi).  If ker(sigma) lies in ker(rho), then sigma(x) -> rho(x) on the
+    generators extends to a homomorphism theta of im(sigma) onto im(rho).
+    Should sigma and rho agree on generators A with sigma(A) generating
+    im(phi), theta is the identity, so rho = sigma on every generator: the
+    equality that the walk checks first, and a new word's tables differ
+    from every kept word's.  So sigma is skipped, in walk order as before,
+    and the first kept word that contains is the same.  Such an agreement
+    keys a bucket of kept words that a matching new word skips whole.
+    A kept word's image group is built only when a test needs it.
+
+    ``capped`` counts the kept words whose image group some kernel test
+    needed and found past ``cap``, so that no kernel containment in them was
+    tested.  The filter leaves it unchanged: it is on only when im(phi) is
+    within ``cap``, and then so is every kept word's image group, a
+    subgroup of im(phi).
     """
     _require_same_alphabet(lp.alphabet, phi.alphabet)
     if cap < 1:
@@ -128,8 +242,8 @@ def is_valid_perm_rep(
             raise PreconditionError(
                 f"{name} relator {w.relator} is not in the kernel of the representation"
             )
-    visited = [(identity, phi)]
-    groups: list[ImageGroup | None] = []
+    visited = [identity]
+    kept_words = _KeptWords(phi, cap)
     by_images = {phi.generators: 0}
     queue: list[tuple[EndoWord, PermutationRep]] = [(e, phi) for e in identity.descendants()]
     head = 0
@@ -143,13 +257,7 @@ def is_valid_perm_rep(
         rep_d = parent.precompose(delta.family[delta.factors[0]])
         kept = by_images.get(rep_d.generators)
         if kept is None:
-            for i, (_, sigma) in enumerate(visited):
-                if i == len(groups):  # built on first use, in walk order
-                    groups.append(image_group(sigma, cap))
-                # an image group past the cap gives a conservative "no reduction"
-                if groups[i] is not None and kernel_contained(sigma, rep_d, cap, groups[i]):
-                    kept = i
-                    break
+            kept = kept_words.first_containing(rep_d)
         if kept is not None:
             if len(delta.family) == 1:
                 pair = (kept, delta.length)
@@ -159,15 +267,16 @@ def is_valid_perm_rep(
         if witness is not None:
             break
         by_images[rep_d.generators] = len(visited)
-        visited.append((delta, rep_d))
+        visited.append(delta)
+        kept_words.add(rep_d)
         queue.extend((child, rep_d) for child in delta.descendants())
     return ValidityOutcome(
         valid=witness is None,
         witness=witness,
-        visited=tuple(endo for endo, _ in visited),
+        visited=tuple(visited),
         relator_checks=tuple(checks),
         reduction_pair=pair,
-        capped=groups.count(None),
+        capped=list(kept_words.groups.values()).count(None),
     )
 
 

@@ -199,6 +199,60 @@ def shortcut_validity(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutc
     return ValidityOutcome(True, None, powers, tuple(checks), (i, j))
 
 
+def reference_validity_walk(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutcome:
+    """The validity walk before the span filter: a dequeued word whose
+    tables differ from every kept word's is kernel-tested against every
+    kept word in walk order, each kept word's image group built at its
+    first test.  Reference for ``pipeline.is_valid_perm_rep``, which must
+    give the same outcome, ``capped`` included."""
+    identity = lp.identity_endo_word()
+    for name, relators in (("fixed", lp.fixed), ("iterated", lp.iterated)):
+        w = pipeline._relator_witness(relators, phi, identity)
+        if w is not None:
+            raise PreconditionError(
+                f"{name} relator {w.relator} is not in the kernel of the representation"
+            )
+    visited = [(identity, phi)]
+    groups: list[ImageGroup | None] = []
+    by_images = {phi.generators: 0}
+    queue = [(e, phi) for e in identity.descendants()]
+    head = 0
+    checks: list[EndoWord] = []
+    witness = None
+    pair = None
+    while head < len(queue):
+        delta, parent = queue[head]
+        head += 1
+        rep_d = parent.precompose(delta.family[delta.factors[0]])
+        kept = by_images.get(rep_d.generators)
+        if kept is None:
+            for i, (_, sigma) in enumerate(visited):
+                if i == len(groups):
+                    groups.append(image_group(sigma, cap))
+                if groups[i] is not None and kernel_contained(sigma, rep_d, cap, groups[i]):
+                    kept = i
+                    break
+        if kept is not None:
+            if len(delta.family) == 1:
+                pair = (kept, delta.length)
+            continue
+        checks.append(delta)
+        witness = pipeline._relator_witness(lp.iterated, rep_d, delta)
+        if witness is not None:
+            break
+        by_images[rep_d.generators] = len(visited)
+        visited.append((delta, rep_d))
+        queue.extend((child, rep_d) for child in delta.descendants())
+    return ValidityOutcome(
+        valid=witness is None,
+        witness=witness,
+        visited=tuple(endo for endo, _ in visited),
+        relator_checks=tuple(checks),
+        reduction_pair=pair,
+        capped=groups.count(None),
+    )
+
+
 def random_raw_letters(rng: random.Random, ngens: int, max_len: int) -> list[int]:
     length = rng.randrange(max_len + 1)
     return [rng.choice([1, -1]) * rng.randrange(1, ngens + 1) for _ in range(length)]

@@ -57,6 +57,16 @@ class TestIndexCommand:
         assert code == EXIT_OK
         assert "index: 3" in out
 
+    @pytest.mark.stretch
+    def test_burnside_24_at_level_four(self):
+        # the validity walk keeps 4,096 words, which share one spanning
+        # agreement, so it runs no kernel test
+        code, out, _ = fresh_cli(
+            "index", "builtin:burnside(2,4)", "--subgroup", "a1, t", "--level", "4"
+        )
+        assert code == EXIT_OK
+        assert "index: 1024" in out
+
     def test_csv_format(self):
         code, out, _ = run_cli("index", "builtin:basilica", *BAS_U, "--format", "csv")
         assert code == EXIT_OK

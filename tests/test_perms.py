@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpcoset import (
@@ -475,6 +475,32 @@ class TestReducesTo:
             assert word_image(rep_d, w).is_identity
 
 
+@st.composite
+def _spanning_agreements(draw):
+    """``(sigma, rho)`` on x, y, z with different generator tables that
+    agree on a set A of generators whose images under sigma generate
+    im(sigma): sigma's other generators are words in those images, and
+    rho's are random."""
+    degree = draw(st.integers(2, 7))
+    points = list(range(1, degree + 1))
+    agree = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+    spanning = {g: Permutation(tuple(draw(st.permutations(points)))) for g in agree}
+    sigma, rho = [], []
+    for g in range(len(XYZ)):
+        if g in spanning:
+            sigma.append(spanning[g])
+            rho.append(spanning[g])
+            continue
+        p = Permutation.identity(degree)
+        letters = st.tuples(st.sampled_from(agree), st.booleans())
+        for h, inverse in draw(st.lists(letters, max_size=6)):
+            p = p * (spanning[h].inverse() if inverse else spanning[h])
+        sigma.append(p)
+        rho.append(Permutation(tuple(draw(st.permutations(points)))))
+    assume(sigma != rho)
+    return PermutationRep(XYZ, degree, sigma), PermutationRep(XYZ, degree, rho)
+
+
 class TestKernelContained:
     def test_fast_path_equal_images(self, bas_index3_rep):
         assert kernel_contained(bas_index3_rep, bas_index3_rep, 1) is True
@@ -482,6 +508,24 @@ class TestKernelContained:
     def test_cap_gives_none(self, bas, bas_index3_rep):
         rep2 = endo_image(bas_index3_rep, sigma_power(bas, 2))
         assert kernel_contained(bas_index3_rep, rep2, 2) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_spanning_agreements())
+    def test_a_spanning_agreement_leaves_no_containment(self, pair):
+        # ker(sigma) in ker(rho) would give a homomorphism theta of
+        # im(sigma) onto im(rho) with theta(sigma(x)) = rho(x); it fixes the
+        # agreeing images, so all of im(sigma), and then rho = sigma
+        sigma, rho = pair
+        assert kernel_contained(sigma, rho, 10**4) is False
+
+    def test_an_agreement_that_does_not_span_can_contain(self):
+        # x -> (1 2), y -> (3 4) and its quotient x -> (1 2), y -> 1 agree
+        # on x, whose image does not generate the Klein four-group
+        ident = Permutation.identity(4)
+        x, y = Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)])
+        sigma = PermutationRep(XYZ, 4, (x, y, ident))
+        rho = PermutationRep(XYZ, 4, (x, ident, ident))
+        assert kernel_contained(sigma, rho, 10) is True
 
 
 def _eager_image_group(phi: PermutationRep):

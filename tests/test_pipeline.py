@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -30,6 +31,7 @@ from lpcoset import (
     fold_to_valid,
     grigorchuk,
     is_valid_perm_rep,
+    kernel_contained,
     low_index,
     parse_lpresentation,
     parse_subgroup,
@@ -46,6 +48,7 @@ from lpcoset.pipeline import _attempts, _deepest_level, _limits
 from lpcoset.presentations import abelian_rank
 from lpcoset.subgroups import _quotient_map
 
+import helpers
 from helpers import (
     L_PRESENTED_FREE_PRODUCTS,
     composite,
@@ -55,6 +58,7 @@ from helpers import (
     plain_low_index_tables,
     random_word,
     reference_reduction_pair,
+    reference_validity_walk,
     reroot,
     shortcut_validity,
     sigma_power,
@@ -977,3 +981,128 @@ class TestInfiniteIndexCertificate:
                 expected.append(f"escalate level={level} max_cosets={limit}")
             expected.append(f"tc-infinite generators=2 level={level} max_cosets={limit} rank=1")
         assert [str(e) for e in events] == expected
+
+
+@functools.cache
+def _burnside_covering_tables():
+    """The level-2 covering tables of every subgroup of BURNSIDE_INDEXES,
+    the inputs of the burnside-escalation workload's walks."""
+    out = []
+    for n, m, gens, index in BURNSIDE_INDEXES:
+        lp = burnside(n, m)
+        table = todd_coxeter(lp.covering(2), parse_subgroup(lp.alphabet, gens), max_cosets=256)
+        assert table is not None and table.size == index
+        out.append((lp, table))
+    return tuple(out)
+
+
+def _random_burnside_rep(draw):
+    """B(n, m) for (n, m) in (1, 3), (2, 2), (2, 3), (3, 2), with random
+    a_i and t the identity, which kills the fixed relator t and t^m: the
+    walk then reaches relator checks, and mostly a witness."""
+    n, m = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]))
+    lp = burnside(n, m)
+    degree = draw(st.integers(1, 6))
+    points = list(range(1, degree + 1))
+    a = [Permutation(tuple(draw(st.permutations(points)))) for _ in range(n)]
+    return lp, PermutationRep(lp.alphabet, degree, (*a, Permutation.identity(degree)))
+
+
+@st.composite
+def _walk_inputs(draw):
+    """``(lp, phi, cap)``, caps from :func:`_with_cap`, so that some are
+    below the order of the root's image group and the span filter is off.
+    ``phi`` is one of:
+
+    - a random Grigorchuk or Basilica representation of degree 1-8, with
+      the relators kept (mostly refused) or dropped (walked to the stop;
+      Grigorchuk to degree 7, see :func:`_reduction_pair_inputs`);
+    - a candidate table of the plain descent (:func:`_candidate_pools`):
+      where the agreeing generators mostly do not span;
+    - a covering table of the burnside-escalation workload, or a random
+      Burnside representation: where they always do.
+    """
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        # (group, top degree with the relators, top degree without)
+        lp, top, free_top = draw(st.sampled_from([(grigorchuk(), 8, 7), (basilica(), 8, 8)]))
+        if draw(st.booleans()):
+            lp, top = replace(lp, fixed=(), iterated=()), free_top
+        phi = _random_rep(draw, lp, draw(st.integers(1, top)))
+    elif kind == 1:
+        pools = _candidate_pools()
+        pool = pools[draw(st.integers(0, len(pools) - 1))]
+        lp, table = pool[draw(st.integers(0, len(pool) - 1))]
+        phi = to_perm_rep(table)
+    elif kind == 2:
+        tables = _burnside_covering_tables()
+        lp, table = tables[draw(st.integers(0, len(tables) - 1))]
+        phi = to_perm_rep(table)
+    else:
+        lp, phi = _random_burnside_rep(draw)
+    return _with_cap(draw, lp, phi)
+
+
+def _outcome_or_refusal(walk, lp, phi, cap):
+    try:
+        return walk(lp, phi, cap)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestSpanFilter:
+    """The walk skips a kernel test where a kept word and the new one agree
+    on generators whose images generate the root's image group, and skips
+    whole buckets of such kept words; ``helpers.reference_validity_walk``
+    is the walk that tests every kept word."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_walk_inputs())
+    def test_matches_the_reference_walk(self, case):
+        # every field, capped included
+        assert _outcome_or_refusal(is_valid_perm_rep, *case) == _outcome_or_refusal(
+            reference_validity_walk, *case
+        )
+
+    @pytest.mark.parametrize("n, m, gens, index", BURNSIDE_INDEXES)
+    def test_burnside_walks_run_no_kernel_test(self, n, m, gens, index):
+        # every Burnside endomorphism fixes a1..an, whose images generate
+        # the image group: each kept word's test is skipped, and only the
+        # root's image group is built
+        lp = burnside(n, m)
+        table = enumerate_cosets(lp, parse_subgroup(lp.alphabet, gens)).table
+        assert table.size == index
+        with mock.patch.object(
+            pipeline, "kernel_contained", wraps=pipeline.kernel_contained
+        ) as tests, mock.patch.object(
+            pipeline, "image_group", wraps=pipeline.image_group
+        ) as groups:
+            outcome = is_valid_perm_rep(lp, to_perm_rep(table))
+        assert outcome == reference_validity_walk(lp, to_perm_rep(table))
+        assert outcome.valid
+        assert tests.call_count == 0
+        assert groups.call_count == 1
+
+    def test_the_filter_leaves_the_tests_that_can_succeed(self):
+        # on the Grigorchuk and Basilica candidates some agreements do not
+        # span: kernel tests remain, some succeed, and they only shrink
+        answers = {pipeline: [], helpers: []}
+
+        def recorded(module):
+            def test(*args):
+                answers[module].append(kernel_contained(*args))
+                return answers[module][-1]
+
+            return test
+
+        for pool in _candidate_pools()[:4]:
+            for lp, table in pool:
+                phi = to_perm_rep(table)
+                walks = ((pipeline, is_valid_perm_rep), (helpers, reference_validity_walk))
+                for module, walk in walks:
+                    with mock.patch.object(module, "kernel_contained", recorded(module)):
+                        walk(lp, phi)
+        walk, reference = answers[pipeline], answers[helpers]
+        assert len(walk) < len(reference)
+        assert sum(walk) == sum(reference) > 0
+        assert not all(walk)
