@@ -13,15 +13,12 @@ of the image group, with a generator-image equality fast path that also
 guarantees termination.  A failed check hands back a witness whose
 coincidences fold the table down without another enumeration.
 
-Every walk word's image lies in the image group of the root.  So a kernel
-test of a kept word whose images, on the generators where it agrees with
-the new word, already generate that group could succeed only on equal
-generator images, which the fast path has ruled out: the walk skips it
-(the span filter), and skips at once the bucket of kept words that share
-such an agreement.  A kept word's image group is built only when a test
-needs it.  The filter is on only when the root's image group is within
-the reduction cap, and then so is every kept word's, a subgroup of it, so
-the count of image groups past the cap is unchanged.
+A generator that every endomorphism maps to itself has the same image
+under every walk word as under the root.  When the root's images of these
+fixed generators generate its image group, no kernel test of the walk can
+succeed, so the walk is settled: it prunes by equal generator images
+alone.  Every endomorphism of the free Burnside groups' L-presentation
+fixes a1..an, so their walks run no kernel test.
 """
 
 from __future__ import annotations
@@ -116,84 +113,15 @@ def _relator_witness(
     return None
 
 
-class _KeptWords:
-    """The representations of the validity walk's kept words, in walk
-    order, and the search for the first whose kernel lies in a new word's
-    (:func:`is_valid_perm_rep`).
-
-    An agreement is ``((g, table), ...)`` over the generators g on which a
-    kept word and the new one have equal tables; whether its tables
-    generate im(phi), phi the root, is decided once per agreement.  A
-    spanning one keys the bucket of every kept word with those tables.
-    ``order`` is |im(phi)|, read at the first search; it is 0 when the
-    root's image group is past the cap, and the filter is then off.
-    """
-
-    def __init__(self, phi: PermutationRep, cap: int):
-        self.reps = [phi]
-        self.cap = cap
-        self.groups: dict[int, ImageGroup | None] = {}
-        self.order: int | None = None  # |im(phi)|, 0 once past the cap
-        self.spanning: dict[tuple, bool] = {}
-        self.buckets: dict[tuple, set[int]] = {}
-        self.loose = [0]  # the kept words in no bucket, in walk order
-
-    def add(self, rep: PermutationRep) -> None:
-        i = len(self.reps)
-        self.reps.append(rep)
-        homes = [members for key, members in self.buckets.items() if _agrees(rep, key)]
-        for members in homes:
-            members.add(i)
-        if not homes:
-            self.loose.append(i)
-
-    def first_containing(self, rho: PermutationRep) -> int | None:
-        """The index of the first kept word whose kernel lies in ker(rho),
-        or ``None``; rho's tables differ from every kept word's."""
-        if self.order is None:
-            group = self.groups[0] = image_group(self.reps[0], self.cap)
-            self.order = 0 if group is None else group.order
-        if not self.order:
-            return next((i for i in range(len(self.reps)) if self._contained(i, rho)), None)
-        matched, unmatched = [], []
-        for key, members in self.buckets.items():
-            (matched if _agrees(rho, key) else unmatched).append(members)
-        candidates = sorted(set(self.loose).union(*unmatched)) if unmatched else self.loose
-        for i in candidates:
-            if matched and any(i in members for members in matched):
-                continue
-            pairs = zip(self.reps[i].generators, rho.generators)
-            agreement = tuple([(g, t) for g, (t, u) in enumerate(pairs) if t == u])
-            # an empty one spans only a trivial im(phi), where no search runs
-            if agreement and self._spans(agreement):
-                members = {j for j, rep in enumerate(self.reps) if _agrees(rep, agreement)}
-                self.buckets[agreement] = members
-                self.loose = [j for j in self.loose if j not in members]
-                matched.append(members)
-            elif self._contained(i, rho):
-                return i
-        return None
-
-    def _contained(self, i: int, rho: PermutationRep) -> bool:
-        if i not in self.groups:
-            self.groups[i] = image_group(self.reps[i], self.cap)
-        group = self.groups[i]
-        # an image group past the cap gives a conservative "no reduction"
-        return group is not None and kernel_contained(self.reps[i], rho, self.cap, group)
-
-    def _spans(self, agreement: tuple) -> bool:
-        spans = self.spanning.get(agreement)
-        if spans is None:
-            phi = self.reps[0]
-            tables = [t for _, t in agreement]
-            spans = len(_closure(phi.identity, tables, phi.compose)) == self.order
-            self.spanning[agreement] = spans
-        return spans
-
-
-def _agrees(rep: PermutationRep, agreement: tuple) -> bool:
-    generators = rep.generators
-    return all(generators[g] == t for g, t in agreement)
+def _fixed_order(lp: LPresentation, phi: PermutationRep) -> int:
+    """The order of the group generated by the images under ``phi`` of the
+    fixed generators, those that every endomorphism maps to themselves."""
+    fixed = [
+        t
+        for g, t in enumerate(phi.generators)
+        if all(e.images[g].letters == (g + 1,) for e in lp.endomorphisms)
+    ]
+    return len(_closure(phi.identity, fixed, phi.compose))
 
 
 def is_valid_perm_rep(
@@ -203,8 +131,9 @@ def is_valid_perm_rep(
 
     Breadth-first walk over the endomorphism monoid: dequeue a word and
     prune it if its kernel contains the kernel of a kept word sigma (equal
-    generator images, then :func:`kernel_contained`, in walk order); its
-    relator images then die with sigma's, so it needs no relator test.
+    generator images, then :func:`kernel_contained` against every kept word
+    in walk order, each kept word's image group built at its first test);
+    its relator images then die with sigma's, so it needs no relator test.
     Otherwise test the iterated relators under it, keep it, and enqueue its
     one-step extensions.  The queue drains because representations repeat
     once the finitely many generator-image tuples are exhausted, and
@@ -212,23 +141,22 @@ def is_valid_perm_rep(
     first pruned power j, reducing to the i-th; a valid outcome records
     ``(i, j)`` as ``reduction_pair``.
 
-    Kernel tests run only where they can succeed (the span filter).  Every
-    walk word sigma is phi after an endomorphism, so im(sigma) lies in
-    im(phi).  If ker(sigma) lies in ker(rho), then sigma(x) -> rho(x) on the
-    generators extends to a homomorphism theta of im(sigma) onto im(rho).
-    Should sigma and rho agree on generators A with sigma(A) generating
+    At the first search, where the root's image group is built, the walk
+    may settle.  A generator x is fixed when every endomorphism maps it to
+    the one-letter word x; then every walk word sigma, phi after
+    endomorphisms, has sigma(x) = phi(x), and im(sigma) lies in im(phi).
+    If ker(sigma) lies in ker(rho), then sigma(y) -> rho(y) on the
+    generators extends to a homomorphism theta of im(sigma) onto im(rho),
+    and theta fixes every phi(x) for fixed x.  Should these generate
     im(phi), theta is the identity, so rho = sigma on every generator: the
-    equality that the walk checks first, and a new word's tables differ
-    from every kept word's.  So sigma is skipped, in walk order as before,
-    and the first kept word that contains is the same.  Such an agreement
-    keys a bucket of kept words that a matching new word skips whole.
-    A kept word's image group is built only when a test needs it.
+    equality that the walk checks first.  So when the fixed generators'
+    images generate im(phi), every kernel test would fail, and the settled
+    walk runs none.  The check is one closure, and is off when im(phi) is
+    past ``cap``.
 
     ``capped`` counts the kept words whose image group some kernel test
     needed and found past ``cap``, so that no kernel containment in them was
-    tested.  The filter leaves it unchanged: it is on only when im(phi) is
-    within ``cap``, and then so is every kept word's image group, a
-    subgroup of im(phi).
+    tested; a settled walk has none, as im(phi) is within ``cap``.
     """
     _require_same_alphabet(lp.alphabet, phi.alphabet)
     if cap < 1:
@@ -242,8 +170,9 @@ def is_valid_perm_rep(
             raise PreconditionError(
                 f"{name} relator {w.relator} is not in the kernel of the representation"
             )
-    visited = [identity]
-    kept_words = _KeptWords(phi, cap)
+    visited = [(identity, phi)]
+    groups: list[ImageGroup | None] = []
+    settled = False
     by_images = {phi.generators: 0}
     queue: list[tuple[EndoWord, PermutationRep]] = [(e, phi) for e in identity.descendants()]
     head = 0
@@ -256,8 +185,17 @@ def is_valid_perm_rep(
         # built on dequeue from the kept parent, so only kept ones stay alive
         rep_d = parent.precompose(delta.family[delta.factors[0]])
         kept = by_images.get(rep_d.generators)
-        if kept is None:
-            kept = kept_words.first_containing(rep_d)
+        if kept is None and not groups:
+            groups.append(image_group(phi, cap))
+            settled = groups[0] is not None and _fixed_order(lp, phi) == groups[0].order
+        if kept is None and not settled:
+            for i, (_, sigma) in enumerate(visited):
+                if i == len(groups):  # built on first use, in walk order
+                    groups.append(image_group(sigma, cap))
+                # an image group past the cap gives a conservative "no reduction"
+                if groups[i] is not None and kernel_contained(sigma, rep_d, cap, groups[i]):
+                    kept = i
+                    break
         if kept is not None:
             if len(delta.family) == 1:
                 pair = (kept, delta.length)
@@ -267,16 +205,15 @@ def is_valid_perm_rep(
         if witness is not None:
             break
         by_images[rep_d.generators] = len(visited)
-        visited.append(delta)
-        kept_words.add(rep_d)
+        visited.append((delta, rep_d))
         queue.extend((child, rep_d) for child in delta.descendants())
     return ValidityOutcome(
         valid=witness is None,
         witness=witness,
-        visited=tuple(visited),
+        visited=tuple(endo for endo, _ in visited),
         relator_checks=tuple(checks),
         reduction_pair=pair,
-        capped=list(kept_words.groups.values()).count(None),
+        capped=groups.count(None),
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -194,6 +195,11 @@ class _SearchCapped(Exception):
     pass
 
 
+class _SearchTooDeep(Exception):
+    """The descent passed Python's recursion limit; the one argument is the
+    list of whole classes found before."""
+
+
 def _split_relators(
     fp: FinitePresentation, max_index: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -302,12 +308,9 @@ def _low_index_tables(
     A complete table is kept when the deferred relators close at every
     coset, which holds for all of its conjugates or none.  ``max_tables``
     counts complete tables, conjugates included, and the search stops
-    before the class that would pass it.
+    before the class that would pass it.  A descent past Python's recursion
+    limit raises :class:`_SearchTooDeep`.  The caller checks the inputs.
     """
-    if not 1 <= max_index <= DEFAULT_MAX_COSETS:
-        raise InputError(f"max_index must be in 1..{DEFAULT_MAX_COSETS}, the coset ceiling")
-    if max_tables is not None and max_tables < 0:
-        raise InputError("max_tables must be >= 0")
     ngens = len(alphabet)
     squares = [w for w in scanned if len(w) == 2 and w[0] == w[1]]
     involutions = {w[0] >> 1 for w in squares}
@@ -456,6 +459,8 @@ def _low_index_tables(
         descend(1, 0, [], 0)
     except _SearchCapped:
         pass
+    except RecursionError:
+        raise _SearchTooDeep(results) from None
     return results, capped
 
 
@@ -575,18 +580,32 @@ def low_index(
     first read, holds whole conjugacy classes of candidates only.  The coset
     ceiling ``DEFAULT_MAX_COSETS`` caps the candidate rows the same way,
     as ``DEFAULT_MAX_COSETS // max_index`` tables, so a covering with few
-    relators stops instead of filling memory.
+    relators stops instead of filling memory.  The descent recurses about
+    once per coset, and stops the same way at Python's recursion limit.
+    The inputs are checked before the covering is built.
     """
     if cap < 1:
         raise InputError("cap must be positive")
+    if not 1 <= max_index <= DEFAULT_MAX_COSETS:
+        raise InputError(f"max_index must be in 1..{DEFAULT_MAX_COSETS}, the coset ceiling")
+    if max_tables is not None and max_tables < 0:
+        raise InputError("max_tables must be >= 0")
     fp = lp.covering(level)
     _emit(trace, "low-index", level=level, max_index=max_index, relators=len(fp.relators))
     scanned, deferred = _split_relators(fp, max_index)
-    row_cap = DEFAULT_MAX_COSETS // max(max_index, 1)
+    row_cap = DEFAULT_MAX_COSETS // max_index
     by_rows = max_tables is None or row_cap < max_tables
-    classes, capped = _low_index_tables(
-        fp.alphabet, max_index, scanned, deferred, row_cap if by_rows else max_tables
-    )
+    why = None
+    try:
+        classes, capped = _low_index_tables(
+            fp.alphabet, max_index, scanned, deferred, row_cap if by_rows else max_tables
+        )
+    except _SearchTooDeep as exc:
+        (classes,), capped = exc.args, True
+        why = (
+            f"the search for tables of up to {max_index} cosets went past "
+            f"Python's recursion limit of {sys.getrecursionlimit()} frames"
+        )
     _emit(trace, "low-index-candidates", count=sum(size for _, size in classes))
 
     def fold() -> SubgroupList:
@@ -601,7 +620,7 @@ def low_index(
         return SubgroupList(lp, max_index, tuple(entries), complete=not capped)
 
     if capped:
-        why = (
+        why = why or (
             f"stopped after {row_cap} candidate tables of up to {max_index} "
             f"cosets, {DEFAULT_MAX_COSETS} rows in all (the coset ceiling)"
             if by_rows

@@ -200,7 +200,7 @@ def shortcut_validity(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutc
 
 
 def reference_validity_walk(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutcome:
-    """The validity walk before the span filter: a dequeued word whose
+    """The validity walk that never settles: a dequeued word whose
     tables differ from every kept word's is kernel-tested against every
     kept word in walk order, each kept word's image group built at its
     first test.  Reference for ``pipeline.is_valid_perm_rep``, which must

@@ -59,8 +59,8 @@ class TestIndexCommand:
 
     @pytest.mark.stretch
     def test_burnside_24_at_level_four(self):
-        # the validity walk keeps 4,096 words, which share one spanning
-        # agreement, so it runs no kernel test
+        # the validity walk keeps 4,096 words and, settled on a1 and a2,
+        # runs no kernel test
         code, out, _ = fresh_cli(
             "index", "builtin:burnside(2,4)", "--subgroup", "a1, t", "--level", "4"
         )
@@ -465,6 +465,27 @@ class TestErrorPaths:
         code, out, err = run_cli("low-index", "builtin:basilica", "--max-index", max_index)
         assert (code, out) == (EXIT_INPUT, "")
         assert err == "error: max_index must be in 1..1000000, the coset ceiling\n"
+
+    def test_max_index_is_checked_before_the_covering_is_built(self):
+        # level 12 of B(2,4) is refused for its size when it is built
+        code, out, err = run_cli(
+            "low-index", "builtin:burnside(2,4)", "--max-index", "0", "--level", "12"
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: max_index must be in 1..1000000, the coset ceiling\n"
+
+    @pytest.mark.stretch
+    def test_a_deep_low_index_search_is_a_resource_error(self, tmp_path):
+        # Z/1000 to index 1000 recurses past the default limit of 1000
+        # frames, after about 25 s on a 2-vCPU host; Z/900 to index 900 does not
+        path = tmp_path / "cyclic.lp"
+        path.write_text("generators: a\nfixed: a^1000\n")
+        code, out, err = fresh_cli("low-index", str(path), "--max-index", "1000", "--level", "0")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == (
+            "error: the search for tables of up to 1000 cosets went past "
+            "Python's recursion limit of 1000 frames\n"
+        )
 
     def test_resource_ceiling(self):
         code, _, err = run_cli(

@@ -514,7 +514,8 @@ class TestKernelContained:
     def test_a_spanning_agreement_leaves_no_containment(self, pair):
         # ker(sigma) in ker(rho) would give a homomorphism theta of
         # im(sigma) onto im(rho) with theta(sigma(x)) = rho(x); it fixes the
-        # agreeing images, so all of im(sigma), and then rho = sigma
+        # agreeing images, so all of im(sigma), and then rho = sigma; the
+        # settled validity walk rests on this, with A its fixed generators
         sigma, rho = pair
         assert kernel_contained(sigma, rho, 10**4) is False
 

@@ -22,6 +22,7 @@ from lpcoset import (
     PreconditionError,
     ResourceLimitError,
     SubgroupSpec,
+    Word,
     basilica,
     burnside,
     cyclic_reduction_pair,
@@ -327,12 +328,8 @@ def _reduction_pair_inputs(draw):
         lp, top = draw(st.sampled_from([(grigorchuk(), 7), (basilica(), 8)]))
         phi = _random_rep(draw, lp, draw(st.integers(1, top)))
     else:
-        # the one-endomorphism pools; indexes, not sampled_from, which
-        # labels a strategy by its elements
-        pools = _candidate_pools()[:4]
-        pool = pools[draw(st.integers(0, len(pools) - 1))]
-        lp, table = pool[draw(st.integers(0, len(pool) - 1))]
-        phi = to_perm_rep(table)
+        # the one-endomorphism pools
+        lp, phi = _draw_from_pools(draw, _candidate_pools()[:4])
     return _with_cap(draw, lp, phi)
 
 
@@ -368,7 +365,7 @@ class TestReductionPairIsTheWalksStop:
         _reference_pair_or_capped_walk(*case)
 
     @pytest.mark.stretch
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_on_degree_eight_grigorchuk(self, data):
         lp = grigorchuk()
@@ -824,6 +821,13 @@ def _candidate_pools():
     return tuple(pools)
 
 
+def _draw_from_pools(draw, pools):
+    # indexes, not sampled_from, which labels a strategy by its elements
+    pool = pools[draw(st.integers(0, len(pools) - 1))]
+    lp, table = pool[draw(st.integers(0, len(pool) - 1))]
+    return lp, to_perm_rep(table)
+
+
 class TestOneValidityWalk:
     """The walk prunes a word before testing its relators; with a single
     endomorphism it then tests what ``helpers.shortcut_validity`` tests."""
@@ -1008,21 +1012,45 @@ def _random_burnside_rep(draw):
     return lp, PermutationRep(lp.alphabet, degree, (*a, Permutation.identity(degree)))
 
 
+@functools.cache
+def _free_products() -> tuple[LPresentation, ...]:
+    return tuple(parse_lpresentation(text) for text, _ in L_PRESENTED_FREE_PRODUCTS.values())
+
+
+@functools.cache
+def _free_product_pools():
+    """The candidate tables of the plain descent up to index 4 of every
+    group of L_PRESENTED_FREE_PRODUCTS at levels 0 and 1: their
+    endomorphisms fix a and c, x3, and b, whose images generate the image
+    group of some tables and not of others."""
+    pools = []
+    for lp in _free_products():
+        for level in (0, 1):
+            tables = plain_low_index_tables(lp.covering(level), 4)
+            pools.append(tuple((lp, t) for t in tables))
+    return tuple(pools)
+
+
 @st.composite
 def _walk_inputs(draw):
     """``(lp, phi, cap)``, caps from :func:`_with_cap`, so that some are
-    below the order of the root's image group and the span filter is off.
+    below the order of the root's image group and the walk cannot settle.
     ``phi`` is one of:
 
     - a random Grigorchuk or Basilica representation of degree 1-8, with
       the relators kept (mostly refused) or dropped (walked to the stop;
       Grigorchuk to degree 7, see :func:`_reduction_pair_inputs`);
-    - a candidate table of the plain descent (:func:`_candidate_pools`):
-      where the agreeing generators mostly do not span;
+    - a candidate table of the plain descent (:func:`_candidate_pools`);
+      no Grigorchuk or Basilica endomorphism fixes a generator, and every
+      Burnside one fixes a1..an, which generate the image group;
     - a covering table of the burnside-escalation workload, or a random
-      Burnside representation: where they always do.
+      Burnside representation: walks that settle;
+    - a random representation of degree 1-6 or a candidate table
+      (:func:`_free_product_pools`) of a group of
+      L_PRESENTED_FREE_PRODUCTS: fixed generators that may or may not
+      generate the image group.
     """
-    kind = draw(st.integers(0, 3))
+    kind = draw(st.integers(0, 5))
     if kind == 0:
         # (group, top degree with the relators, top degree without)
         lp, top, free_top = draw(st.sampled_from([(grigorchuk(), 8, 7), (basilica(), 8, 8)]))
@@ -1030,16 +1058,20 @@ def _walk_inputs(draw):
             lp, top = replace(lp, fixed=(), iterated=()), free_top
         phi = _random_rep(draw, lp, draw(st.integers(1, top)))
     elif kind == 1:
-        pools = _candidate_pools()
-        pool = pools[draw(st.integers(0, len(pools) - 1))]
-        lp, table = pool[draw(st.integers(0, len(pool) - 1))]
-        phi = to_perm_rep(table)
+        lp, phi = _draw_from_pools(draw, _candidate_pools())
     elif kind == 2:
         tables = _burnside_covering_tables()
         lp, table = tables[draw(st.integers(0, len(tables) - 1))]
         phi = to_perm_rep(table)
-    else:
+    elif kind == 3:
         lp, phi = _random_burnside_rep(draw)
+    elif kind == 4:
+        lp = _free_products()[draw(st.integers(0, 2))]
+        if draw(st.booleans()):
+            lp = replace(lp, fixed=(), iterated=())
+        phi = _random_rep(draw, lp, draw(st.integers(1, 6)))
+    else:
+        lp, phi = _draw_from_pools(draw, _free_product_pools())
     return _with_cap(draw, lp, phi)
 
 
@@ -1050,11 +1082,41 @@ def _outcome_or_refusal(walk, lp, phi, cap):
         return str(exc)
 
 
+def _recorded_kernel_tests(module, walk, lp, phi):
+    """The outcome of ``walk`` and its kernel tests ``(sigma, rho, answer)``
+    by generator tables, with ``kernel_contained`` patched in ``module``."""
+    tests = []
+
+    def test(sigma, rho, *args):
+        tests.append((sigma.generators, rho.generators, kernel_contained(sigma, rho, *args)))
+        return tests[-1][2]
+
+    with mock.patch.object(module, "kernel_contained", test):
+        return walk(lp, phi), tests
+
+
+def _settles(lp, phi) -> bool:
+    """Do the generators that every endomorphism maps to themselves have
+    images under ``phi`` that generate its image group?"""
+    fixed = [
+        g
+        for g in range(len(lp.alphabet))
+        if all(e.apply(Word(lp.alphabet, (g + 1,))) == Word(lp.alphabet, (g + 1,))
+               for e in lp.endomorphisms)
+    ]
+    degree = phi.degree
+    ident = Permutation.identity(degree)
+    fixed_only = PermutationRep(
+        lp.alphabet, degree, [p if g in fixed else ident for g, p in enumerate(phi.perms)]
+    )
+    return perms.image_group(fixed_only, 10**6).order == perms.image_group(phi, 10**6).order
+
+
 class TestSpanFilter:
-    """The walk skips a kernel test where a kept word and the new one agree
-    on generators whose images generate the root's image group, and skips
-    whole buckets of such kept words; ``helpers.reference_validity_walk``
-    is the walk that tests every kept word."""
+    """The walk settles, and runs no kernel test, when the root's images of
+    the generators that every endomorphism fixes generate its image group;
+    ``helpers.reference_validity_walk`` is the walk that tests every kept
+    word."""
 
     @settings(max_examples=300, deadline=None)
     @given(_walk_inputs())
@@ -1067,8 +1129,8 @@ class TestSpanFilter:
     @pytest.mark.parametrize("n, m, gens, index", BURNSIDE_INDEXES)
     def test_burnside_walks_run_no_kernel_test(self, n, m, gens, index):
         # every Burnside endomorphism fixes a1..an, whose images generate
-        # the image group: each kept word's test is skipped, and only the
-        # root's image group is built
+        # the image group: the walk settles, and only the root's image
+        # group is built
         lp = burnside(n, m)
         table = enumerate_cosets(lp, parse_subgroup(lp.alphabet, gens)).table
         assert table.size == index
@@ -1083,26 +1145,24 @@ class TestSpanFilter:
         assert tests.call_count == 0
         assert groups.call_count == 1
 
-    def test_the_filter_leaves_the_tests_that_can_succeed(self):
-        # on the Grigorchuk and Basilica candidates some agreements do not
-        # span: kernel tests remain, some succeed, and they only shrink
-        answers = {pipeline: [], helpers: []}
-
-        def recorded(module):
-            def test(*args):
-                answers[module].append(kernel_contained(*args))
-                return answers[module][-1]
-
-            return test
-
-        for pool in _candidate_pools()[:4]:
+    def test_a_settled_walk_tests_nothing_and_the_others_test_as_the_reference(self):
+        # no Grigorchuk or Basilica endomorphism fixes a generator, so their
+        # walks settle only on a trivial image group; the free products'
+        # fixed generators generate the image group of some tables only
+        pools = _candidate_pools()[:4] + _free_product_pools()
+        sides = {True: 0, False: 0}
+        answers = []
+        for pool in pools:
             for lp, table in pool:
                 phi = to_perm_rep(table)
-                walks = ((pipeline, is_valid_perm_rep), (helpers, reference_validity_walk))
-                for module, walk in walks:
-                    with mock.patch.object(module, "kernel_contained", recorded(module)):
-                        walk(lp, phi)
-        walk, reference = answers[pipeline], answers[helpers]
-        assert len(walk) < len(reference)
-        assert sum(walk) == sum(reference) > 0
-        assert not all(walk)
+                walk, ours = _recorded_kernel_tests(pipeline, is_valid_perm_rep, lp, phi)
+                reference, theirs = _recorded_kernel_tests(
+                    helpers, reference_validity_walk, lp, phi
+                )
+                assert walk == reference
+                settled = _settles(lp, phi)
+                sides[settled] += 1
+                assert ours == ([] if settled else theirs)
+                answers.extend(answer for _, _, answer in ours)
+        assert sides[True] > 0 and sides[False] > 0
+        assert any(answers) and not all(answers)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -829,6 +831,25 @@ class TestLowIndex:
         with pytest.raises(LowIndexIncomplete, match="after 50 candidate tables") as info:
             low_index(builtin_presentation("burnside(3,2)"), 8, level=0)
         assert not info.value.partial.complete
+
+    def test_a_descent_past_the_recursion_limit_raises_with_partial(self):
+        # the descent recurses about once per coset, and finds the subgroups
+        # of Z/60 in increasing index: under a limit 40 frames above this
+        # one it stops partway, and the partial result folds after the
+        # limit is restored
+        lp = parse_lpresentation("generators: a\nfixed: a^60\n")
+        full = {e.subgroup.table.rows for e in low_index(lp, 60, level=0).entries}
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            with pytest.raises(LowIndexIncomplete, match="recursion limit of") as info:
+                low_index(lp, 60, level=0)
+        finally:
+            sys.setrecursionlimit(limit)
+        partial = info.value.partial
+        assert not partial.complete
+        assert partial.entries
+        assert {e.subgroup.table.rows for e in partial.entries} < full
 
 
 def _cyclic_free_product(orders) -> LPresentation:
