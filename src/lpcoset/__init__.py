@@ -72,10 +72,10 @@ from .subgroups import (
 )
 from .words import (
     Alphabet,
-    EndoWord,
     FreeEndomorphism,
     Word,
     commutator,
+    describe_endo_word,
     free_reduce,
 )
 

@@ -42,6 +42,7 @@ from .subgroups import (
     mark_normal_and_maximal,
     report_json,
 )
+from .words import describe_endo_word
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -232,7 +233,7 @@ def _cmd_validate(args, trace, out) -> None:
     if not outcome.valid:
         w = outcome.witness
         payload["relator"] = str(w.relator)
-        payload["endomorphism"] = w.endo.describe(lp.endomorphism_names)
+        payload["endomorphism"] = describe_endo_word(w.endo, lp.endomorphism_names)
         payload["coset"] = w.coset
     payload["table"] = [list(row) for row in table.rows]
     _emit_payload(args, payload, out)

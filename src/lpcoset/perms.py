@@ -186,7 +186,13 @@ def _inverses(generators: Sequence, degree: int) -> list:
     """The inverse tables of encoded ``generators``, in their encoding."""
     if degree <= 256:
         return [bytes.maketrans(t, _FULL) for t in generators]
-    return [tuple(sorted(range(degree), key=t.__getitem__)) for t in generators]
+    invs = []
+    for t in generators:
+        inv = [0] * degree
+        for i, x in enumerate(t):
+            inv[x] = i
+        invs.append(tuple(inv))
+    return invs
 
 
 def _closure(start, generators: Sequence, act, cap: int = sys.maxsize):

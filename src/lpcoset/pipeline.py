@@ -45,7 +45,7 @@ from .perms import (
     kernel_contained,
 )
 from .presentations import LPresentation, SubgroupSpec, abelian_rank
-from .words import EndoWord, Word, _require_same_alphabet
+from .words import Word, _require_same_alphabet, describe_endo_word
 
 DEFAULT_REDUCTION_CAP = 10**5
 
@@ -79,10 +79,11 @@ def _emit(trace: Trace | None, kind: str, **details) -> None:
 @dataclass(frozen=True)
 class InvalidWitness:
     """A relator image outside the kernel: which relator, which
-    endomorphism word, the offending permutation, and one coset it moves."""
+    endomorphism word (its factors, indices into the family, the leftmost
+    applied first), the offending permutation, and one coset it moves."""
 
     relator: Word
-    endo: EndoWord
+    endo: tuple[int, ...]
     image: Permutation
     coset: int
 
@@ -93,18 +94,19 @@ class ValidityOutcome:
     the kept words in walk order (the root first), the words whose
     relators were checked, the reduction pair of a valid one-endomorphism
     walk, and ``capped``: the number of kept words whose image group some
-    kernel test needed and found past the cap."""
+    kernel test needed and found past the cap.  A word is its factor
+    tuple, as in :class:`InvalidWitness`."""
 
     valid: bool
     witness: InvalidWitness | None
-    visited: tuple[EndoWord, ...]
-    relator_checks: tuple[EndoWord, ...]
+    visited: tuple[tuple[int, ...], ...]
+    relator_checks: tuple[tuple[int, ...], ...]
     reduction_pair: tuple[int, int] | None = None
     capped: int = 0
 
 
 def _relator_witness(
-    relators: Sequence[Word], rep: PermutationRep, endo: EndoWord
+    relators: Sequence[Word], rep: PermutationRep, endo: tuple[int, ...]
 ) -> InvalidWitness | None:
     """Witness for ``endo``: the first of ``relators`` that ``rep`` does not
     kill.  Images are compared encoded; only a witness's is decoded."""
@@ -135,11 +137,15 @@ def is_valid_perm_rep(
     in walk order, each kept word's image group built at its first test);
     its relator images then die with sigma's, so it needs no relator test.
     Otherwise test the iterated relators under it, keep it, and enqueue its
-    one-step extensions.  The queue drains because representations repeat
-    once the finitely many generator-image tuples are exhausted, and
-    repeats always reduce.  With one endomorphism the walk stops at the
-    first pruned power j, reducing to the i-th; a valid outcome records
-    ``(i, j)`` as ``reduction_pair``.
+    one-step extensions.  A word is the tuple of its factors, indices into
+    ``lp.endomorphisms`` applied left to right, and an extension prepends
+    a factor, applied first.  Breadth first, children prepended in family
+    order, the kept words come out in length-then-rightmost-lexicographic
+    order.  The queue drains because representations repeat once the
+    finitely many generator-image tuples are exhausted, and repeats always
+    reduce.  With one endomorphism the walk stops at the first pruned
+    power j, reducing to the i-th; a valid outcome records ``(i, j)`` as
+    ``reduction_pair``.
 
     At the first search, where the root's image group is built, the walk
     may settle.  A generator x is fixed when every endomorphism maps it to
@@ -161,29 +167,25 @@ def is_valid_perm_rep(
     _require_same_alphabet(lp.alphabet, phi.alphabet)
     if cap < 1:
         raise InputError("cap must be positive")
-    identity = lp.identity_endo_word()
     # fixed relators and iterated ones at the identity word are relators of
     # every covering presentation: every enumerated table kills them
     for name, relators in (("fixed", lp.fixed), ("iterated", lp.iterated)):
-        w = _relator_witness(relators, phi, identity)
+        w = _relator_witness(relators, phi, ())
         if w is not None:
             raise PreconditionError(
                 f"{name} relator {w.relator} is not in the kernel of the representation"
             )
-    visited = [(identity, phi)]
+    family = lp.endomorphisms
+    visited = [((), phi)]
     groups: list[ImageGroup | None] = []
     settled = False
     by_images = {phi.generators: 0}
-    queue: list[tuple[EndoWord, PermutationRep]] = [(e, phi) for e in identity.descendants()]
-    head = 0
-    checks: list[EndoWord] = []
+    queue = [((k,), phi) for k in range(len(family))]
     witness = None
     pair = None
-    while head < len(queue):
-        delta, parent = queue[head]
-        head += 1
+    for delta, parent in queue:
         # built on dequeue from the kept parent, so only kept ones stay alive
-        rep_d = parent.precompose(delta.family[delta.factors[0]])
+        rep_d = parent.precompose(family[delta[0]])
         kept = by_images.get(rep_d.generators)
         if kept is None and not groups:
             groups.append(image_group(phi, cap))
@@ -197,21 +199,21 @@ def is_valid_perm_rep(
                     kept = i
                     break
         if kept is not None:
-            if len(delta.family) == 1:
-                pair = (kept, delta.length)
+            if len(family) == 1:
+                pair = (kept, len(delta))
             continue
-        checks.append(delta)
         witness = _relator_witness(lp.iterated, rep_d, delta)
         if witness is not None:
             break
         by_images[rep_d.generators] = len(visited)
         visited.append((delta, rep_d))
-        queue.extend((child, rep_d) for child in delta.descendants())
+        queue.extend(((k, *delta), rep_d) for k in range(len(family)))
+    words = tuple(delta for delta, _ in visited)
     return ValidityOutcome(
         valid=witness is None,
         witness=witness,
-        visited=tuple(endo for endo, _ in visited),
-        relator_checks=tuple(checks),
+        visited=words,
+        relator_checks=words[1:] if witness is None else (*words[1:], witness.endo),
         reduction_pair=pair,
         capped=groups.count(None),
     )
@@ -259,7 +261,7 @@ def decide_validity(
             "validity",
             verdict="invalid",
             relator=str(w.relator),
-            endo=w.endo.describe(lp.endomorphism_names),
+            endo=describe_endo_word(w.endo, lp.endomorphism_names),
             coset=w.coset,
         )
     return outcome

@@ -38,7 +38,6 @@ from typing import Iterable
 from .errors import InputError, ParseError, ResourceLimitError
 from .words import (
     Alphabet,
-    EndoWord,
     FreeEndomorphism,
     Word,
     _inverse,
@@ -189,9 +188,6 @@ class LPresentation:
     def from_finite(cls, fp: FinitePresentation) -> "LPresentation":
         return cls(fp.alphabet, (), (), fp.relators)
 
-    def identity_endo_word(self) -> EndoWord:
-        return EndoWord.identity(self.alphabet, self.endomorphisms)
-
     def covering(self, level: int) -> FinitePresentation:
         """The finite presentation truncated at composite length ``level``.
 
@@ -218,9 +214,9 @@ class LPresentation:
             fp = FinitePresentation(self.alphabet, self.fixed + self.iterated)
             built[0] = (fp, self.iterated)
         family = self.endomorphisms
-        growth = len(family) * max((len(w) for e in family for w in e.images), default=0)
         while level not in built:
             deepest = len(built) - 1
+            growth = len(family) * max((len(w) for e in family for w in e.images), default=0)
             fp, images = built[deepest]
             if sum(map(len, images)) * growth > MAX_COVERING_LETTERS:
                 raise ResourceLimitError(

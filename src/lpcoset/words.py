@@ -3,17 +3,15 @@ and words in a finite family of endomorphisms.
 
 Letters are signed 1-based integers: ``i`` is the i-th generator, ``-i``
 its inverse.  Every ``Word`` is freely reduced by construction, so words
-compare and hash by value.  ``EndoWord`` represents an element of the free
-monoid generated by an ordered family of endomorphisms by its factor
-sequence alone, which applies left to right; no composite endomorphism is
-built.  The family ordering induces the length-then-rightmost-lexicographic
-well-ordering used by the validity search.
+compare and hash by value.  A word in an ordered family of endomorphisms
+is the tuple of its factors, 0-based indices into the family, applied
+left to right; the empty tuple is the identity map, and no composite
+endomorphism is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import total_ordering
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -232,72 +230,18 @@ class FreeEndomorphism:
         )))
 
 
-@total_ordering
-@dataclass(frozen=True)
-class EndoWord:
-    """A word in an ordered family of endomorphisms.
-
-    ``factors`` are 0-based indices into ``family``; the leftmost factor is
-    applied first, as for products of endomorphisms acting on the right.
-    The empty word is the identity map.  No composite endomorphism is
-    formed: a caller applies the factors one at a time, as
-    :meth:`PermutationRep.precompose` does in the validity walk.
-    """
-
-    alphabet: Alphabet
-    family: tuple[FreeEndomorphism, ...]
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        family = tuple(self.family)
-        factors = tuple(self.factors)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "factors", factors)
-        for endo in family:
-            _require_same_alphabet(self.alphabet, endo.alphabet)
-        for k in factors:
-            if not 0 <= k < len(family):
-                raise InputError(f"factor index {k} out of range")
-
-    @classmethod
-    def identity(
-        cls, alphabet: Alphabet, family: Sequence[FreeEndomorphism]
-    ) -> "EndoWord":
-        return cls(alphabet, tuple(family), ())
-
-    @property
-    def length(self) -> int:
-        return len(self.factors)
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Key realizing the length-then-rightmost-lexicographic order."""
-        return (len(self.factors), tuple(reversed(self.factors)))
-
-    def __lt__(self, other: "EndoWord") -> bool:
-        if self.family != other.family:
-            raise InputError("cannot compare endomorphism words over different families")
-        return self.sort_key() < other.sort_key()
-
-    def descendants(self) -> list["EndoWord"]:
-        """All one-step left extensions, in family order."""
-        return [
-            EndoWord(self.alphabet, self.family, (k,) + self.factors)
-            for k in range(len(self.family))
-        ]
-
-    def describe(self, names: Sequence[str]) -> str:
-        """Render the factor sequence using the given family names."""
-        if not self.factors:
-            return "id"
-        parts = []
-        i = 0
-        n = len(self.factors)
-        while i < n:
-            k = self.factors[i]
-            j = i
-            while j < n and self.factors[j] == k:
-                j += 1
-            parts.append(names[k] if j - i == 1 else f"{names[k]}^{j - i}")
-            i = j
-        return "*".join(parts)
-
+def describe_endo_word(factors: Sequence[int], names: Sequence[str]) -> str:
+    """Render the endomorphism word ``factors`` with the family's ``names``."""
+    if not factors:
+        return "id"
+    parts = []
+    i = 0
+    n = len(factors)
+    while i < n:
+        k = factors[i]
+        j = i
+        while j < n and factors[j] == k:
+            j += 1
+        parts.append(names[k] if j - i == 1 else f"{names[k]}^{j - i}")
+        i = j
+    return "*".join(parts)

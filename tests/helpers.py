@@ -17,7 +17,6 @@ from unittest import mock
 
 from lpcoset import (
     CosetTable,
-    EndoWord,
     FreeEndomorphism,
     ImageGroup,
     InvalidWitness,
@@ -50,9 +49,27 @@ from lpcoset.subgroups import _low_index_tables, _split_relators
 from lpcoset.words import Alphabet, Word, _require_same_alphabet, commutator
 
 
-def sigma_power(lp, k: int) -> EndoWord:
-    """The k-th power of the single endomorphism of ``lp`` as an endomorphism word."""
-    return EndoWord(lp.alphabet, lp.endomorphisms, (0,) * k)
+def sigma_power(k: int) -> tuple[int, ...]:
+    """The k-th power of the single endomorphism of a presentation as an
+    endomorphism word, the tuple of its factors."""
+    return (0,) * k
+
+
+def walk_order_key(factors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Key of the validity walk's order on endomorphism words: length, then
+    lexicographic from the rightmost factor."""
+    return (len(factors), tuple(reversed(factors)))
+
+
+def breadth_first_words(size: int, max_len: int) -> list[tuple[int, ...]]:
+    """Every word of at most ``max_len`` factors in a family of ``size``
+    endomorphisms, breadth first with each factor prepended in family
+    order, as the validity walk extends a kept word."""
+    words = [()]
+    for factors in words:
+        if len(factors) < max_len:
+            words.extend((k, *factors) for k in range(size))
+    return words
 
 
 def identity_endomorphism(alphabet) -> FreeEndomorphism:
@@ -68,32 +85,36 @@ def compose(e: FreeEndomorphism, f: FreeEndomorphism) -> FreeEndomorphism:
     return FreeEndomorphism(e.alphabet, tuple(f.apply(img) for img in e.images))
 
 
-def composite(e: EndoWord) -> FreeEndomorphism:
-    """The free-group endomorphism of ``e``: its factors composed, the
-    leftmost applied first.  Reference for the factor-by-factor
-    application of the validity walk and ``LPresentation.covering``."""
-    comp = identity_endomorphism(e.alphabet)
-    for k in reversed(e.factors):
-        comp = compose(e.family[k], comp)
+def composite(lp, factors: tuple[int, ...]) -> FreeEndomorphism:
+    """The free-group endomorphism of the word ``factors`` in the family of
+    ``lp``: its factors composed, the leftmost applied first.  Reference for
+    the factor-by-factor application of the validity walk and
+    ``LPresentation.covering``."""
+    comp = identity_endomorphism(lp.alphabet)
+    for k in reversed(factors):
+        comp = compose(lp.endomorphisms[k], comp)
     return comp
 
 
-def endo_image(phi: PermutationRep, e: EndoWord) -> PermutationRep:
-    """The representation of the composite ``e`` followed by ``phi``, built
-    by peeling factors off the left.  Reference for the chain of
-    :meth:`PermutationRep.precompose` calls that the validity walk makes."""
-    _require_same_alphabet(phi.alphabet, e.alphabet)
+def endo_image(phi: PermutationRep, lp, factors: tuple[int, ...]) -> PermutationRep:
+    """The representation of the composite of ``factors`` followed by
+    ``phi``, built by peeling factors off the left.  Reference for the chain
+    of :meth:`PermutationRep.precompose` calls that the validity walk
+    makes."""
+    _require_same_alphabet(phi.alphabet, lp.alphabet)
     rep = phi
-    for k in reversed(e.factors):
-        rep = rep.precompose(e.family[k])
+    for k in reversed(factors):
+        rep = rep.precompose(lp.endomorphisms[k])
     return rep
 
 
-def reduces(delta: EndoWord, sigma: EndoWord, phi: PermutationRep, cap: int = 1000):
+def reduces(
+    lp, delta: tuple[int, ...], sigma: tuple[int, ...], phi: PermutationRep, cap: int = 1000
+):
     """Does ``delta`` reduce to ``sigma`` under ``phi``, that is, does
     ker(sigma-then-phi) lie inside ker(delta-then-phi)?  ``None`` when the
     image-group enumeration overruns ``cap``."""
-    return kernel_contained(endo_image(phi, sigma), endo_image(phi, delta), cap)
+    return kernel_contained(endo_image(phi, lp, sigma), endo_image(phi, lp, delta), cap)
 
 
 def table_from_rep(rep: PermutationRep) -> CosetTable:
@@ -184,7 +205,7 @@ def shortcut_validity(lp, phi: PermutationRep, cap: int = 10**5) -> ValidityOutc
     relator at the identity.  Reference for the monoid walk's pruning,
     which must reach the same verdict, witness and reduction pair."""
     i, j = reference_reduction_pair(lp, phi, cap)
-    powers = tuple(sigma_power(lp, k) for k in range(j))
+    powers = tuple(sigma_power(k) for k in range(j))
     rep = phi
     checks = []
     for k in range(1, j):
@@ -205,25 +226,25 @@ def reference_validity_walk(lp, phi: PermutationRep, cap: int = 10**5) -> Validi
     kept word in walk order, each kept word's image group built at its
     first test.  Reference for ``pipeline.is_valid_perm_rep``, which must
     give the same outcome, ``capped`` included."""
-    identity = lp.identity_endo_word()
     for name, relators in (("fixed", lp.fixed), ("iterated", lp.iterated)):
-        w = pipeline._relator_witness(relators, phi, identity)
+        w = pipeline._relator_witness(relators, phi, ())
         if w is not None:
             raise PreconditionError(
                 f"{name} relator {w.relator} is not in the kernel of the representation"
             )
-    visited = [(identity, phi)]
+    family = lp.endomorphisms
+    visited = [((), phi)]
     groups: list[ImageGroup | None] = []
     by_images = {phi.generators: 0}
-    queue = [(e, phi) for e in identity.descendants()]
+    queue = [((k,), phi) for k in range(len(family))]
     head = 0
-    checks: list[EndoWord] = []
+    checks: list[tuple[int, ...]] = []
     witness = None
     pair = None
     while head < len(queue):
         delta, parent = queue[head]
         head += 1
-        rep_d = parent.precompose(delta.family[delta.factors[0]])
+        rep_d = parent.precompose(family[delta[0]])
         kept = by_images.get(rep_d.generators)
         if kept is None:
             for i, (_, sigma) in enumerate(visited):
@@ -233,8 +254,8 @@ def reference_validity_walk(lp, phi: PermutationRep, cap: int = 10**5) -> Validi
                     kept = i
                     break
         if kept is not None:
-            if len(delta.family) == 1:
-                pair = (kept, delta.length)
+            if len(family) == 1:
+                pair = (kept, len(delta))
             continue
         checks.append(delta)
         witness = pipeline._relator_witness(lp.iterated, rep_d, delta)
@@ -242,7 +263,7 @@ def reference_validity_walk(lp, phi: PermutationRep, cap: int = 10**5) -> Validi
             break
         by_images[rep_d.generators] = len(visited)
         visited.append((delta, rep_d))
-        queue.extend((child, rep_d) for child in delta.descendants())
+        queue.extend(((k, *delta), rep_d) for k in range(len(family)))
     return ValidityOutcome(
         valid=witness is None,
         witness=witness,
@@ -1360,15 +1381,10 @@ def composite_covering(lp, level: int):
     endomorphism word of length at most ``level``, in increasing order, and
     applying the composite to each iterated relator.  Reference for
     ``LPresentation.covering``, which composes nothing."""
-    words = [lp.identity_endo_word()]
-    i = 0
-    while i < len(words):
-        if words[i].length < level:
-            words.extend(words[i].descendants())
-        i += 1
+    words = breadth_first_words(len(lp.endomorphisms), level)
     relators = list(lp.fixed)
-    for endo in words:
-        relators.extend(composite(endo).apply(r) for r in lp.iterated)
+    for factors in words:
+        relators.extend(composite(lp, factors).apply(r) for r in lp.iterated)
     return FinitePresentation(lp.alphabet, tuple(relators))
 
 

@@ -16,7 +16,6 @@ import time
 import pytest
 
 from lpcoset import (
-    EndoWord,
     Permutation,
     core,
     finite_index_subgroup,
@@ -34,8 +33,8 @@ from lpcoset.cli import main
 from lpcoset.words import free_reduce
 
 from helpers import (
+    breadth_first_words,
     brute_force_reduce,
-    compose,
     endo_image,
     enumeration_fixtures,
     felsch_todd_coxeter,
@@ -46,6 +45,7 @@ from helpers import (
     replay_image_group,
     sigma_power,
     transitive_tables_by_exhaustion,
+    walk_order_key,
 )
 
 
@@ -86,8 +86,8 @@ def test_criterion_2_basilica_permutation_images(bas, bas_u_result):
         "a": (rep.perms[0], Permutation.from_cycles(3, [(1, 2, 3)])),
         "b": (rep.perms[1], Permutation.from_cycles(3, [(2, 3)])),
     }
-    rep1 = endo_image(rep, sigma_power(bas, 1))
-    rep2 = endo_image(rep, sigma_power(bas, 2))
+    rep1 = endo_image(rep, bas, sigma_power(1))
+    rep2 = endo_image(rep, bas, sigma_power(2))
     checks["a^(s p)"] = (rep1.perms[0], Permutation.identity(3))
     checks["b^(s p)"] = (rep1.perms[1], Permutation.from_cycles(3, [(1, 2, 3)]))
     checks["a^(s2 p)"] = (rep2.perms[0], Permutation.from_cycles(3, [(1, 3, 2)]))
@@ -201,19 +201,14 @@ class TestCriterion7PropertySuites:
             assert sigma.apply(u * v) == sigma.apply(u) * sigma.apply(v)
         report(7, True, "1000 random reduction and substitution cases")
 
-    def test_order_axioms_and_breadth_first_realization(self, bas):
-        sigma = bas.endomorphisms[0]
-        family = (sigma, compose(sigma, sigma))
-        queue = [EndoWord.identity(bas.alphabet, family)]
-        i = 0
-        while i < len(queue):
-            if queue[i].length < 6:
-                queue.extend(queue[i].descendants())
-            i += 1
-        assert len(queue) == 2**7 - 1
-        keys = [w.sort_key() for w in queue]
+    def test_order_axioms_and_breadth_first_realization(self):
+        # endomorphism words in a family of two, factor tuples, breadth first
+        # with each factor prepended in family order as the validity walk does
+        words = breadth_first_words(2, 6)
+        assert len(words) == 2**7 - 1
+        keys = [walk_order_key(w) for w in words]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        sample = queue[:40]
+        sample = keys[:40]
         for u, v in itertools.combinations(sample, 2):
             assert (u < v) != (v < u)
         for u, v, w in itertools.combinations(sorted(sample), 3):
@@ -221,12 +216,12 @@ class TestCriterion7PropertySuites:
         report(7, True, "ordering axioms and breadth-first realization, 127 words")
 
     def test_reduction_relation_reflexive_and_transitive(self, bas, bas_index3_rep):
-        words = [sigma_power(bas, k) for k in range(6)]
+        words = [sigma_power(k) for k in range(6)]
         for w in words:
-            assert reduces(w, w, bas_index3_rep) is True
+            assert reduces(bas, w, w, bas_index3_rep) is True
         for d, e, f in itertools.product(words, repeat=3):
-            if reduces(d, e, bas_index3_rep) and reduces(e, f, bas_index3_rep):
-                assert reduces(d, f, bas_index3_rep) is True
+            if reduces(bas, d, e, bas_index3_rep) and reduces(bas, e, f, bas_index3_rep):
+                assert reduces(bas, d, f, bas_index3_rep) is True
         report(7, True, "reduction relation reflexivity and transitivity samples")
 
     def test_strategy_independence_on_ten_fixtures(self):

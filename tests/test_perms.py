@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lpcoset import (
     Alphabet,
     CosetTable,
-    EndoWord,
     FiniteIndexSubgroup,
     FinitePresentation,
     FreeEndomorphism,
@@ -40,6 +39,7 @@ from lpcoset import (
 )
 
 from helpers import (
+    breadth_first_words,
     composite,
     congruence_quotient_size,
     endo_image,
@@ -315,18 +315,18 @@ def _assert_replays(rep: PermutationRep) -> None:
 
 class TestEndoImage:
     def test_published_image_table(self, bas, bas_index3_rep):
-        rep1 = endo_image(bas_index3_rep, sigma_power(bas, 1))
+        rep1 = endo_image(bas_index3_rep, bas, sigma_power(1))
         assert rep1.perms[0].is_identity
         assert rep1.perms[1] == cycles(3, [(1, 2, 3)])
-        rep2 = endo_image(bas_index3_rep, sigma_power(bas, 2))
+        rep2 = endo_image(bas_index3_rep, bas, sigma_power(2))
         assert rep2.perms[0] == cycles(3, [(1, 3, 2)])
         assert rep2.perms[1].is_identity
-        rep3 = endo_image(bas_index3_rep, sigma_power(bas, 3))
+        rep3 = endo_image(bas_index3_rep, bas, sigma_power(3))
         assert rep3.perms[0].is_identity
         assert rep3.perms[1] == cycles(3, [(1, 3, 2)])
 
     def test_identity_endo_word(self, bas, bas_index3_rep):
-        assert endo_image(bas_index3_rep, sigma_power(bas, 0)) == bas_index3_rep
+        assert endo_image(bas_index3_rep, bas, sigma_power(0)) == bas_index3_rep
 
     def test_matches_composite_substitution(self, bas, grig, bas_index3_rep):
         # peeling factors one at a time must agree with applying the
@@ -336,17 +336,14 @@ class TestEndoImage:
         b22 = burnside(2, 2)
         grig_rep = low_index(grig, 8).entries[-1].subgroup.rep
         b22_rep = to_perm_rep(enumerate_cosets(b22, SubgroupSpec(b22.alphabet, ())).table)
-        words = [b22.identity_endo_word()]
-        for w in words:
-            if w.length < 3:
-                words.extend(w.descendants())
+        words = breadth_first_words(len(b22.endomorphisms), 3)
         assert len(words) == 1 + 4 + 16 + 64
-        cases = [(bas_index3_rep, sigma_power(bas, k)) for k in range(5)]
-        cases += [(grig_rep, sigma_power(grig, k)) for k in range(5)]
-        cases += [(b22_rep, e) for e in words]
-        for rep, e in cases:
-            via_rep = endo_image(rep, e)
-            for g, img in enumerate(composite(e).images):
+        cases = [(bas_index3_rep, bas, sigma_power(k)) for k in range(5)]
+        cases += [(grig_rep, grig, sigma_power(k)) for k in range(5)]
+        cases += [(b22_rep, b22, e) for e in words]
+        for rep, lp, e in cases:
+            via_rep = endo_image(rep, lp, e)
+            for g, img in enumerate(composite(lp, e).images):
                 assert via_rep.perms[g] == word_image(rep, img)
 
 
@@ -405,21 +402,21 @@ class TestReducesTo:
     ker(delta-then-phi), decided by :func:`kernel_contained`."""
 
     def test_published_reduction(self, bas, bas_index3_rep):
-        assert reduces(sigma_power(bas, 3), sigma_power(bas, 1), bas_index3_rep) is True
-        rep1 = endo_image(bas_index3_rep, sigma_power(bas, 1))
-        rep3 = endo_image(bas_index3_rep, sigma_power(bas, 3))
+        assert reduces(bas, sigma_power(3), sigma_power(1), bas_index3_rep) is True
+        rep1 = endo_image(bas_index3_rep, bas, sigma_power(1))
+        rep3 = endo_image(bas_index3_rep, bas, sigma_power(3))
         assert (rep1.perms[0], rep3.perms[0]) == (Permutation.identity(3),) * 2
         assert rep1.perms[1] == cycles(3, [(1, 2, 3)])
         assert rep3.perms[1] == cycles(3, [(1, 3, 2)])
 
     def test_not_reducible(self, bas, bas_index3_rep):
-        assert reduces(sigma_power(bas, 2), sigma_power(bas, 1), bas_index3_rep) is False
-        assert reduces(sigma_power(bas, 3), sigma_power(bas, 0), bas_index3_rep) is False
+        assert reduces(bas, sigma_power(2), sigma_power(1), bas_index3_rep) is False
+        assert reduces(bas, sigma_power(3), sigma_power(0), bas_index3_rep) is False
 
     def test_reflexive(self, bas, bas_index3_rep):
         for k in range(4):
-            e = sigma_power(bas, k)
-            assert reduces(e, e, bas_index3_rep) is True
+            e = sigma_power(k)
+            assert reduces(bas, e, e, bas_index3_rep) is True
 
     def test_trivial_source_kernel_absorbs_everything(self, bas):
         # under a -> (1,2), b -> (): the second power of sigma maps both
@@ -428,37 +425,37 @@ class TestReducesTo:
         rep = PermutationRep(
             bas.alphabet, 2, (cycles(2, [(1, 2)]), Permutation.identity(2))
         )
-        assert endo_image(rep, sigma_power(bas, 2)).perms == (
+        assert endo_image(rep, bas, sigma_power(2)).perms == (
             Permutation.identity(2),
             Permutation.identity(2),
         )
-        assert reduces(sigma_power(bas, 2), sigma_power(bas, 1), rep, 100) is True
-        assert reduces(sigma_power(bas, 1), sigma_power(bas, 2), rep, 100) is False
+        assert reduces(bas, sigma_power(2), sigma_power(1), rep, 100) is True
+        assert reduces(bas, sigma_power(1), sigma_power(2), rep, 100) is False
 
     def test_equal_images_reduce_both_ways(self, bas, bas_index3_rep):
         # powers 3 and 7 of sigma have different reps here, so build equality
         # artificially: the same endo word twice
-        e = sigma_power(bas, 2)
-        f = EndoWord(bas.alphabet, bas.endomorphisms, (0, 0))
-        assert reduces(e, f, bas_index3_rep) is True
-        assert reduces(f, e, bas_index3_rep) is True
+        e = sigma_power(2)
+        f = (0, 0)
+        assert reduces(bas, e, f, bas_index3_rep) is True
+        assert reduces(bas, f, e, bas_index3_rep) is True
 
     def test_transitive_on_samples(self, bas, bas_index3_rep):
-        words = [sigma_power(bas, k) for k in range(6)]
+        words = [sigma_power(k) for k in range(6)]
         for d, e, f in itertools.product(words, repeat=3):
-            if reduces(d, e, bas_index3_rep) and reduces(e, f, bas_index3_rep):
-                assert reduces(d, f, bas_index3_rep) is True
+            if reduces(bas, d, e, bas_index3_rep) and reduces(bas, e, f, bas_index3_rep):
+                assert reduces(bas, d, f, bas_index3_rep) is True
 
     def test_unknown_on_tiny_cap(self, bas, bas_index3_rep):
         # sigma^2's image group has 3 elements; capping at 2 must not fake an answer
-        assert reduces(sigma_power(bas, 3), sigma_power(bas, 2), bas_index3_rep, 2) is None
+        assert reduces(bas, sigma_power(3), sigma_power(2), bas_index3_rep, 2) is None
 
     def test_yes_certifies_random_kernel_words(self, bas, bas_index3_rep):
         # random products of Schreier generators of ker(sigma phi) must die
         # under sigma^3 phi
         rng = random.Random(31)
-        rep_s = endo_image(bas_index3_rep, sigma_power(bas, 1))
-        rep_d = endo_image(bas_index3_rep, sigma_power(bas, 3))
+        rep_s = endo_image(bas_index3_rep, bas, sigma_power(1))
+        rep_d = endo_image(bas_index3_rep, bas, sigma_power(3))
         ig = image_group(rep_s, 100)
         _, words = replay_image_group(ig, rep_s)
         schreier = []
@@ -506,7 +503,7 @@ class TestKernelContained:
         assert kernel_contained(bas_index3_rep, bas_index3_rep, 1) is True
 
     def test_cap_gives_none(self, bas, bas_index3_rep):
-        rep2 = endo_image(bas_index3_rep, sigma_power(bas, 2))
+        rep2 = endo_image(bas_index3_rep, bas, sigma_power(2))
         assert kernel_contained(bas_index3_rep, rep2, 2) is None
 
     @settings(max_examples=200, deadline=None)

@@ -65,6 +65,7 @@ from helpers import (
     sigma_power,
     table_from_rep,
     trivial_rep,
+    walk_order_key,
     whole_group,
 )
 
@@ -100,12 +101,12 @@ class TestIsValidPermRep:
     def test_basilica_example(self, bas, bas_index3_rep):
         outcome = is_valid_perm_rep(bas, bas_index3_rep)
         assert outcome.valid
-        assert [v.factors for v in outcome.visited] == [(), (0,), (0, 0)]
+        assert list(outcome.visited) == [(), (0,), (0, 0)]
         # the walk dequeues sigma, sigma^2, sigma^3 and tests the relator at
         # the two it keeps; sigma^3 reduces to sigma, so its relator image
         # dies with sigma's, and the relator itself is covered by the
         # level-zero precondition
-        assert [c.factors for c in outcome.relator_checks] == [(0,), (0, 0)]
+        assert list(outcome.relator_checks) == [(0,), (0, 0)]
         assert outcome.capped == 0
 
     def test_walk_substitutes_no_words(self, grig, bas):
@@ -175,7 +176,7 @@ class TestIsValidPermRep:
         rep = PermutationRep(abc, 2, (Permutation.from_cycles(2, [(1, 2)]),))
         outcome = is_valid_perm_rep(lp, rep)
         assert outcome.valid
-        assert [v.factors for v in outcome.visited] == [()]
+        assert list(outcome.visited) == [()]
 
     def test_abelian_quotient_is_valid(self, bas):
         # oracle: every iterated relator image is a commutator, so any
@@ -187,7 +188,7 @@ class TestIsValidPermRep:
             (Permutation.from_cycles(2, [(1, 2)]), Permutation.identity(2)),
         )
         for k in range(7):
-            w = composite(sigma_power(bas, k)).apply(bas.iterated[0])
+            w = composite(bas, sigma_power(k)).apply(bas.iterated[0])
             assert word_image(rep, w).is_identity
         assert is_valid_perm_rep(bas, rep).valid
 
@@ -195,9 +196,9 @@ class TestIsValidPermRep:
         outcome = is_valid_perm_rep(bas, invalid_basilica_rep)
         assert not outcome.valid
         w = outcome.witness
-        assert w.endo.factors == (0,)
+        assert w.endo == (0,)
         # witness replays: the relator image under the composite is not trivial
-        replay = word_image(invalid_basilica_rep, composite(w.endo).apply(w.relator))
+        replay = word_image(invalid_basilica_rep, composite(bas, w.endo).apply(w.relator))
         assert not replay.is_identity
         assert replay == w.image
         assert replay.apply(w.coset) != w.coset
@@ -237,12 +238,11 @@ class TestIsValidPermRep:
         # after a valid verdict, random monoid elements beyond the visited
         # horizon keep every relator image trivial
         outcome = is_valid_perm_rep(bas, bas_index3_rep)
-        horizon = max(v.length for v in outcome.visited) + 3
+        horizon = max(map(len, outcome.visited)) + 3
         rng = random.Random(41)
         for _ in range(200):
             k = rng.randrange(horizon + 1)
-            e = sigma_power(bas, k)
-            rep = endo_image(bas_index3_rep, e)
+            rep = endo_image(bas_index3_rep, bas, sigma_power(k))
             for r in bas.iterated:
                 assert word_image(rep, r).is_identity
 
@@ -251,7 +251,7 @@ class TestIsValidPermRep:
         table = todd_coxeter(lp.covering(1), SubgroupSpec(lp.alphabet, ()))
         outcome = is_valid_perm_rep(lp, to_perm_rep(table))
         assert outcome.valid
-        assert outcome.visited[0].factors == ()
+        assert outcome.visited[0] == ()
 
     def test_tiny_cap_still_terminates_via_image_equality(self, bas, bas_index3_rep):
         # with the cap below every image-group order the kernel test always
@@ -260,7 +260,7 @@ class TestIsValidPermRep:
         # path prunes; the verdict must not change
         outcome = is_valid_perm_rep(bas, bas_index3_rep, cap=2)
         assert outcome.valid
-        assert [v.factors for v in outcome.visited] == [
+        assert list(outcome.visited) == [
             (0,) * k for k in range(5)
         ]
         assert outcome.capped >= 1
@@ -292,7 +292,7 @@ class TestCyclicReductionPair:
         outcome = decide_validity(bas, bas_index3_rep, trace=events.append)
         assert outcome.valid
         assert outcome.reduction_pair == (1, 3)
-        assert [c.factors for c in outcome.relator_checks] == [(0,), (0, 0)]
+        assert list(outcome.relator_checks) == [(0,), (0, 0)]
         assert any(
             e.kind == "reduction-pair" and e.get("i") == 1 and e.get("j") == 3
             for e in events
@@ -403,7 +403,7 @@ class TestFolding:
 
         fake = InvalidWitness(
             relator=bas.iterated[0],
-            endo=sigma_power(bas, 1),
+            endo=sigma_power(1),
             image=Permutation.identity(3),
             coset=1,
         )
@@ -891,11 +891,11 @@ class TestOneValidityWalk:
         outcome = is_valid_perm_rep(lp, phi)
         if not outcome.valid:
             w = outcome.witness
-            replay = word_image(phi, composite(w.endo).apply(w.relator))
+            replay = word_image(phi, composite(lp, w.endo).apply(w.relator))
             assert replay == w.image
             assert replay.apply(w.coset) != w.coset
             return
-        horizon = max(v.length for v in outcome.visited) + 2
+        horizon = max(map(len, outcome.visited)) + 2
         layer = [phi]
         for length in range(horizon + 1):
             if length:
@@ -1166,3 +1166,30 @@ class TestSpanFilter:
                 answers.extend(answer for _, _, answer in ours)
         assert sides[True] > 0 and sides[False] > 0
         assert any(answers) and not all(answers)
+
+
+class TestWalkOrder:
+    def test_kept_words_come_in_walk_order(self):
+        # the walk keeps words in length-then-rightmost-lexicographic order,
+        # and its relator checks are the kept words after the root, then the
+        # witness's word when there is one
+        pools = [_burnside_covering_tables()]
+        for n, m in [(2, 2), (1, 3), (2, 3)]:
+            lp = burnside(n, m)
+            for level in (0, 1):
+                pools.append([(lp, t) for t in plain_low_index_tables(lp.covering(level), 4)])
+        verdicts = set()
+        longest = 0
+        for pool in pools + list(_free_product_pools()):
+            for lp, table in pool:
+                outcome = is_valid_perm_rep(lp, to_perm_rep(table))
+                keys = [walk_order_key(w) for w in outcome.visited]
+                assert all(u < v for u, v in zip(keys, keys[1:]))
+                checks = outcome.visited[1:]
+                if not outcome.valid:
+                    checks += (outcome.witness.endo,)
+                assert outcome.relator_checks == checks
+                verdicts.add(outcome.valid)
+                longest = max(longest, len(outcome.visited[-1]))
+        assert verdicts == {True, False}
+        assert longest >= 3

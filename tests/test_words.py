@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lpcoset import (
     Alphabet,
-    EndoWord,
     FreeEndomorphism,
     InputError,
     Word,
@@ -18,13 +17,14 @@ from lpcoset import (
 )
 
 from helpers import (
+    breadth_first_words,
     brute_force_reduce,
     checked_word_letters,
     compose,
-    composite,
     identity_endomorphism,
     power_by_products,
     random_word,
+    walk_order_key,
 )
 
 ABC = Alphabet(("a", "b", "c", "d"))
@@ -259,83 +259,34 @@ class TestUncheckedResults:
             self.assert_checked(w, expected)
 
 
-FAMILY = (BAS_SIGMA, compose(BAS_SIGMA, BAS_SIGMA))
-
-
-def endo_word(*factors) -> EndoWord:
-    return EndoWord(AB, FAMILY, factors)
-
-
-def bfs_words(family, max_len: int) -> list[EndoWord]:
-    queue = [EndoWord.identity(AB, family)]
-    i = 0
-    while i < len(queue):
-        if queue[i].length < max_len:
-            queue.extend(queue[i].descendants())
-        i += 1
-    return queue
-
-
 class TestOrdering:
+    """The validity walk's order on endomorphism words, factor tuples."""
+
     def test_shorter_wins(self):
-        assert endo_word(0) < endo_word(0, 0)
+        assert walk_order_key((1,)) < walk_order_key((0, 0))
 
     def test_rightmost_position_decides(self):
         # factors apply left to right, so (1, 0) is "phi2 then phi1" and its
         # rightmost factor phi1 precedes phi2.
-        assert endo_word(1, 0) < endo_word(0, 1)
+        assert walk_order_key((1, 0)) < walk_order_key((0, 1))
 
     def test_identity_is_minimum(self):
-        ident = EndoWord.identity(AB, FAMILY)
-        for w in bfs_words(FAMILY, 3):
-            if w.factors:
-                assert ident < w
+        for w in breadth_first_words(2, 3)[1:]:
+            assert walk_order_key(()) < walk_order_key(w)
 
     def test_total_order_axioms(self):
-        sample = bfs_words(FAMILY, 4)
-        for u, v in itertools.combinations(sample, 2):
+        keys = [walk_order_key(w) for w in breadth_first_words(2, 4)]
+        for u, v in itertools.combinations(keys, 2):
             assert (u < v) != (v < u)
-        for u in sample:
-            assert not u < u
-        keys = [w.sort_key() for w in sample]
-        for u, v, w in itertools.combinations(sorted(sample), 3):
+        for u, v, w in itertools.combinations(sorted(keys), 3):
             assert u < v < w
-
-    def test_family_mismatch(self):
-        other = EndoWord(AB, (BAS_SIGMA,), (0,))
-        with pytest.raises(InputError):
-            endo_word(0) < other
-
-
-class TestDescendants:
-    def test_counts_and_lengths(self):
-        for w in bfs_words(FAMILY, 3):
-            kids = w.descendants()
-            assert len(kids) == len(FAMILY)
-            assert all(k.length == w.length + 1 for k in kids)
-            assert all(w < k for k in kids)
-
-    def test_descendants_prepend(self):
-        w = endo_word(0, 1)
-        assert [k.factors for k in w.descendants()] == [(0, 0, 1), (1, 0, 1)]
-
-    def test_single_family_chain(self):
-        fam = (BAS_SIGMA,)
-        ident = EndoWord.identity(AB, fam)
-        assert [k.factors for k in ident.descendants()] == [(0,)]
-        assert [k.factors for k in ident.descendants()[0].descendants()] == [(0, 0)]
-
-    def test_empty_family(self):
-        ident = EndoWord.identity(AB, ())
-        assert ident.descendants() == []
-        assert composite(ident) == identity_endomorphism(AB)
 
 
 class TestBreadthFirstOrder:
     def test_bfs_realizes_ordering_up_to_length_six(self):
-        seen = bfs_words(FAMILY, 6)
+        seen = breadth_first_words(2, 6)
         assert len(seen) == 2**7 - 1
-        keys = [w.sort_key() for w in seen]
+        keys = [walk_order_key(w) for w in seen]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
