@@ -346,57 +346,34 @@ def _limits(config: EnumerationConfig) -> list[int]:
     return limits
 
 
-def _deepest_level(config: EnumerationConfig, endomorphisms: int, generators: int) -> int:
-    """The deepest covering level an attempt may use: ``initial_level``
-    plus one level per limit past the first, lowered to the deepest level
-    whose covering has at most ``hard_ceiling / (2 * generators)``
-    endomorphism words, the entries of a table at the ceiling, but not
-    below ``initial_level``.
-
-    Level L has ``sum(e**i for i <= L)`` words for e endomorphisms, so this
-    is known before any covering is built.
-    """
-    e = endomorphisms
-    level = config.initial_level
-    top = level + len(_limits(config)) - 1
-    words = sum(e**i for i in range(level + 1))
-    while level < top:
-        words += e ** (level + 1)
-        if words * 2 * generators > config.hard_ceiling:
-            break
-        level += 1
-    return level
-
-
 def _attempts(
-    config: EnumerationConfig,
-    endomorphisms: int,
-    generators: int,
-    weight: Callable[[int], int],
+    config: EnumerationConfig, weight: Callable[[int], int | None]
 ) -> Iterator[tuple[int, int]]:
-    """The ``(level, max_cosets)`` pair of every Todd-Coxeter attempt for
-    a presentation with the given numbers of endomorphisms and generators.
+    """The ``(level, max_cosets)`` pair of every Todd-Coxeter attempt.
 
     The first pair is ``initial_level`` at the first limit, and the last is
-    the deepest level (:func:`_deepest_level`) at the ceiling, the only
-    attempt there.  In between come the pairs of the levels from
-    ``initial_level`` to the deepest with the limits below the ceiling, in
-    increasing estimated work ``limit * weight(level)``, ties to the
-    shallower level.  A level counts as at least as heavy as the one
-    before, so no pair comes after one at a level as deep or deeper with a
-    limit as large or larger, whose overflow would have implied its own.
+    the deepest level at the ceiling, the only attempt there.  The deepest
+    level is ``initial_level`` plus one level per limit past the first,
+    or the level before the first that ``weight`` refuses (``None``).  In
+    between come the pairs of the levels from ``initial_level`` to the
+    deepest with the limits below the ceiling, in increasing estimated
+    work ``limit * weight(level)``, ties to the shallower level.  A level
+    counts as at least as heavy as the one before, so no pair comes after
+    one at a level as deep or deeper with a limit as large or larger, whose
+    overflow would have implied its own.
 
-    Neither weights nor the deepest level are computed before the first
-    pair.  ``weight`` is read once per level, in level order: the next
-    level is weighed only when its least possible work, the weight of the
-    level before at the first limit, is the least open one.
+    No weight is read before the first pair.  ``weight`` is read once per
+    level, in level order: the next level is weighed only when its least
+    possible work, the weight of the level before at the first limit, is
+    the least open one.  A refused level is never yielded, and no deeper
+    one is weighed.
     """
     limits = _limits(config)
     first = config.initial_level
     yield first, limits[0]
     if len(limits) == 1:
         return
-    deepest = _deepest_level(config, endomorphisms, generators)
+    deepest = first + len(limits) - 1
     below = limits[:-1]
     weights = [weight(first)]
     tried = [1]
@@ -410,8 +387,12 @@ def _attempts(
             break
         _, i = min(open_pairs)
         if i == len(weights):
-            weights.append(max(weight(first + i), weights[-1]))
-            tried.append(0)
+            w = weight(first + i)
+            if w is None:
+                deepest = first + i - 1
+            else:
+                weights.append(max(w, weights[-1]))
+                tried.append(0)
             continue
         yield first + i, below[tried[i]]
         tried[i] += 1
@@ -445,10 +426,12 @@ def enumerate_cosets(
       attempt cost at most f / (f - 1) of its estimated work per level
       tried (16/15 by default).
     - A covering is built only when its level's cheapest attempt is the
-      cheapest open one, and none has more than ``hard_ceiling / (2 *
-      generators)`` endomorphism words (:func:`_deepest_level`), so a
-      small ``escalation_factor`` cannot build coverings beyond the memory
-      of a table at the ceiling.
+      cheapest open one.  A level that :meth:`LPresentation.covering`
+      refuses (``MAX_COVERING_LETTERS``) ends the levels: the attempts go
+      no deeper, and the last is the level before at the hard ceiling, so
+      a small ``escalation_factor`` ends in :class:`GaveUp`, not in the
+      covering's :class:`ResourceLimitError`.  Only a refused initial
+      level raises that, on the first attempt.
     - ``lp`` keeps every covering it builds, and each covering keeps its
       prepared relators (:meth:`LPresentation.covering`), so a level is
       built and prepared once for every query on the same presentation
@@ -469,10 +452,14 @@ def enumerate_cosets(
     _require_same_alphabet(lp.alphabet, sub.alphabet)
     m = len(lp.alphabet)
 
-    def weight(level: int) -> int:
-        return sum(map(len, _prepared_relators(lp.covering(level)))) + 2 * m
+    def weight(level: int) -> int | None:
+        try:
+            cover = lp.covering(level)
+        except ResourceLimitError:
+            return None
+        return sum(map(len, _prepared_relators(cover))) + 2 * m
 
-    attempts = _attempts(config, len(lp.endomorphisms), m, weight)
+    attempts = _attempts(config, weight)
     for escalations, (level, limit) in enumerate(attempts):
         if escalations:
             _emit(trace, "escalate", level=level, max_cosets=limit)

@@ -92,7 +92,7 @@ class Alphabet:
 
 
 def _require_same_alphabet(a: Alphabet, b: Alphabet) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise InputError(f"alphabet mismatch: {a.names} vs {b.names}")
 
 

@@ -1371,7 +1371,7 @@ def ladder_attempts(config):
 def ladder_enumerate_cosets(lp, sub, config, trace=None):
     """The library's ``enumerate_cosets`` on :func:`ladder_attempts`."""
     with mock.patch.object(
-        pipeline, "_attempts", lambda config, *counts_and_weight: ladder_attempts(config)
+        pipeline, "_attempts", lambda config, weight: ladder_attempts(config)
     ):
         return enumerate_cosets(lp, sub, config, trace)
 

@@ -67,6 +67,23 @@ class TestIndexCommand:
         assert code == EXIT_OK
         assert "index: 1024" in out
 
+    @pytest.mark.stretch
+    def test_burnside_24_at_level_five(self):
+        # level 8 is refused for its size, so the escalation ends at level 7
+        # instead of the covering's error; level 5 closes at 2^12 cosets
+        code, out, _ = fresh_cli(
+            "index", "builtin:burnside(2,4)", "--subgroup", "a1, t", "--level", "5"
+        )
+        assert code == EXIT_OK
+        assert "index: 1024" in out
+
+    @pytest.mark.stretch
+    def test_burnside_33_order(self):
+        # the trivial subgroup's index is |B(3,3)| = 3^7
+        code, out, _ = fresh_cli("index", "builtin:burnside(3,3)", "--subgroup", "1")
+        assert code == EXIT_OK
+        assert "index: 2187" in out
+
     def test_csv_format(self):
         code, out, _ = run_cli("index", "builtin:basilica", *BAS_U, "--format", "csv")
         assert code == EXIT_OK
@@ -538,9 +555,20 @@ class TestErrorPaths:
         assert "index: 9" in out
         assert "level: 2" in out
 
+    def test_small_escalation_factor_closes_below_a_refused_covering(self):
+        # the covering of B(3,3) refuses level 6, which the schedule weighs
+        # before it reaches the pair that closes at level 3
+        code, out, err = run_cli(
+            "index", "builtin:burnside(3,3)", "--subgroup", "a1,a2",
+            "--max-cosets", "4", "--escalation-factor", "2",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "index: 81" in out
+        assert "level: 3" in out
+
     def test_small_escalation_factor_gives_up_within_memory(self):
-        # B(3,3) has order 3^7 > 2000: the run gives up, building no covering
-        # beyond level 2, and a 1 GB address space is plenty
+        # B(3,3) has order 3^7 > 2000: the run gives up at level 5, the
+        # deepest its covering builds, and a 1 GB address space is plenty
         import resource
         import subprocess
         import sys
@@ -555,7 +583,7 @@ class TestErrorPaths:
             capture_output=True, text=True, preexec_fn=limit_memory, timeout=300,
         )
         assert proc.returncode == EXIT_RESOURCE
-        assert proc.stderr == "error: no closed table within 2000 cosets at level 2\n"
+        assert proc.stderr == "error: no closed table within 2000 cosets at level 5\n"
 
     def test_long_product_of_powers_is_a_parse_error_within_memory(self):
         # each power is within the word bound, their product is not: the

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import replace
 from unittest import mock
@@ -45,7 +44,7 @@ from lpcoset import (
 )
 from lpcoset import coset_enum, perms, pipeline
 from lpcoset.coset_enum import DEFAULT_MAX_COSETS, _prepared_relators, coset_representatives
-from lpcoset.pipeline import _attempts, _deepest_level, _limits
+from lpcoset.pipeline import _attempts, _limits
 from lpcoset.presentations import abelian_rank
 from lpcoset.subgroups import _quotient_map
 
@@ -507,25 +506,21 @@ LEVEL_ZERO_RANKS = {"1": 1, "a1": 2, "a1*a2*a3": 2, "a1,a2": 3, "[a1,a2]": 1}
 
 
 def prepared_weight(lp):
-    """The level weight that ``enumerate_cosets`` orders attempts by."""
+    """The level weight that ``enumerate_cosets`` orders attempts by,
+    ``None`` for a level whose covering is refused."""
 
     def weight(level):
-        return sum(map(len, _prepared_relators(lp.covering(level)))) + 2 * len(lp.alphabet)
+        try:
+            cover = lp.covering(level)
+        except ResourceLimitError:
+            return None
+        return sum(map(len, _prepared_relators(cover))) + 2 * len(lp.alphabet)
 
     return weight
 
 
 def schedule(lp, config):
-    return list(_attempts(config, len(lp.endomorphisms), len(lp.alphabet), prepared_weight(lp)))
-
-
-def deepest_level(lp, config):
-    return _deepest_level(config, len(lp.endomorphisms), len(lp.alphabet))
-
-
-def covering_words(endomorphisms: int, level: int) -> int:
-    """Endomorphism words of length at most ``level``."""
-    return sum(endomorphisms**i for i in range(level + 1))
+    return list(_attempts(config, prepared_weight(lp)))
 
 
 class TestEscalationSchedule:
@@ -578,40 +573,35 @@ class TestEscalationSchedule:
             escalation_factor=st.integers(2, 8),
             hard_ceiling=st.integers(1, 10**5),
         ),
-        endomorphisms=st.integers(0, 8),
-        generators=st.integers(1, 5),
         weights=st.lists(st.integers(1, 10**4), min_size=30, max_size=30),
+        refused_after=st.none() | st.integers(1, 25),
     )
     @settings(max_examples=300, deadline=None)
-    def test_schedule_properties(self, config, endomorphisms, generators, weights):
+    def test_schedule_properties(self, config, weights, refused_after):
         limits = _limits(config)
         first = config.initial_level
-        deepest = _deepest_level(config, endomorphisms, generators)
-        # the budget: at most one level per limit past the first, and no
-        # covering of more endomorphism words than a table at the ceiling
-        # has entries, unless that is the initial level
-        assert first <= deepest <= first + len(limits) - 1
-        entries = 2 * generators
-
-        def fits(level):
-            return covering_words(endomorphisms, level) * entries <= config.hard_ceiling
-
-        assert deepest == first or fits(deepest)
-        assert deepest == first + len(limits) - 1 or not fits(deepest + 1)
-
+        top = first + len(limits) - 1
+        # the covering of the refused level, if any, is never built; the
+        # initial level is built by the first attempt before any weight
+        refused = None if refused_after is None else first + refused_after
         read = []
 
         def weight(level):
             read.append(level)
-            return weights[level]
+            return None if level == refused else weights[level]
 
-        attempts = _attempts(config, endomorphisms, generators, weight)
+        attempts = _attempts(config, weight)
         assert next(attempts) == (first, limits[0])
         assert read == []
         pairs = [(first, limits[0])] + list(attempts)
-        # each level is weighed once, in level order, up to the deepest
-        assert read == list(range(first, first + len(read)))
-        assert len(read) <= deepest - first + 1
+        # one level per limit past the first, or up to the level before
+        # the refused one
+        refusing = len(limits) > 1 and refused is not None and refused <= top
+        deepest = refused - 1 if refusing else top
+        # each level is weighed once, in level order, up to the deepest,
+        # and then the refused level, never yielded
+        assert read == (list(range(first, deepest + 1 + refusing)) if len(limits) > 1 else [])
+        assert all(level <= deepest for level, _ in pairs)
         assert len(set(pairs)) == len(pairs)
         assert all(limit <= config.hard_ceiling for _, limit in pairs)
         # every level up to the deepest at every limit below the ceiling,
@@ -630,22 +620,44 @@ class TestEscalationSchedule:
         for i, (level, limit) in enumerate(pairs):
             assert not any(l >= level and n >= limit for l, n in pairs[:i])
 
-    def test_the_budget_stops_small_escalation_factors(self):
-        # one level per doubling would reach level 18; the 87,381 words of
-        # level 8 fit a 10^6-coset table over three generators, level 9
-        # does not
-        lp = burnside(2, 3)
+    def test_a_refused_covering_ends_the_levels(self):
+        # one level per doubling would reach level 18 of B(3,3); its
+        # covering refuses level 6, so the levels end at 5, where the last
+        # attempt is the one at the ceiling
+        lp = burnside(3, 3)
         config = EnumerationConfig(initial_max_cosets=4, escalation_factor=2)
         assert len(_limits(config)) == 19
-        assert deepest_level(lp, config) == 8
-        words = sum(1 for i in range(9) for _ in itertools.product(range(4), repeat=i))
-        assert words == covering_words(4, 8) == 87381
-        small = EnumerationConfig(initial_max_cosets=4, escalation_factor=2, hard_ceiling=2000)
-        assert deepest_level(burnside(3, 3), small) == 2
-        # the initial level is never cut
+        with pytest.raises(ResourceLimitError):
+            lp.covering(6)
+        read = []
+        weigh = prepared_weight(lp)
+
+        def weight(level):
+            read.append(level)
+            return weigh(level)
+
+        pairs = list(_attempts(config, weight))
+        assert read == [0, 1, 2, 3, 4, 5, 6]
+        assert max(level for level, _ in pairs) == 5
+        assert pairs[-1] == (5, 10**6)
+        # a refusal right after the initial level leaves only that level
         deep = EnumerationConfig(initial_level=5, initial_max_cosets=4, hard_ceiling=100)
         assert len(_limits(deep)) == 3
-        assert deepest_level(burnside(3, 3), deep) == 5
+        assert schedule(lp, deep) == [(5, 4), (5, 64), (5, 100)]
+
+    def test_a_refused_covering_gives_up_at_the_level_before(self):
+        # Grigorchuk's covering refuses level 15; <b, c, d>, a Klein
+        # four-group, has infinite index, so no attempt closes and the run
+        # gives up at level 14, not in the covering's error
+        lp = grigorchuk()
+        config = EnumerationConfig(
+            initial_level=12, initial_max_cosets=4, escalation_factor=2, hard_ceiling=128
+        )
+        with pytest.raises(ResourceLimitError):
+            lp.covering(15)
+        with pytest.raises(GaveUp) as info:
+            enumerate_cosets(lp, parse_subgroup(lp.alphabet, "b,c,d"), config)
+        assert (info.value.level, info.value.max_cosets) == (14, 128)
 
     def test_first_attempt_honours_the_ceiling(self):
         lp = burnside(1, 3)
