@@ -303,13 +303,17 @@ def _low_index_tables(
     in every completion, since entries are only added below a node, so it
     is dropped for the whole subtree; only the roots still undecided (an
     undefined entry came first) and each fresh coset are compared again
-    further down.  At a complete table every remaining root is decided,
-    and those that tie all the way give the class size, n / (1 + ties).
-    A complete table is kept when the deferred relators close at every
-    coset, which holds for all of its conjugates or none.  ``max_tables``
-    counts complete tables, conjugates included, and the search stops
-    before the class that would pass it.  A descent past Python's recursion
-    limit raises :class:`_SearchTooDeep`.  The caller checks the inputs.
+    further down.  An undecided root keeps the entry where its comparison
+    stopped and is not compared again until that entry is defined: every
+    entry before it is defined, and entries are only added below a node,
+    so until then the comparison stops at the same place.  At a complete
+    table every remaining root is decided, and those that tie all the way
+    give the class size, n / (1 + ties).  A complete table is kept when
+    the deferred relators close at every coset, which holds for all of
+    its conjugates or none.  ``max_tables`` counts complete tables,
+    conjugates included, and the search stops before the class that would
+    pass it.  A descent past Python's recursion limit raises
+    :class:`_SearchTooDeep`.  The caller checks the inputs.
     """
     ngens = len(alphabet)
     squares = [w for w in scanned if len(w) == 2 and w[0] == w[1]]
@@ -367,10 +371,11 @@ def _low_index_tables(
                 queue.append((f, w[i]))
         return True
 
-    def compare_rerooted(root: int) -> int | None:
+    def compare_rerooted(root: int) -> int | tuple[list[int], int]:
         """-1 when the table re-rooted at ``root`` is smaller at the first
         entry where the two differ, 1 when it is larger there, 0 when they
-        agree everywhere, ``None`` when an undefined entry comes first."""
+        agree everywhere; when an undefined entry comes first, that entry
+        as (column list, coset)."""
         label = [0] * (n + 1)
         label[root] = 1
         order = [0, root]
@@ -381,7 +386,7 @@ def _low_index_tables(
                 t = arr[s]
                 u = arr[r]
                 if not t or not u:
-                    return None
+                    return arr, r if t else s
                 m = label[t]
                 if not m:
                     m = label[t] = fresh
@@ -402,7 +407,9 @@ def _low_index_tables(
 
     n = 1
 
-    def descend(c: int, gi: int, roots: list[int], ties: int) -> None:
+    def descend(
+        c: int, gi: int, roots: list[tuple[int, list[int], int]], ties: int
+    ) -> None:
         nonlocal n, capped, total
         while c <= n:
             while gi < ngens and gencols[gi][c]:
@@ -440,10 +447,15 @@ def _low_index_tables(
             if propagate([(c, col)], trail):
                 undecided = []
                 ties = 0
-                for root in (roots + [b] if is_new else roots):
+                # each root with the entry where its comparison stopped; the
+                # fresh coset's entry fwd[c] = b is defined, so it is compared
+                for root, arr, s in (roots + [(b, fwd, c)] if is_new else roots):
+                    if not arr[s]:
+                        undecided.append((root, arr, s))
+                        continue
                     verdict = compare_rerooted(root)
-                    if verdict is None:
-                        undecided.append(root)
+                    if isinstance(verdict, tuple):
+                        undecided.append((root, *verdict))
                     elif verdict < 0:
                         break
                     elif verdict == 0:

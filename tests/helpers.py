@@ -509,11 +509,22 @@ def row_major_low_index_tables(
     scanned: Sequence[tuple[int, ...]],
     deferred: Sequence[tuple[int, ...]],
     max_tables: int | None = None,
+    blocked: list | None = None,
 ) -> tuple[list[tuple[CosetTable, int]], bool]:
     """The low-index descent on one flat row-major table, as the library ran
     it before the table became one list per column: reference for
     ``subgroups._low_index_tables``, which must give the same
-    representatives, class sizes, order and ``capped`` flag.
+    representatives, class sizes, order and ``capped`` flag.  It still
+    compares every undecided root from coset 1, so it is the differential
+    reference for the library's skip of a root whose comparison stopped at
+    an entry that is still undefined.
+
+    Given a list ``blocked``, it also checks the invariant that skip rests
+    on.  Each undecided root keeps the place where its comparison stopped,
+    as (row, column, flat index of the undefined entry); at every
+    descendant node where that entry is still undefined, the full
+    comparison must stop at the same place, or an ``AssertionError`` is
+    raised.  Each place so checked is appended to ``blocked``.
 
     The least standardized closed table of each conjugacy class of those
     over ``alphabet`` with at most ``max_index`` cosets satisfying the
@@ -605,10 +616,12 @@ def row_major_low_index_tables(
                     return False
         return True
 
-    def compare_rerooted(root: int) -> int | None:
+    def compare_rerooted(root: int) -> int | tuple[int, int, int]:
         """-1 when the table re-rooted at ``root`` is smaller at the first
         entry where the two differ, 1 when it is larger there, 0 when they
-        agree everywhere, ``None`` when an undefined entry comes first."""
+        agree everywhere; when an undefined entry comes first, the place
+        where the comparison stopped, as (row, column, flat index of the
+        undefined entry)."""
         newid = [0] * (n + 1)
         newid[root] = 1
         order = [0, root]
@@ -619,7 +632,7 @@ def row_major_low_index_tables(
                 t = tab[src + col]
                 u = tab[dst + col]
                 if t == 0 or u == 0:
-                    return None
+                    return r, col, (dst if t else src) + col
                 m = newid[t]
                 if m == 0:
                     m = newid[t] = len(order)
@@ -639,7 +652,9 @@ def row_major_low_index_tables(
 
     n = 1
 
-    def descend(c0: int, g0: int, roots: list[int], ties: int) -> None:
+    def descend(
+        c0: int, g0: int, roots: list[tuple[int, tuple | None]], ties: int
+    ) -> None:
         nonlocal n, capped, total
         c, gi = c0, g0
         slot = None
@@ -685,10 +700,16 @@ def row_major_low_index_tables(
             if propagate([(a, col)], trail):
                 undecided = []
                 ties = 0
-                for root in (roots + [b] if is_new else roots):
+                for root, stop in (roots + [(b, None)] if is_new else roots):
                     verdict = compare_rerooted(root)
-                    if verdict is None:
-                        undecided.append(root)
+                    if blocked is not None and stop and not tab[stop[2]]:
+                        assert verdict == stop, (
+                            f"root {root} stopped at {stop} and, with that entry"
+                            f" still undefined, at {verdict} further down"
+                        )
+                        blocked.append(stop)
+                    if isinstance(verdict, tuple):
+                        undecided.append((root, verdict))
                     elif verdict < 0:
                         break
                     elif verdict == 0:
@@ -707,10 +728,14 @@ def row_major_low_index_tables(
     return results, capped
 
 
-def row_major_low_index_classes(fp, max_index: int, max_tables: int | None = None):
+def row_major_low_index_classes(
+    fp, max_index: int, max_tables: int | None = None, blocked: list | None = None
+):
     """``low_index_classes`` run through the row-major reference descent."""
     scanned, deferred = _split_relators(fp, max_index)
-    return row_major_low_index_tables(fp.alphabet, max_index, scanned, deferred, max_tables)
+    return row_major_low_index_tables(
+        fp.alphabet, max_index, scanned, deferred, max_tables, blocked
+    )
 
 
 def fold_and_dedup(lp, tables, cap: int = 10**5):

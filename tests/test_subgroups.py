@@ -493,13 +493,14 @@ def _descent_key(rows):
 
 
 @st.composite
-def _small_presentations(draw):
+def _small_presentations(draw, deep: bool = False):
     """Two or three generators, up to four short relators, ``max_index`` <=
-    5 (<= 4 with three generators).  Generator powers of either sign are
-    mixed in, so that small non-normal subgroups survive, and a square
-    among them makes its generator an involution beside generators that
-    are not."""
-    ngens = draw(st.integers(2, 3))
+    5 (<= 4 with three generators); with ``deep``, two generators and
+    ``max_index`` 6-8, where a root's comparison can stay blocked over
+    several levels.  Generator powers of either sign are mixed in, so that
+    small non-normal subgroups survive, and a square among them makes its
+    generator an involution beside generators that are not."""
+    ngens = 2 if deep else draw(st.integers(2, 3))
     abc = Alphabet(("a", "b", "c")[:ngens])
     gens = list(range(1, ngens + 1))
     letters = st.sampled_from(gens + [-g for g in gens])
@@ -512,6 +513,8 @@ def _small_presentations(draw):
         )
     )
     fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in relators))
+    if deep:
+        return fp, draw(st.integers(6, 8))
     return fp, draw(st.integers(1, 5 if ngens == 2 else 4))
 
 
@@ -525,7 +528,30 @@ def _fixed_presentation(name: str, level: int):
     if name == "dihedral12":
         abc = Alphabet(("a", "b"))
         return FinitePresentation(abc, tuple(parse_words(abc, "a^2 b^2 (a*b)^6")))
+    if name.startswith("a^"):
+        # the cyclic group of order n as one chain of cosets, on which every
+        # entry where a comparison stops is defined on the very next step
+        return parse_lpresentation(f"generators: a\nfixed: {name}").covering(level)
     return builtin_presentation(name).covering(level)
+
+
+_FIXED_PRESENTATIONS = [
+    ("grigorchuk", 0, 12, True),
+    ("grigorchuk", 1, 12, True),
+    ("grigorchuk", 2, 15, True),
+    ("grigorchuk", 3, 12, True),
+    ("grigorchuk", 3, 20, True),
+    ("basilica", 0, 10, False),
+    ("basilica", 1, 10, False),
+    ("basilica", 2, 10, False),
+    ("burnside(3,2)", 2, 8, True),
+    ("burnside(2,3)", 2, 9, False),
+    ("dihedral12", 0, 12, True),
+    ("a^2", 0, 2, True),
+    ("a^7", 0, 7, False),
+    ("a^30", 0, 30, False),
+    ("a^60", 0, 60, False),
+]
 
 
 class TestLowIndexSearch:
@@ -569,21 +595,37 @@ class TestLowIndexSearch:
             row_major_low_index_classes(fp, max_index, max_tables)
         )
 
-    @pytest.mark.parametrize(
-        "name,level,max_index,involutions",
-        [
-            ("grigorchuk", 0, 12, True),
-            ("grigorchuk", 1, 12, True),
-            ("grigorchuk", 2, 15, True),
-            ("grigorchuk", 3, 12, True),
-            ("basilica", 0, 10, False),
-            ("basilica", 1, 10, False),
-            ("basilica", 2, 10, False),
-            ("burnside(3,2)", 2, 8, True),
-            ("burnside(2,3)", 2, 9, False),
-            ("dihedral12", 0, 12, True),
-        ],
-    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_small_presentations(deep=True), st.one_of(st.none(), st.integers(0, 300)))
+    def test_column_lists_against_row_major_descent_past_index_five(
+        self, case, max_tables
+    ):
+        fp, max_index = case
+        assert _outcome(low_index_classes(fp, max_index, max_tables)) == _outcome(
+            row_major_low_index_classes(fp, max_index, max_tables)
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(_small_presentations(), _small_presentations(deep=True)))
+    def test_a_blocked_root_stays_blocked_on_random_relators(self, case):
+        # given ``blocked``, the reference asserts at every node that a root
+        # whose entry is still undefined stops where it stopped before
+        fp, max_index = case
+        assert _outcome(low_index_classes(fp, max_index)) == _outcome(
+            row_major_low_index_classes(fp, max_index, blocked=[])
+        )
+
+    @pytest.mark.parametrize("name,level,max_index,involutions", _FIXED_PRESENTATIONS)
+    def test_a_blocked_root_stays_blocked(self, name, level, max_index, involutions):
+        fp = _fixed_presentation(name, level)
+        blocked = []
+        expected = _outcome(row_major_low_index_classes(fp, max_index, blocked=blocked))
+        assert _outcome(low_index_classes(fp, max_index)) == expected
+        # a root stays blocked below the node where it stopped, except on the
+        # chain, where its entry is defined on the very next step
+        assert bool(blocked) != name.startswith("a^")
+
+    @pytest.mark.parametrize("name,level,max_index,involutions", _FIXED_PRESENTATIONS)
     def test_column_lists_on_fixed_presentations(
         self, name, level, max_index, involutions
     ):
