@@ -43,7 +43,13 @@ class GaveUp(ResourceLimitError):
 
 
 class LowIndexIncomplete(ResourceLimitError):
-    """Low-index enumeration stopped early; ``partial`` folds on first read."""
+    """Low-index enumeration stopped early; ``partial`` folds on first read.
+
+    Reading ``partial`` folds every kept class of candidates, which can
+    take far longer than the search did: on a 2-vCPU host the L-presented
+    C2*C2*C2 at level 0 and index 6 stops at the coset ceiling after about
+    1 s, and reading its ``partial`` (166,665 tables in 28,305 classes)
+    takes about 16 s more."""
 
     def __init__(self, message: str, partial):
         super().__init__(message)

@@ -29,7 +29,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coset_enum import (
     DEFAULT_MAX_COSETS,
@@ -191,15 +191,6 @@ def core(u: FiniteIndexSubgroup, cap: int = DEFAULT_REDUCTION_CAP) -> FiniteInde
 # --- low-index enumeration -------------------------------------------------
 
 
-class _SearchCapped(Exception):
-    pass
-
-
-class _SearchTooDeep(Exception):
-    """The descent passed Python's recursion limit; the one argument is the
-    list of whole classes found before."""
-
-
 def _split_relators(
     fp: FinitePresentation, max_index: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -266,18 +257,19 @@ def _low_index_tables(
     max_index: int,
     scanned: Sequence[tuple[int, ...]],
     deferred: Sequence[tuple[int, ...]],
-    max_tables: int | None = None,
-) -> tuple[list[tuple[CosetTable, int]], bool]:
+) -> Iterator[tuple[CosetTable, int]]:
     """The least standardized closed table of each conjugacy class of those
     over ``alphabet`` with at most ``max_index`` cosets satisfying the
     relators ``scanned`` and ``deferred`` (see :func:`_split_relators`).
 
-    Returns ([(representative, class size), ...], capped).  The partial
-    table is one list per column, indexed by coset.  Descent order: locate
-    the first undefined slot scanning rows then generators; try every
-    existing coset whose matching inverse slot is free, then one fresh
-    coset, so the leaves come out in lexicographic order of their generator
-    columns.  Consequences of the scanned relators propagate through
+    Yields (representative, class size) in descent order and knows no
+    budget: the caller stops it by no longer reading it, and a descent past
+    Python's recursion limit raises ``RecursionError`` from the read.  The
+    partial table is one list per column, indexed by coset.  Descent order:
+    locate the first undefined slot scanning rows then generators; try
+    every existing coset whose matching inverse slot is free, then one
+    fresh coset, so the leaves come out in lexicographic order of their
+    generator columns.  Consequences of the scanned relators propagate through
     rotation scans; a scan that closes wrongly kills the branch, since the
     merged table is found on another branch with the smaller assignment
     made directly.  Each new edge a -col-> b is scanned once per relator
@@ -310,10 +302,7 @@ def _low_index_tables(
     table every remaining root is decided, and those that tie all the way
     give the class size, n / (1 + ties).  A complete table is kept when
     the deferred relators close at every coset, which holds for all of
-    its conjugates or none.  ``max_tables`` counts complete tables,
-    conjugates included, and the search stops before the class that would
-    pass it.  A descent past Python's recursion limit raises
-    :class:`_SearchTooDeep`.  The caller checks the inputs.
+    its conjugates or none.  The caller checks the inputs.
     """
     ngens = len(alphabet)
     squares = [w for w in scanned if len(w) == 2 and w[0] == w[1]]
@@ -326,9 +315,6 @@ def _low_index_tables(
     gencols = cols[0::2]
     deferred_cols = [[cols[c] for c in w] for w in deferred]
     scanned_cols = [[cols[c] for c in w] for w in scanned]
-    results: list[tuple[CosetTable, int]] = []
-    capped = False
-    total = 0
 
     def propagate(queue: list[tuple[int, int]], trail: list) -> bool:
         # each queued edge's cycles, followed forwards from its source and
@@ -409,8 +395,8 @@ def _low_index_tables(
 
     def descend(
         c: int, gi: int, roots: list[tuple[int, list[int], int]], ties: int
-    ) -> None:
-        nonlocal n, capped, total
+    ) -> Iterator[tuple[CosetTable, int]]:
+        nonlocal n
         while c <= n:
             while gi < ngens and gencols[gi][c]:
                 gi += 1
@@ -423,13 +409,8 @@ def _low_index_tables(
                 return
             if not all(closes_everywhere(w) for w in scanned_cols):
                 raise RuntimeError("low-index search produced an inconsistent table")
-            size = n // (1 + ties)
-            if max_tables is not None and total + size > max_tables:
-                capped = True
-                raise _SearchCapped
-            total += size
             transitions = [[arr[c] - 1 for arr in gencols] for c in range(1, n + 1)]
-            results.append((_closed_table(alphabet, transitions), size))
+            yield _closed_table(alphabet, transitions), n // (1 + ties)
             return
         col = 2 * gi
         fwd = cols[col]
@@ -461,19 +442,13 @@ def _low_index_tables(
                     elif verdict == 0:
                         ties += 1
                 else:
-                    descend(c, gi, undecided, ties)
+                    yield from descend(c, gi, undecided, ties)
             for arr, s in trail:
                 arr[s] = 0
             if is_new:
                 n -= 1
 
-    try:
-        descend(1, 0, [], 0)
-    except _SearchCapped:
-        pass
-    except RecursionError:
-        raise _SearchTooDeep(results) from None
-    return results, capped
+    yield from descend(1, 0, [], 0)
 
 
 def _quotient_map(
@@ -586,14 +561,15 @@ def low_index(
     Candidates come from the covering presentation at the given truncation
     level; each is folded to validity (one decision per conjugacy class, see
     :func:`_fold_by_class`) and duplicates are removed, so the output does
-    not depend on the level.  ``max_tables`` caps the complete candidate
-    tables, conjugates included; when the descent stops at it a
-    :class:`LowIndexIncomplete` is raised whose ``partial``, folded on
-    first read, holds whole conjugacy classes of candidates only.  The coset
-    ceiling ``DEFAULT_MAX_COSETS`` caps the candidate rows the same way,
-    as ``DEFAULT_MAX_COSETS // max_index`` tables, so a covering with few
-    relators stops instead of filling memory.  The descent recurses about
-    once per coset, and stops the same way at Python's recursion limit.
+    not depend on the level.  The descent :func:`_low_index_tables` only
+    yields classes; this loop alone stops it.  Its budget counts complete
+    candidate tables, conjugates included: ``max_tables``, or the coset
+    ceiling as ``DEFAULT_MAX_COSETS // max_index`` tables if that is
+    smaller, so a covering with few relators stops instead of filling
+    memory.  It keeps whole classes and stops before the class that would
+    pass the budget.  The descent recurses about once per coset, and stops
+    the same way at Python's recursion limit.  Either stop raises
+    :class:`LowIndexIncomplete`, whose ``partial`` folds every kept class.
     The inputs are checked before the covering is built.
     """
     if cap < 1:
@@ -606,38 +582,41 @@ def low_index(
     _emit(trace, "low-index", level=level, max_index=max_index, relators=len(fp.relators))
     scanned, deferred = _split_relators(fp, max_index)
     row_cap = DEFAULT_MAX_COSETS // max_index
-    by_rows = max_tables is None or row_cap < max_tables
+    limit = row_cap if max_tables is None else min(row_cap, max_tables)
+    reps: list[CosetTable] = []
+    total = 0
     why = None
     try:
-        classes, capped = _low_index_tables(
-            fp.alphabet, max_index, scanned, deferred, row_cap if by_rows else max_tables
-        )
-    except _SearchTooDeep as exc:
-        (classes,), capped = exc.args, True
+        for table, size in _low_index_tables(fp.alphabet, max_index, scanned, deferred):
+            if total + size > limit:
+                why = f"stopped after {limit} candidate tables"
+                if limit != max_tables:
+                    why += (
+                        f" of up to {max_index} cosets, {DEFAULT_MAX_COSETS} rows in all"
+                        " (the coset ceiling)"
+                    )
+                break
+            total += size
+            reps.append(table)
+    except RecursionError:
         why = (
             f"the search for tables of up to {max_index} cosets went past "
             f"Python's recursion limit of {sys.getrecursionlimit()} frames"
         )
-    _emit(trace, "low-index-candidates", count=sum(size for _, size in classes))
+    _emit(trace, "low-index-candidates", count=total)
 
     def fold() -> SubgroupList:
-        folds = {f.rows: f for f in _fold_by_class(lp, [t for t, _ in classes], cap, trace)}
-        _emit(trace, "low-index-classes", classes=len(classes), deferred=len(deferred))
+        folds = {f.rows: f for f in _fold_by_class(lp, reps, cap, trace)}
+        _emit(trace, "low-index-classes", classes=len(reps), deferred=len(deferred))
         entries = sorted(
-            (SubgroupEntry(FiniteIndexSubgroup.from_table(lp, f, cap, revalidate=False))
+            (SubgroupEntry(FiniteIndexSubgroup.from_table(lp, f, revalidate=False))
              for f in folds.values()),
             key=lambda e: e.subgroup.sort_key(),
         )
         _emit(trace, "low-index-subgroups", count=len(entries))
-        return SubgroupList(lp, max_index, tuple(entries), complete=not capped)
+        return SubgroupList(lp, max_index, tuple(entries), complete=why is None)
 
-    if capped:
-        why = why or (
-            f"stopped after {row_cap} candidate tables of up to {max_index} "
-            f"cosets, {DEFAULT_MAX_COSETS} rows in all (the coset ceiling)"
-            if by_rows
-            else f"stopped after {max_tables} candidate tables"
-        )
+    if why is not None:
         raise LowIndexIncomplete(why, partial=fold)
     return fold()
 

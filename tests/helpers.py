@@ -478,9 +478,19 @@ def conjugates(table: CosetTable) -> set:
 
 def low_index_classes(fp, max_index: int, max_tables: int | None = None):
     """The library's descent over ``fp`` with the relators split as
-    ``low_index`` splits them: ([(representative, class size)], capped)."""
+    ``low_index`` splits them, read class by class until the next class
+    would pass ``max_tables`` tables, conjugates included: ([(representative,
+    class size)], capped).  The descent knows no budget, so this cap is the
+    helper's own; ``low_index`` applies the library's."""
     scanned, deferred = _split_relators(fp, max_index)
-    return _low_index_tables(fp.alphabet, max_index, scanned, deferred, max_tables)
+    classes = []
+    total = 0
+    for table, size in _low_index_tables(fp.alphabet, max_index, scanned, deferred):
+        if max_tables is not None and total + size > max_tables:
+            return classes, True
+        total += size
+        classes.append((table, size))
+    return classes, False
 
 
 class _SearchCapped(Exception):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import inspect
 import itertools
 import random
@@ -589,7 +590,8 @@ class TestLowIndexSearch:
     def test_column_lists_against_row_major_descent(self, case, max_tables):
         # reference: the same search on one flat row-major table, with every
         # square relator scanned instead of its generator's two columns
-        # sharing one list
+        # sharing one list; the descent knows no budget, so ``max_tables``
+        # checks the helper's cap against the reference's
         fp, max_index = case
         assert _outcome(low_index_classes(fp, max_index, max_tables)) == _outcome(
             row_major_low_index_classes(fp, max_index, max_tables)
@@ -604,6 +606,34 @@ class TestLowIndexSearch:
         assert _outcome(low_index_classes(fp, max_index, max_tables)) == _outcome(
             row_major_low_index_classes(fp, max_index, max_tables)
         )
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.one_of(_small_presentations(), _small_presentations(deep=True)))
+    def test_low_index_keeps_the_whole_classes_within_max_tables(self, case):
+        # the library's own budget: for every ``max_tables`` up to the
+        # candidate count, ``low_index`` raises exactly below the count, and
+        # lists the folds of the leading whole classes of the reference
+        # descent that fit; every k is run, so cases past 100 candidates
+        # are left out
+        fp, max_index = case
+        lp = LPresentation.from_finite(fp)
+        classes, _ = row_major_low_index_classes(lp.covering(0), max_index)
+        totals = list(itertools.accumulate(size for _, size in classes))
+        count = totals[-1] if totals else 0
+        assume(count <= 100)
+        for k in range(count + 1):
+            kept = [t for (t, _), total in zip(classes, totals) if total <= k]
+            if k < count:
+                message = f"^stopped after {k} candidate tables$"
+                with pytest.raises(LowIndexIncomplete, match=message) as info:
+                    low_index(lp, max_index, level=0, max_tables=k)
+                slist = info.value.partial
+            else:
+                slist = low_index(lp, max_index, level=0, max_tables=k)
+            assert slist.complete == (k == count)
+            rows = [e.subgroup.table.rows for e in slist.entries]
+            assert len(rows) == len(set(rows))
+            assert set(rows) == {f.rows for f in fold_every_coset(lp, kept)}
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.one_of(_small_presentations(), _small_presentations(deep=True)))
@@ -892,6 +922,36 @@ class TestLowIndex:
         assert not partial.complete
         assert partial.entries
         assert {e.subgroup.table.rows for e in partial.entries} < full
+
+    def test_a_budget_stop_deep_in_the_descent_closes_quietly(self):
+        # the same search under the same limit, once to the limit and once
+        # stopped by max_tables at the last class found before it, deepest
+        # in the descent: that stop names the table cap, and the suspended
+        # descent is released while the limit is still low without raising
+        # (the pytest settings fail a test on an unraisable exception)
+        lp = parse_lpresentation("generators: a\nfixed: a^60\n")
+
+        def stop(max_tables):
+            events = []
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+            try:
+                try:
+                    low_index(lp, 60, level=0, max_tables=max_tables, trace=events.append)
+                except LowIndexIncomplete as exc:
+                    message = str(exc)
+                gc.collect()
+            finally:
+                sys.setrecursionlimit(limit)
+            (found,) = [
+                dict(e.details)["count"] for e in events if e.kind == "low-index-candidates"
+            ]
+            return message, found
+
+        message, found = stop(None)
+        assert "recursion limit of" in message
+        assert 5 < found < 12
+        assert stop(found - 1) == (f"stopped after {found - 1} candidate tables", found - 1)
 
 
 def _cyclic_free_product(orders) -> LPresentation:
