@@ -266,6 +266,7 @@ def kernel_contained(
     ``rep_source``: each Schreier generator of the target's kernel (element-word
     times generator times inverse representative) must land on the identity.
     """
+    _require_same_alphabet(rep_target.alphabet, rep_source.alphabet)
     if rep_target.generators == rep_source.generators:
         return True
     ig = target_group if target_group is not None else image_group(rep_target, cap)

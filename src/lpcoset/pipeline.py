@@ -249,6 +249,8 @@ def decide_validity(
     """:func:`is_valid_perm_rep`, with the reduction pair (valid
     one-endomorphism outcomes only) and the verdict sent to ``trace``."""
     outcome = is_valid_perm_rep(lp, phi, cap)
+    if trace is None:
+        return outcome
     if outcome.reduction_pair is not None:
         i, j = outcome.reduction_pair
         _emit(trace, "reduction-pair", i=i, j=j)
@@ -431,7 +433,8 @@ def enumerate_cosets(
       no deeper, and the last is the level before at the hard ceiling, so
       a small ``escalation_factor`` ends in :class:`GaveUp`, not in the
       covering's :class:`ResourceLimitError`.  Only a refused initial
-      level raises that, on the first attempt.
+      level raises that, on the first attempt.  A level that adds no
+      relator (its covering is the one weighed last) ends the levels too.
     - ``lp`` keeps every covering it builds, and each covering keeps its
       prepared relators (:meth:`LPresentation.covering`), so a level is
       built and prepared once for every query on the same presentation
@@ -452,11 +455,16 @@ def enumerate_cosets(
     _require_same_alphabet(lp.alphabet, sub.alphabet)
     m = len(lp.alphabet)
 
+    weighed = [None]
+
     def weight(level: int) -> int | None:
         try:
             cover = lp.covering(level)
         except ResourceLimitError:
             return None
+        if cover is weighed[-1]:
+            return None
+        weighed.append(cover)
         return sum(map(len, _prepared_relators(cover))) + 2 * m
 
     attempts = _attempts(config, weight)

@@ -199,6 +199,8 @@ class LPresentation:
         family order.  A level has at most e * k times the letters of the
         level before, for e endomorphisms of longest image k; a level whose
         bound passes ``MAX_COVERING_LETTERS`` is refused before it is built.
+        A level whose images are all trivial adds no relator, nor does any
+        deeper one, so every such level returns the deepest built covering.
 
         The presentation keeps every level it builds, so a level is built
         once, a deeper one extends the deepest built, and a covering's
@@ -223,6 +225,8 @@ class LPresentation:
                     f"covering level {deepest + 1} may pass {MAX_COVERING_LETTERS} relator letters"
                 )
             images = tuple([e.apply(r) for e in family for r in images])
+            if all(w.is_identity for w in images):
+                return fp
             built[deepest + 1] = (FinitePresentation(self.alphabet, fp.relators + images), images)
         return built[level][0]
 

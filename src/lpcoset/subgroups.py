@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -263,9 +262,11 @@ def _low_index_tables(
     relators ``scanned`` and ``deferred`` (see :func:`_split_relators`).
 
     Yields (representative, class size) in descent order and knows no
-    budget: the caller stops it by no longer reading it, and a descent past
-    Python's recursion limit raises ``RecursionError`` from the read.  The
-    partial table is one list per column, indexed by coset.  Descent order:
+    budget: the caller stops it by no longer reading it.  Each choice
+    yields the generator of the descent below it to the loop at the end,
+    which runs it on a list until it is exhausted, so the Python stack
+    stays flat; the choice's entries are undone after that.  The partial
+    table is one list per column, indexed by coset.  Descent order:
     locate the first undefined slot scanning rows then generators; try
     every existing coset whose matching inverse slot is free, then one
     fresh coset, so the leaves come out in lexicographic order of their
@@ -393,9 +394,7 @@ def _low_index_tables(
 
     n = 1
 
-    def descend(
-        c: int, gi: int, roots: list[tuple[int, list[int], int]], ties: int
-    ) -> Iterator[tuple[CosetTable, int]]:
+    def descend(c: int, gi: int, roots: list[tuple[int, list[int], int]], ties: int):
         nonlocal n
         while c <= n:
             while gi < ngens and gencols[gi][c]:
@@ -442,13 +441,21 @@ def _low_index_tables(
                     elif verdict == 0:
                         ties += 1
                 else:
-                    yield from descend(c, gi, undecided, ties)
+                    yield descend(c, gi, undecided, ties)
             for arr, s in trail:
                 arr[s] = 0
             if is_new:
                 n -= 1
 
-    yield from descend(1, 0, [], 0)
+    stack = [descend(1, 0, [], 0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif type(step) is tuple:
+            yield step
+        else:
+            stack.append(step)
 
 
 def _quotient_map(
@@ -567,8 +574,7 @@ def low_index(
     ceiling as ``DEFAULT_MAX_COSETS // max_index`` tables if that is
     smaller, so a covering with few relators stops instead of filling
     memory.  It keeps whole classes and stops before the class that would
-    pass the budget.  The descent recurses about once per coset, and stops
-    the same way at Python's recursion limit.  Either stop raises
+    pass the budget, its only early stop, which raises
     :class:`LowIndexIncomplete`, whose ``partial`` folds every kept class.
     The inputs are checked before the covering is built.
     """
@@ -586,23 +592,17 @@ def low_index(
     reps: list[CosetTable] = []
     total = 0
     why = None
-    try:
-        for table, size in _low_index_tables(fp.alphabet, max_index, scanned, deferred):
-            if total + size > limit:
-                why = f"stopped after {limit} candidate tables"
-                if limit != max_tables:
-                    why += (
-                        f" of up to {max_index} cosets, {DEFAULT_MAX_COSETS} rows in all"
-                        " (the coset ceiling)"
-                    )
-                break
-            total += size
-            reps.append(table)
-    except RecursionError:
-        why = (
-            f"the search for tables of up to {max_index} cosets went past "
-            f"Python's recursion limit of {sys.getrecursionlimit()} frames"
-        )
+    for table, size in _low_index_tables(fp.alphabet, max_index, scanned, deferred):
+        if total + size > limit:
+            why = f"stopped after {limit} candidate tables"
+            if limit != max_tables:
+                why += (
+                    f" of up to {max_index} cosets, {DEFAULT_MAX_COSETS} rows in all"
+                    " (the coset ceiling)"
+                )
+            break
+        total += size
+        reps.append(table)
     _emit(trace, "low-index-candidates", count=total)
 
     def fold() -> SubgroupList:

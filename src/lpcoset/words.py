@@ -12,8 +12,8 @@ endomorphism is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, groupby
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -181,21 +181,8 @@ class Word:
         return g.inverse() * self * g
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        i = 0
-        n = len(self.letters)
-        while i < n:
-            x = self.letters[i]
-            j = i
-            while j < n and self.letters[j] == x:
-                j += 1
-            name = self.alphabet.names[abs(x) - 1]
-            exp = (j - i) if x > 0 else -(j - i)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
-        return "*".join(parts)
+        names = self.alphabet.names
+        return _power_notation(self.letters, lambda g: names[g - 1]) if self.letters else "1"
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -232,16 +219,15 @@ class FreeEndomorphism:
 
 def describe_endo_word(factors: Sequence[int], names: Sequence[str]) -> str:
     """Render the endomorphism word ``factors`` with the family's ``names``."""
-    if not factors:
-        return "id"
+    return _power_notation(factors, names.__getitem__) if factors else "id"
+
+
+def _power_notation(items: Iterable[int], name: Callable[[int], str]) -> str:
+    """Each run of one item written ``x`` or ``x^k``, with x the ``name`` of
+    the item, joined by ``*``.  A negative item is the inverse of its
+    absolute value, so its exponent is negative."""
     parts = []
-    i = 0
-    n = len(factors)
-    while i < n:
-        k = factors[i]
-        j = i
-        while j < n and factors[j] == k:
-            j += 1
-        parts.append(names[k] if j - i == 1 else f"{names[k]}^{j - i}")
-        i = j
+    for x, run in groupby(items):
+        k = len(list(run)) if x >= 0 else -len(list(run))
+        parts.append(name(abs(x)) if k == 1 else f"{name(abs(x))}^{k}")
     return "*".join(parts)

@@ -526,6 +526,19 @@ class TestKernelContained:
         assert kernel_contained(sigma, rho, 10) is True
 
 
+    def test_representations_over_other_alphabets_are_refused(self):
+        # a source over one more generator, and one over other names with
+        # the very same tables
+        x, y = Permutation.from_cycles(3, [(1, 2)]), Permutation.from_cycles(3, [(2, 3)])
+        target = PermutationRep(Alphabet(("a", "b")), 3, (x, y))
+        for source in (
+            PermutationRep(Alphabet(("a", "b", "c")), 3, (x, y, x)),
+            PermutationRep(Alphabet(("x", "y")), 3, (x, y)),
+        ):
+            with pytest.raises(InputError, match="alphabet mismatch"):
+                kernel_contained(target, source, 10)
+
+
 def _eager_image_group(phi: PermutationRep):
     """Reference closure: the former eager assembly on Permutation objects,
     returning ``(elements, words, transitions)``."""

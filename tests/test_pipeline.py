@@ -458,6 +458,27 @@ class TestEnumerate:
             "validity verdict=valid visited=3",
         ]
 
+    def test_a_level_that_adds_no_relator_ends_the_levels(self):
+        # the Coxeter presentation of S6 has no endomorphism, so level 1
+        # is level 0: the trivial subgroup overflows at 256 cosets there
+        # once, not once per level, and the next limit closes it
+        gens = [f"s{i}" for i in range(1, 6)]
+        rels = [f"{x}^2" for x in gens]
+        rels += [f"({x}*{y})^3" for x, y in zip(gens, gens[1:])]
+        rels += [f"({gens[i]}*{gens[j]})^2" for i in range(5) for j in range(i + 2, 5)]
+        lp = parse_lpresentation(
+            f"generators: {' '.join(gens)}\n" + "".join(f"fixed: {r}\n" for r in rels)
+        )
+        events = []
+        res = enumerate_cosets(lp, SubgroupSpec(lp.alphabet, ()), trace=events.append)
+        assert (res.index, res.level_used, res.escalations) == (720, 0, 1)
+        assert [str(e) for e in events] == [
+            "tc-overflow level=0 max_cosets=256",
+            "escalate level=0 max_cosets=4096",
+            "tc-closed cosets=720 level=0",
+            "validity verdict=valid visited=1",
+        ]
+
     def test_result_invariants(self, bas, bas_u_result):
         assert bas_u_result.index == bas_u_result.table.size
         assert decide_validity(bas, to_perm_rep(bas_u_result.table)).valid

@@ -227,6 +227,21 @@ class TestCovering:
         with pytest.raises(ResourceLimitError):
             lp.covering(level + 1)
 
+    def test_a_level_that_adds_no_relator_ends_the_building(self):
+        # without endomorphisms no level adds a relator, and with one that
+        # maps level 1's relators to the identity none past level 1 does:
+        # every deeper level is the deepest built, returned at once and
+        # not stored
+        free = parse_lpresentation("generators: a b\nfixed: a^2\niterated: (a*b)^3\n")
+        killed = parse_lpresentation(
+            "generators: a b\niterated: (a*b)^3\nendomorphism: a -> a*b*a^-1*b^-1, b -> 1\n"
+        )
+        for lp, deepest in ((free, 0), (killed, 1)):
+            kept = lp.covering(deepest)
+            assert lp.covering(10**5) is kept
+            assert sorted(lp._coverings) == list(range(deepest + 1))
+            assert lp.covering(10**9) is kept
+
     def test_negative_level_rejected(self, bas):
         from lpcoset import InputError
 

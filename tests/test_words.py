@@ -15,6 +15,7 @@ from lpcoset import (
     commutator,
     free_reduce,
 )
+from lpcoset.words import describe_endo_word
 
 from helpers import (
     breadth_first_words,
@@ -153,6 +154,16 @@ class TestArithmetic:
     def test_power_matches_repeated_products(self, letters, n):
         w = Word.reduce(ABC, letters)
         assert w**n == power_by_products(w, n)
+
+
+class TestPowerNotation:
+    def test_runs_are_written_as_powers(self):
+        assert str(word(AB, -1, -1, 2, 1, 1, 1)) == "a^-2*b*a^3"
+        assert str(word(AB, 2, -1)) == "b*a^-1"
+        assert str(word(AB)) == "1"
+        assert describe_endo_word((0, 0, 0), ("sigma",)) == "sigma^3"
+        assert describe_endo_word((1, 0, 0, 1), ("sigma", "tau")) == "tau*sigma^2*tau"
+        assert describe_endo_word((), ("sigma",)) == "id"
 
 
 GRIG_SIGMA = FreeEndomorphism(
