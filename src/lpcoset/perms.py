@@ -1,6 +1,6 @@
 """Permutations of {1..n}, representations of a free group by permutations,
 image-group enumeration, and the kernel-containment test between two
-representations.
+representations with its necessary condition on element orders.
 
 Permutations act on the right and compose left to right: ``(p * q)`` means
 apply ``p`` first.  This matches the convention of tracing a word through a
@@ -13,6 +13,8 @@ reads one.
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,9 +87,9 @@ class PermutationRep:
     is one ``bytes.translate``), above as a tuple.  ``compose(e, t)``
     applies ``e`` first.  ``letters[x]`` is the table of letter x, and
     ``letters[-x]`` its inverse, built on first read: image groups and
-    kernel tests read only ``generators``.  ``perms`` is decoded on first
-    read.  The constructor checks its input; :meth:`from_tables` does not.
-    Representations compare by identity."""
+    kernel tests read only ``generators``.  ``perms`` and ``probe_orders``
+    are computed on first read.  The constructor checks its input;
+    :meth:`from_tables` does not.  Representations compare by identity."""
 
     def __init__(self, alphabet: Alphabet, degree: int, perms: Sequence[Permutation]):
         perms = tuple(perms)
@@ -124,6 +126,34 @@ class PermutationRep:
     @cached_property
     def perms(self) -> tuple[Permutation, ...]:
         return tuple(self.permutation(t[: self.degree]) for t in self.generators)
+
+    @cached_property
+    def probe_orders(self) -> tuple[int, ...]:
+        """The orders of the images of the probe words: each generator x_i,
+        then x_i x_j and x_i x_j^-1 for i < j, then x_i x_j^2 for i != j,
+        pairs in lexicographic order."""
+        gens, compose, identity, n = self.generators, self.compose, self.identity, self.degree
+        pad = _FULL[n:] if n <= 256 else ()
+        xs = [t[:n] for t in gens]
+        orders = [_order(x, pad, identity, compose) for x in xs]
+        # an involution is its own inverse and squares to the identity
+        involution = [k <= 2 for k in orders]
+        pairs = [(i, j) for i in range(len(xs)) for j in range(len(xs)) if i != j]
+        for i, j in pairs:
+            if i < j:
+                k = _order(compose(xs[i], gens[j]), pad, identity, compose)
+                if involution[j]:
+                    orders += (k, k)
+                else:
+                    inverse = _inverses([gens[j]], n)[0]
+                    orders += (k, _order(compose(xs[i], inverse), pad, identity, compose))
+        for i, j in pairs:
+            if involution[j]:
+                orders.append(orders[i])
+            else:
+                square = compose(compose(xs[i], gens[j]), gens[j])
+                orders.append(_order(square, pad, identity, compose))
+        return tuple(orders)
 
     def image(self, letters: Sequence[int]) -> bytes | tuple[int, ...]:
         """The encoded image of the word with ``letters``."""
@@ -193,6 +223,39 @@ def _inverses(generators: Sequence, degree: int) -> list:
             inv[x] = i
         invs.append(tuple(inv))
     return invs
+
+
+def _order(p, pad, identity, compose) -> int:
+    """The order of the encoded permutation ``p``, whose table is ``p +
+    pad`` (bytes are padded to 256 entries): the first power within the
+    degree that is the identity, else the lcm of its cycle lengths, so that
+    an order past the degree (2 * 10^8 at degree 100) costs one walk over
+    the points, not that many products."""
+    table = p + pad
+    q = p
+    for k in range(1, len(p) + 1):
+        if q == identity:
+            return k
+        q = compose(q, table)
+    order, seen = 1, bytearray(len(p))
+    for x in range(len(p)):
+        n = 0
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            n += 1
+        if n:
+            order = math.lcm(order, n)
+    return order
+
+
+def orders_divide(rep_target: PermutationRep, rep_source: PermutationRep) -> bool:
+    """Does the order of every probe word under ``rep_source`` divide its
+    order under ``rep_target``?  If ker(rep_target) lies inside
+    ker(rep_source), then rep_target(w) -> rep_source(w) is a homomorphism
+    of the image groups, which can only shrink orders: so ``False`` rules
+    that containment out, and ``True`` leaves it open."""
+    return not any(map(operator.mod, rep_target.probe_orders, rep_source.probe_orders))
 
 
 def _closure(start, generators: Sequence, act, cap: int = sys.maxsize):

@@ -10,15 +10,20 @@ kept word before it tests that word's relators; with a single endomorphism
 the walk stops at the first power that reduces to an earlier one, the
 reduction pair.  Kernel containment is decided through Schreier generators
 of the image group, with a generator-image equality fast path that also
-guarantees termination.  A failed check hands back a witness whose
-coincidences fold the table down without another enumeration.
+guarantees termination.  Before that, the orders of a few fixed probe
+words rule most failing tests out, as a homomorphism can only shrink
+orders (:func:`orders_divide`), so a kept word's image group is built
+only at its first test that the orders leave open.  A failed check hands
+back a witness whose coincidences fold the table down without another
+enumeration.
 
 A generator that every endomorphism maps to itself has the same image
 under every walk word as under the root.  When the root's images of these
 fixed generators generate its image group, no kernel test of the walk can
 succeed, so the walk is settled: it prunes by equal generator images
-alone.  Every endomorphism of the free Burnside groups' L-presentation
-fixes a1..an, so their walks run no kernel test.
+alone.  Two closures decide that, and neither is an image group.  Every
+endomorphism of the free Burnside groups' L-presentation fixes a1..an, so
+their walks build no image group and run no kernel test.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .perms import (
     _closure,
     image_group,
     kernel_contained,
+    orders_divide,
 )
 from .presentations import LPresentation, SubgroupSpec, abelian_rank
 from .words import Word, _require_same_alphabet, describe_endo_word
@@ -94,8 +100,9 @@ class ValidityOutcome:
     the kept words in walk order (the root first), the words whose
     relators were checked, the reduction pair of a valid one-endomorphism
     walk, and ``capped``: the number of kept words whose image group some
-    kernel test needed and found past the cap.  A word is its factor
-    tuple, as in :class:`InvalidWitness`."""
+    kernel test needed and found past the cap.  A test that the element
+    orders refuse needs no image group, so it caps none.  A word is its
+    factor tuple, as in :class:`InvalidWitness`."""
 
     valid: bool
     witness: InvalidWitness | None
@@ -115,15 +122,21 @@ def _relator_witness(
     return None
 
 
-def _fixed_order(lp: LPresentation, phi: PermutationRep) -> int:
-    """The order of the group generated by the images under ``phi`` of the
-    fixed generators, those that every endomorphism maps to themselves."""
+def _settles(lp: LPresentation, phi: PermutationRep, cap: int) -> bool:
+    """Do the images under ``phi`` of the fixed generators, those that every
+    endomorphism maps to themselves, generate its image group, and has that
+    at most ``cap`` elements?  Their closure F stops past ``cap`` elements,
+    and that of all the generators' images past |F|: it is F exactly when
+    it stops within."""
     fixed = [
         t
         for g, t in enumerate(phi.generators)
         if all(e.images[g].letters == (g + 1,) for e in lp.endomorphisms)
     ]
-    return len(_closure(phi.identity, fixed, phi.compose))
+    f = _closure(phi.identity, fixed, phi.compose, cap)
+    if f is None:
+        return False
+    return _closure(phi.identity, phi.generators, phi.compose, len(f)) is not None
 
 
 def is_valid_perm_rep(
@@ -134,35 +147,42 @@ def is_valid_perm_rep(
     Breadth-first walk over the endomorphism monoid: dequeue a word and
     prune it if its kernel contains the kernel of a kept word sigma (equal
     generator images, then :func:`kernel_contained` against every kept word
-    in walk order, each kept word's image group built at its first test);
-    its relator images then die with sigma's, so it needs no relator test.
-    Otherwise test the iterated relators under it, keep it, and enqueue its
-    one-step extensions.  A word is the tuple of its factors, indices into
-    ``lp.endomorphisms`` applied left to right, and an extension prepends
-    a factor, applied first.  Breadth first, children prepended in family
-    order, the kept words come out in length-then-rightmost-lexicographic
-    order.  The queue drains because representations repeat once the
-    finitely many generator-image tuples are exhausted, and repeats always
-    reduce.  With one endomorphism the walk stops at the first pruned
-    power j, reducing to the i-th; a valid outcome records ``(i, j)`` as
-    ``reduction_pair``.
+    in walk order); its relator images then die with sigma's, so it needs no
+    relator test.  Otherwise test the iterated relators under it, keep it,
+    and enqueue its one-step extensions.  A word is the tuple of its factors,
+    indices into ``lp.endomorphisms`` applied left to right, and an
+    extension prepends a factor, applied first.  Breadth first, children
+    prepended in family order, the kept words come out in
+    length-then-rightmost-lexicographic order.  The queue drains because
+    representations repeat once the finitely many generator-image tuples are
+    exhausted, and repeats always reduce.  With one endomorphism the walk
+    stops at the first pruned power j, reducing to the i-th; a valid outcome
+    records ``(i, j)`` as ``reduction_pair``.
 
-    At the first search, where the root's image group is built, the walk
-    may settle.  A generator x is fixed when every endomorphism maps it to
-    the one-letter word x; then every walk word sigma, phi after
-    endomorphisms, has sigma(x) = phi(x), and im(sigma) lies in im(phi).
-    If ker(sigma) lies in ker(rho), then sigma(y) -> rho(y) on the
-    generators extends to a homomorphism theta of im(sigma) onto im(rho),
-    and theta fixes every phi(x) for fixed x.  Should these generate
-    im(phi), theta is the identity, so rho = sigma on every generator: the
-    equality that the walk checks first.  So when the fixed generators'
-    images generate im(phi), every kernel test would fail, and the settled
-    walk runs none.  The check is one closure, and is off when im(phi) is
-    past ``cap``.
+    A kernel test runs only when the order of each probe word under the
+    dequeued word divides its order under sigma (:func:`orders_divide`),
+    which a containment implies.  Sigma's image group, the root's too, is
+    built at its first test that passes this check, so refused tests build
+    none, and the first containment found is the one that testing every
+    kept word would find.
+
+    At the first search the walk may settle.  A generator x is fixed when
+    every endomorphism maps it to the one-letter word x; then every walk
+    word sigma, phi after endomorphisms, has sigma(x) = phi(x), and
+    im(sigma) lies in im(phi).  If ker(sigma) lies in ker(rho), then
+    sigma(y) -> rho(y) on the generators extends to a homomorphism theta of
+    im(sigma) onto im(rho), and theta fixes every phi(x) for fixed x.  Should these
+    generate im(phi), theta is the identity, so rho = sigma on every
+    generator: the equality that the walk checks first.  So when the fixed
+    generators' images generate im(phi), every kernel test would fail, and
+    the settled walk runs none.  The check is two closures: F of the fixed
+    generators' images, cut off past ``cap``, then of all the generators'
+    images, cut off past |F|.  It is off when im(phi) is past ``cap``.
 
     ``capped`` counts the kept words whose image group some kernel test
     needed and found past ``cap``, so that no kernel containment in them was
-    tested; a settled walk has none, as im(phi) is within ``cap``.
+    tested; a test that the orders refuse needs no image group, and a
+    settled walk builds none.
     """
     _require_same_alphabet(lp.alphabet, phi.alphabet)
     if cap < 1:
@@ -177,8 +197,8 @@ def is_valid_perm_rep(
             )
     family = lp.endomorphisms
     visited = [((), phi)]
-    groups: list[ImageGroup | None] = []
-    settled = False
+    groups: dict[int, ImageGroup | None] = {}
+    settled = None  # decided at the first search
     by_images = {phi.generators: 0}
     queue = [((k,), phi) for k in range(len(family))]
     witness = None
@@ -187,13 +207,14 @@ def is_valid_perm_rep(
         # built on dequeue from the kept parent, so only kept ones stay alive
         rep_d = parent.precompose(family[delta[0]])
         kept = by_images.get(rep_d.generators)
-        if kept is None and not groups:
-            groups.append(image_group(phi, cap))
-            settled = groups[0] is not None and _fixed_order(lp, phi) == groups[0].order
+        if kept is None and settled is None:
+            settled = _settles(lp, phi, cap)
         if kept is None and not settled:
             for i, (_, sigma) in enumerate(visited):
-                if i == len(groups):  # built on first use, in walk order
-                    groups.append(image_group(sigma, cap))
+                if not orders_divide(sigma, rep_d):
+                    continue
+                if i not in groups:  # built at its first test past the orders
+                    groups[i] = image_group(sigma, cap)
                 # an image group past the cap gives a conservative "no reduction"
                 if groups[i] is not None and kernel_contained(sigma, rep_d, cap, groups[i]):
                     kept = i
@@ -215,7 +236,7 @@ def is_valid_perm_rep(
         visited=words,
         relator_checks=words[1:] if witness is None else (*words[1:], witness.endo),
         reduction_pair=pair,
-        capped=groups.count(None),
+        capped=sum(g is None for g in groups.values()),
     )
 
 
@@ -230,7 +251,10 @@ def cyclic_reduction_pair(
     exists because there are finitely many candidate representations.  An
     image group past ``cap`` leaves a kernel containment untested, so the
     pair found may not be the least: that raises
-    :class:`ResourceLimitError`.
+    :class:`ResourceLimitError`.  A power's image group is built only for
+    a test that the element orders leave open (:func:`orders_divide`), so
+    a power whose every test they refuse never raises, however large its
+    image group.
     """
     if len(lp.endomorphisms) != 1:
         raise InputError("cyclic reduction needs exactly one endomorphism")

@@ -157,6 +157,17 @@ def replay_image_group(ig: ImageGroup, phi: PermutationRep):
     return tuple(elements), tuple(words)
 
 
+def probe_words(m: int) -> tuple[tuple[int, ...], ...]:
+    """The letters of the probe words on ``m`` generators, in the order of
+    ``PermutationRep.probe_orders``: each generator, x_i x_j and
+    x_i x_j^-1 for i < j, then x_i x_j^2 for i != j."""
+    words = [(i,) for i in range(1, m + 1)]
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    words += [w for i, j in pairs if i < j for w in ((i, j), (i, -j))]
+    words += [(i, j, j) for i, j in pairs]
+    return tuple(words)
+
+
 def reference_reduction_pair(
     lp, phi: PermutationRep, cap: int = 10**5, cap_ceiling: int = 10**7
 ) -> tuple[int, int]:

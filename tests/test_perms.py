@@ -37,12 +37,14 @@ from lpcoset import (
     to_perm_rep,
     word_image,
 )
+from lpcoset.perms import orders_divide
 
 from helpers import (
     breadth_first_words,
     composite,
     congruence_quotient_size,
     endo_image,
+    probe_words,
     random_word,
     reduces,
     reference_core_table,
@@ -537,6 +539,100 @@ class TestKernelContained:
         ):
             with pytest.raises(InputError, match="alphabet mismatch"):
                 kernel_contained(target, source, 10)
+
+
+def _cycle_order(p: Permutation) -> int:
+    """Reference order: the lcm of the cycle lengths of ``p``."""
+    lengths, seen = [], [False] * (p.degree + 1)
+    for x in range(1, p.degree + 1):
+        n = 0
+        while not seen[x]:
+            seen[x] = True
+            x = p.images[x - 1]
+            n += 1
+        lengths.append(max(n, 1))
+    return math.lcm(*lengths)
+
+
+@st.composite
+def _perms_by_cycle_type(draw, degree: int) -> Permutation:
+    """A permutation of ``degree`` points with drawn cycle lengths, so that
+    orders past the degree, as of (1 2)(3 4 5), come up often, and so do
+    involutions."""
+    points = list(draw(st.permutations(range(1, degree + 1))))
+    longest = draw(st.sampled_from([2, 7]))
+    cycles = []
+    while points:
+        n = draw(st.integers(1, min(len(points), longest)))
+        cycles.append(points[:n])
+        points = points[n:]
+    return Permutation.from_cycles(degree, cycles)
+
+
+@st.composite
+def _reps_by_cycle_type(draw):
+    """Representations on x, y, z across the byte limit."""
+    degree = draw(st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257, 300])))
+    return PermutationRep(
+        XYZ, degree, tuple(draw(_perms_by_cycle_type(degree)) for _ in range(len(XYZ)))
+    )
+
+
+def _disjoint_sum(a: PermutationRep, b: PermutationRep) -> PermutationRep:
+    """``a`` on the first points and ``b`` on the next: its kernel is the
+    intersection of theirs, so it lies in each."""
+    shift = tuple(a.degree + x for x in range(1, b.degree + 1))
+    perms = [
+        Permutation(p.images + tuple(shift[x - 1] for x in q.images))
+        for p, q in zip(a.perms, b.perms)
+    ]
+    return PermutationRep(a.alphabet, a.degree + b.degree, perms)
+
+
+class TestOrderCheck:
+    """``probe_orders`` are the orders of the probe words' images, and
+    :func:`orders_divide` refuses only pairs whose kernels are not
+    contained."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_reps_by_cycle_type())
+    def test_probe_orders_are_the_cycle_lcm_orders(self, rep):
+        expected = tuple(
+            _cycle_order(word_image(rep, Word(XYZ, w))) for w in probe_words(len(XYZ))
+        )
+        assert rep.probe_orders == expected
+
+    @pytest.mark.parametrize("degree", [5, 256, 257, 300])
+    def test_orders_past_the_degree(self, degree):
+        # (1 2)(3 4 5) has order 6 on five points; the primes up to 37 sum
+        # to 197 and multiply to about 7.4 * 10^12, those up to 43 to 281
+        # and about 1.3 * 10^16
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+        lengths = primes[:2] if degree == 5 else primes[: 12 if degree < 281 else 14]
+        ends = list(itertools.accumulate(lengths, initial=0))
+        cycles = [range(a + 1, b + 1) for a, b in zip(ends, ends[1:])]
+        x = Permutation.from_cycles(degree, cycles)
+        rep = PermutationRep(XYZ, degree, (x, Permutation.identity(degree), x))
+        assert rep.probe_orders[0] == math.prod(lengths) > degree
+        assert rep.probe_orders == tuple(
+            _cycle_order(word_image(rep, Word(XYZ, w))) for w in probe_words(len(XYZ))
+        )
+
+    def test_refuses_no_contained_kernel_on_random_pairs(self, random_reps):
+        # sources as in the kernel test above, with disjoint sums as
+        # targets: their kernels lie in those of both summands
+        rng = random.Random(22)
+        seen = {"contained": 0, "refused": 0}
+        for target in random_reps:
+            other = _random_rep(rng, target.alphabet, rng.randrange(1, 6))
+            for t in (target, _disjoint_sum(target, other), _disjoint_sum(other, target)):
+                for source in (*_kernel_sources(rng, target), target, other):
+                    contained = kernel_contained(t, source, 10**5)
+                    if not orders_divide(t, source):
+                        assert contained is False
+                        seen["refused"] += 1
+                    seen["contained"] += contained is True
+        assert seen["contained"] > 0 and seen["refused"] > 0
 
 
 def _eager_image_group(phi: PermutationRep):
