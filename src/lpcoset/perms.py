@@ -1,6 +1,7 @@
 """Permutations of {1..n}, representations of a free group by permutations,
 image-group enumeration, and the kernel-containment test between two
-representations with its necessary condition on element orders.
+representations, a replay of the target's image group as its caller built
+it, with its necessary condition on element orders.
 
 Permutations act on the right and compose left to right: ``(p * q)`` means
 apply ``p`` first.  This matches the convention of tracing a word through a
@@ -286,26 +287,6 @@ def _closure(start, generators: Sequence, act, cap: int = sys.maxsize):
     return transitions
 
 
-def _replay_consistent(transitions, phi: PermutationRep) -> bool:
-    """Replay a breadth-first closure's transitions with the generators of
-    ``phi``: does every edge land where the replayed target does?
-
-    The closure numbers elements in discovery order, so an edge whose target
-    is the next unseen index is that element's discovery edge and fixes its
-    replayed value; every other edge is checked against it.
-    """
-    compose = phi.compose
-    mirror = [phi.identity]
-    for m, row in zip(mirror, transitions):
-        for t, j in zip(phi.generators, row):
-            x = compose(m, t)
-            if j == len(mirror):
-                mirror.append(x)
-            elif x != mirror[j]:
-                return False
-    return True
-
-
 def image_group(phi: PermutationRep, cap: int) -> ImageGroup | None:
     """Enumerate the image group of ``phi``; ``None`` once past ``cap`` elements."""
     if cap < 1:
@@ -317,22 +298,30 @@ def image_group(phi: PermutationRep, cap: int) -> ImageGroup | None:
 
 
 def kernel_contained(
-    rep_target: PermutationRep,
-    rep_source: PermutationRep,
-    cap: int,
-    target_group: ImageGroup | None = None,
-) -> bool | None:
-    """Does ker(rep_target) lie inside ker(rep_source)?  ``None`` = cap hit.
+    rep_target: PermutationRep, rep_source: PermutationRep, target_group: ImageGroup
+) -> bool:
+    """Does ker(rep_target) lie inside ker(rep_source)?
 
-    If the generator tables coincide the answer is immediate.  Otherwise
-    the target's image group is replayed on the generator tables of
-    ``rep_source``: each Schreier generator of the target's kernel (element-word
-    times generator times inverse representative) must land on the identity.
+    ``target_group`` must be the image group of ``rep_target``, as
+    :func:`image_group` builds it.  Its transitions are replayed with the
+    generator tables of ``rep_source``: each Schreier generator of the
+    target's kernel (element word times generator times inverse
+    representative) must land on the identity.  The closure numbers
+    elements in discovery order, so an edge whose target is the next unseen
+    index is that element's discovery edge and fixes its replayed value;
+    every other edge is checked against it.
     """
     _require_same_alphabet(rep_target.alphabet, rep_source.alphabet)
-    if rep_target.generators == rep_source.generators:
-        return True
-    ig = target_group if target_group is not None else image_group(rep_target, cap)
-    if ig is None:
-        return None
-    return _replay_consistent(ig.transitions, rep_source)
+    transitions = target_group.transitions
+    if len(transitions[0]) != len(rep_target.generators):
+        raise InputError("the image group is not over the generators of rep_target")
+    compose = rep_source.compose
+    mirror = [rep_source.identity]
+    for m, row in zip(mirror, transitions):
+        for t, j in zip(rep_source.generators, row):
+            x = compose(m, t)
+            if j == len(mirror):
+                mirror.append(x)
+            elif x != mirror[j]:
+                return False
+    return True

@@ -8,9 +8,10 @@ decision procedure walks the monoid breadth first, pruning every
 endomorphism word whose kernel already contains the kernel of a previously
 kept word before it tests that word's relators; with a single endomorphism
 the walk stops at the first power that reduces to an earlier one, the
-reduction pair.  Kernel containment is decided through Schreier generators
-of the image group, with a generator-image equality fast path that also
-guarantees termination.  Before that, the orders of a few fixed probe
+reduction pair.  A word whose generator images equal a kept word's is
+pruned by lookup, which also guarantees termination; otherwise kernel
+containment is decided through Schreier generators of the kept word's
+image group.  Before that, the orders of a few fixed probe
 words rule most failing tests out, as a homomorphism can only shrink
 orders (:func:`orders_divide`), so a kept word's image group is built
 only at its first test that the orders leave open.  A failed check hands
@@ -216,7 +217,7 @@ def is_valid_perm_rep(
                 if i not in groups:  # built at its first test past the orders
                     groups[i] = image_group(sigma, cap)
                 # an image group past the cap gives a conservative "no reduction"
-                if groups[i] is not None and kernel_contained(sigma, rep_d, cap, groups[i]):
+                if groups[i] is not None and kernel_contained(sigma, rep_d, groups[i]):
                     kept = i
                     break
         if kept is not None:

@@ -71,21 +71,19 @@ class FiniteIndexSubgroup:
 
     @classmethod
     def from_table(
-        cls,
-        owner: LPresentation,
-        table: CosetTable,
-        cap: int = DEFAULT_REDUCTION_CAP,
-        revalidate: bool = True,
+        cls, owner: LPresentation, table: CosetTable, revalidate: bool = True
     ) -> "FiniteIndexSubgroup":
         """Wrap ``table``.  With ``revalidate`` (the default) the table is
         standardized, and one that does not define a subgroup of ``owner``
-        raises :class:`InputError`.  ``revalidate=False`` wraps the table as
+        raises :class:`InputError`; an image group past
+        ``DEFAULT_REDUCTION_CAP`` makes the validity walk longer, never
+        wrong.  ``revalidate=False`` wraps the table as
         given: it must already be valid and standardized, as the tables of
         ``low_index``, ``core`` and ``intersect`` are.  A valid table that
         is not standardized would break equality and sorting."""
         if revalidate:
             table = standardize(table)
-            outcome = decide_validity(owner, to_perm_rep(table), cap)
+            outcome = decide_validity(owner, to_perm_rep(table))
             if not outcome.valid:
                 raise InputError(
                     "table does not define a subgroup of the presented group "

@@ -114,7 +114,9 @@ def reduces(
     """Does ``delta`` reduce to ``sigma`` under ``phi``, that is, does
     ker(sigma-then-phi) lie inside ker(delta-then-phi)?  ``None`` when the
     image-group enumeration overruns ``cap``."""
-    return kernel_contained(endo_image(phi, lp, sigma), endo_image(phi, lp, delta), cap)
+    target = endo_image(phi, lp, sigma)
+    ig = image_group(target, cap)
+    return None if ig is None else kernel_contained(target, endo_image(phi, lp, delta), ig)
 
 
 def table_from_rep(rep: PermutationRep) -> CosetTable:
@@ -205,7 +207,7 @@ def reference_reduction_pair(
                             f"image-group enumeration exceeded the cap ceiling {cap_ceiling}"
                         )
             groups[i] = ig
-            if kernel_contained(reps[i], reps[j], attempt, ig):
+            if kernel_contained(reps[i], reps[j], ig):
                 return (i, j)
 
 
@@ -261,7 +263,7 @@ def reference_validity_walk(lp, phi: PermutationRep, cap: int = 10**5) -> Validi
             for i, (_, sigma) in enumerate(visited):
                 if i == len(groups):
                     groups.append(image_group(sigma, cap))
-                if groups[i] is not None and kernel_contained(sigma, rep_d, cap, groups[i]):
+                if groups[i] is not None and kernel_contained(sigma, rep_d, groups[i]):
                     kept = i
                     break
         if kept is not None:

@@ -500,13 +500,29 @@ def _spanning_agreements(draw):
     return PermutationRep(XYZ, degree, sigma), PermutationRep(XYZ, degree, rho)
 
 
-class TestKernelContained:
-    def test_fast_path_equal_images(self, bas_index3_rep):
-        assert kernel_contained(bas_index3_rep, bas_index3_rep, 1) is True
+def _contained(target: PermutationRep, source: PermutationRep) -> bool:
+    """:func:`kernel_contained` on the image group of ``target``."""
+    return kernel_contained(target, source, image_group(target, 10**5))
 
-    def test_cap_gives_none(self, bas, bas_index3_rep):
-        rep2 = endo_image(bas_index3_rep, bas, sigma_power(2))
-        assert kernel_contained(bas_index3_rep, rep2, 2) is None
+
+class TestKernelContained:
+    def test_equal_tables_are_contained_through_the_replay(self, bas_index3_rep):
+        twin = PermutationRep(bas_index3_rep.alphabet, 3, bas_index3_rep.perms)
+        assert twin.generators == bas_index3_rep.generators
+        assert _contained(bas_index3_rep, bas_index3_rep) is True
+        assert _contained(bas_index3_rep, twin) is True
+
+    def test_a_group_of_other_generators_is_refused(self):
+        # t kills b, s does not; the image group of a -> (1 2) alone has
+        # one column, and replaying it would never read b
+        ab = Alphabet(("a", "b"))
+        a, b = Permutation.from_cycles(3, [(1, 2)]), Permutation.from_cycles(3, [(2, 3)])
+        t = PermutationRep(ab, 3, (a, Permutation.identity(3)))
+        s = PermutationRep(ab, 3, (a, b))
+        assert _contained(t, s) is False
+        one = image_group(PermutationRep(Alphabet(("a",)), 3, (a,)), 100)
+        with pytest.raises(InputError, match="not over the generators"):
+            kernel_contained(t, s, one)
 
     @settings(max_examples=200, deadline=None)
     @given(_spanning_agreements())
@@ -516,7 +532,7 @@ class TestKernelContained:
         # agreeing images, so all of im(sigma), and then rho = sigma; the
         # settled validity walk rests on this, with A its fixed generators
         sigma, rho = pair
-        assert kernel_contained(sigma, rho, 10**4) is False
+        assert _contained(sigma, rho) is False
 
     def test_an_agreement_that_does_not_span_can_contain(self):
         # x -> (1 2), y -> (3 4) and its quotient x -> (1 2), y -> 1 agree
@@ -525,7 +541,7 @@ class TestKernelContained:
         x, y = Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)])
         sigma = PermutationRep(XYZ, 4, (x, y, ident))
         rho = PermutationRep(XYZ, 4, (x, ident, ident))
-        assert kernel_contained(sigma, rho, 10) is True
+        assert _contained(sigma, rho) is True
 
 
     def test_representations_over_other_alphabets_are_refused(self):
@@ -538,7 +554,7 @@ class TestKernelContained:
             PermutationRep(Alphabet(("x", "y")), 3, (x, y)),
         ):
             with pytest.raises(InputError, match="alphabet mismatch"):
-                kernel_contained(target, source, 10)
+                kernel_contained(target, source, image_group(target, 10))
 
 
 def _cycle_order(p: Permutation) -> int:
@@ -627,7 +643,7 @@ class TestOrderCheck:
             other = _random_rep(rng, target.alphabet, rng.randrange(1, 6))
             for t in (target, _disjoint_sum(target, other), _disjoint_sum(other, target)):
                 for source in (*_kernel_sources(rng, target), target, other):
-                    contained = kernel_contained(t, source, 10**5)
+                    contained = _contained(t, source)
                     if not orders_divide(t, source):
                         assert contained is False
                         seen["refused"] += 1
@@ -747,7 +763,7 @@ class TestClosureDifferential:
         ig = image_group(bas_index3_rep, 100)
         assert ig.order == 6
         trivial = trivial_rep(bas_index3_rep.alphabet, 3)
-        assert kernel_contained(bas_index3_rep, trivial, 100, ig) is True
+        assert kernel_contained(bas_index3_rep, trivial, ig) is True
         assert vars(ig) == {"transitions": ig.transitions}
 
     def test_kernel_contained_matches_schreier_replay(self, random_reps):
@@ -768,6 +784,7 @@ class TestClosureDifferential:
                 )
                 seen.add(expected)
                 for t in (target, _padded(target, 260)):
+                    ig = image_group(t, 10**4)
                     for s in (source, _padded(source, 260)):
-                        assert kernel_contained(t, s, 10**4) is expected
+                        assert kernel_contained(t, s, ig) is expected
         assert seen == {True, False}
