@@ -1,10 +1,10 @@
 """Todd-Coxeter coset enumeration over a finite presentation.
 
-Two table forms: a mutable engine used while enumerating (rows indexed by
-coset id with a union-find over ids and a coincidence queue) and an
-immutable closed table (:class:`CosetTable`) used by everything else.
-Signed letters map to column indices so that a column's inverse is
-``col ^ 1``.  Coset ids are dense positive integers; ids freed by
+Two table forms: a mutable engine used while enumerating (one list per
+column indexed by coset id, with a union-find over ids and a coincidence
+queue) and an immutable closed table (:class:`CosetTable`) used by
+everything else.  Signed letters map to column indices so that a column's
+inverse is ``col ^ 1``.  Coset ids are dense positive integers; ids freed by
 coincidences are never reused within a run, and a snapshot numbers the
 live cosets breadth-first from coset 1, so every table the enumerator
 returns is standardized.
@@ -24,6 +24,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import InputError, ParseError, PreconditionError
@@ -105,31 +106,30 @@ def trace(table: CosetTable, start: int, w: Word) -> int:
     return c
 
 
-class _Overflow(Exception):
-    pass
-
-
 class _Engine:
-    """Mutable enumeration state; rows are 1-based with ``tab[0]`` unused,
-    and the row of a dead coset is ``None``."""
+    """Mutable enumeration state on columns: ``cols[col][c]`` is the image
+    of coset c under the column's signed letter, 0 where undefined, with
+    index 0 unused.  ``p`` is the union-find over coset ids: ``p[c]`` is c
+    for a live coset, a smaller id for a dead one, and 0 for an id not yet
+    handed out.  ``pairs`` holds each column with its inverse column.  The
+    lists grow in place (:meth:`grow`), so a list bound once stays the
+    engine's list, and every entry of a dead coset is 0."""
 
-    def __init__(self, ncols: int, max_cosets: int):
-        self.ncols = ncols
-        self.tab: list[list[int] | None] = [None, [0] * ncols]
-        self.p = [0, 1]
-        self.ndead = 0
-        self.max_cosets = max_cosets
+    def __init__(self, cols: list[list[int]], p: list[int]):
+        self.cols = cols
+        self.p = p
+        self.pairs = [(col, cols[c ^ 1]) for c, col in enumerate(cols)]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], ncols: int) -> "_Engine":
-        eng = cls(ncols, max_cosets=len(rows) + 1)
-        eng.tab = [None] + [list(r) for r in rows]
-        eng.p = list(range(len(rows) + 1))
-        return eng
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "_Engine":
+        return cls([[0, *col] for col in zip(*rows)], list(range(len(rows) + 1)))
 
-    @property
-    def alive(self) -> int:
-        return len(self.tab) - 1 - self.ndead
+    def grow(self) -> None:
+        """Double the room for coset ids."""
+        n = len(self.p)
+        for col in self.cols:
+            col += [0] * n
+        self.p += [0] * n
 
     def find(self, c: int) -> int:
         p = self.p
@@ -140,17 +140,6 @@ class _Engine:
             p[c], c = root, p[c]
         return root
 
-    def define(self, a: int, col: int) -> int:
-        """Adjoin a fresh coset as the image of ``a`` under ``col``."""
-        if self.alive >= self.max_cosets:
-            raise _Overflow
-        b = len(self.tab)
-        self.tab.append([0] * self.ncols)
-        self.p.append(b)
-        self.tab[a][col] = b
-        self.tab[b][col ^ 1] = a
-        return b
-
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.find(a), self.find(b)
         if a == b:
@@ -158,95 +147,56 @@ class _Engine:
         if a > b:
             a, b = b, a
         self.p[b] = a
-        self.ndead += 1
         queue.append(b)
 
-    def coincide(self, a: int, b: int) -> None:
-        """Identify two cosets and propagate until the table is consistent.
+    def coincide(self, a: int, b: int) -> int:
+        """Identify two cosets and propagate until the table is consistent;
+        returns the number of cosets that died.
 
-        Rows of dying cosets are migrated eagerly onto their survivors and
-        then freed; an edge that lands on an already defined entry queues a
-        further merge.
+        The entries of dying cosets are migrated eagerly onto their
+        survivors and cleared; an edge that lands on an already defined
+        entry queues a further merge.
         """
+        find, merge, pairs = self.find, self._merge, self.pairs
         queue: list[int] = []
-        self._merge(a, b, queue)
-        i = 0
-        while i < len(queue):
-            dead = queue[i]
-            i += 1
-            row = self.tab[dead]
-            for col in range(self.ncols):
-                f = row[col]
-                if f == 0:
+        merge(a, b, queue)
+        # the queue grows as it is walked
+        for dead in queue:
+            for column, inverse in pairs:
+                f = column[dead]
+                if not f:
                     continue
-                row[col] = 0
-                if self.tab[f][col ^ 1] == dead:
-                    self.tab[f][col ^ 1] = 0
-                mu = self.find(dead)
-                nu = self.find(f)
-                t = self.tab[mu][col]
-                if t != 0:
-                    self._merge(nu, t, queue)
+                column[dead] = 0
+                if inverse[f] == dead:
+                    inverse[f] = 0
+                mu = find(dead)
+                nu = find(f)
+                t = column[mu]
+                if t:
+                    merge(nu, t, queue)
                 else:
-                    t = self.tab[nu][col ^ 1]
-                    if t != 0:
-                        self._merge(mu, t, queue)
+                    t = inverse[nu]
+                    if t:
+                        merge(mu, t, queue)
                     else:
-                        self.tab[mu][col] = nu
-                        self.tab[nu][col ^ 1] = mu
-            self.tab[dead] = None
-
-    def scan_fill(self, a: int, w: Sequence[int]) -> None:
-        """Trace the cycle ``w`` based at ``a``, defining new cosets until
-        it closes; a closing gap of one letter is filled in, and two ends
-        that meet at different cosets coincide."""
-        tab = self.tab
-        f = a
-        i = 0
-        r = len(w)
-        b = a
-        j = r
-        while True:
-            while i < j:
-                t = tab[f][w[i]]
-                if t == 0:
-                    break
-                f = t
-                i += 1
-            if i == j:
-                if f != b:
-                    self.coincide(f, b)
-                return
-            while j > i:
-                t = tab[b][w[j - 1] ^ 1]
-                if t == 0:
-                    break
-                b = t
-                j -= 1
-            if j == i:
-                if f != b:
-                    self.coincide(f, b)
-                return
-            if j == i + 1:
-                tab[f][w[i]] = b
-                tab[b][w[i] ^ 1] = f
-                return
-            f = self.define(f, w[i])
-            i += 1
+                        column[mu] = nu
+                        inverse[nu] = mu
+        return len(queue)
 
     def snapshot(self, alphabet: Alphabet) -> CosetTable:
         """The live cosets as a standardized closed table: numbered
         breadth-first from coset 1 over the generator columns, as
         :func:`standardize` numbers them.
 
-        An undefined entry in a live row is a fault of the enumeration and
-        raises ``RuntimeError``; live cosets that coset 1 does not reach
+        An undefined entry of a live coset is a fault of the enumeration
+        and raises ``RuntimeError``; live cosets that coset 1 does not reach
         raise :class:`PreconditionError`."""
-        tab, p, find = self.tab, self.p, self.find
-        if any(0 in tab[c] for c in range(1, len(tab)) if p[c] == c):
+        cols, p, find = self.cols, self.p, self.find
+        live = [c for c in range(1, len(p)) if p[c] == c]
+        if not all(col[c] for col in cols for c in live):
             raise RuntimeError("enumeration left an undefined entry in a live row")
-        transitions = _closure(1, range(0, self.ncols, 2), lambda c, col: find(tab[c][col]))
-        if len(transitions) != self.alive:
+        transitions = _closure(1, cols[0::2], lambda c, col: find(col[c]))
+        if len(transitions) != len(live):
             raise PreconditionError("table is not transitive from coset 1")
         return _closed_table(alphabet, transitions)
 
@@ -337,8 +287,9 @@ def todd_coxeter(
     entries of a coset's row once its relators are scanned.  A second pass
     could only confirm: a relator cycle closed at a coset stays closed
     when coincidences identify cosets, and a merge keeps the smaller id, so
-    every coset alive at the end was processed while alive.  Only
-    :meth:`_Engine.define` reads ``max_cosets``, and the run is otherwise
+    every coset alive at the end was processed while alive.  The two
+    definition steps of the loop below, in the scan and in the fill, are
+    the only readers of ``max_cosets``, and the run is otherwise
     deterministic, so a run that overflows is a prefix of the same run
     with a larger limit.
 
@@ -350,25 +301,86 @@ def todd_coxeter(
     _require_same_alphabet(fp.alphabet, sub.alphabet)
     if max_cosets < 1:
         raise InputError("max_cosets must be positive")
-    relators = _prepared_relators(fp)
-    eng = _Engine(2 * len(fp.alphabet), max_cosets)
-    try:
-        for g in sub.generators:
-            eng.scan_fill(1, _col_word(g))
-        a = 1
-        while a < len(eng.tab):
-            if eng.p[a] == a:
-                for w in relators:
-                    eng.scan_fill(a, w)
-                    if eng.p[a] != a:
+    # room for 15 cosets to start with
+    eng = _Engine([[0] * 16 for _ in range(2 * len(fp.alphabet))], [0, 1] + [0] * 14)
+    cols, p, row, coincide = eng.cols, eng.p, eng.pairs, eng.coincide
+    # each word bound to the columns of its letters and of their inverses,
+    # in order: a column index reads ``column`` and ``inverse``, and a
+    # signed letter x reads ``fwd`` and ``bwd``, a generator from the
+    # front and an inverse from the back
+    column, inverse = cols.__getitem__, [inv for _, inv in row].__getitem__
+    fwd = [None, *cols[0::2], *reversed(cols[1::2])].__getitem__
+    bwd = [None, *cols[1::2], *reversed(cols[0::2])].__getitem__
+    subgens = [(tuple(map(fwd, g.letters)), tuple(map(bwd, g.letters))) for g in sub.generators]
+    relators = [(tuple(map(column, w)), tuple(map(inverse, w))) for w in _prepared_relators(fp)]
+    # the subgroup generators from coset 1, then the relators from each
+    # coset in id order, each followed by filling the coset's row
+    passes = chain([(1, subgens, ())], zip(count(1), repeat(relators), repeat(row)))
+    alive = 1
+    fresh = 2
+    for a, cycles, fill in passes:
+        if a == fresh:
+            break
+        if p[a] != a:
+            continue
+        for fw, bw in cycles:
+            # scan the cycle from a: forwards to f at letter i, backwards
+            # to b at letter j
+            f = b = a
+            i = 0
+            j = len(fw)
+            while True:
+                while i < j:
+                    t = fw[i][f]
+                    if not t:
                         break
-                if eng.p[a] == a:
-                    for col in range(eng.ncols):
-                        if eng.tab[a][col] == 0:
-                            eng.define(a, col)
-            a += 1
-    except _Overflow:
-        return None
+                    f = t
+                    i += 1
+                else:
+                    if f != b:
+                        alive -= coincide(f, b)
+                    break
+                while j > i:
+                    t = bw[j - 1][b]
+                    if not t:
+                        break
+                    b = t
+                    j -= 1
+                else:
+                    if f != b:
+                        alive -= coincide(f, b)
+                    break
+                if j == i + 1:
+                    fw[i][f] = b
+                    bw[i][b] = f
+                    break
+                # define f's image under letter i as a fresh coset
+                if alive >= max_cosets:
+                    return None
+                alive += 1
+                if fresh == len(p):
+                    eng.grow()
+                p[fresh] = fresh
+                fw[i][f] = fresh
+                bw[i][fresh] = f
+                f = fresh
+                fresh += 1
+                i += 1
+            if p[a] != a:
+                break
+        else:
+            for fw, bw in fill:
+                if not fw[a]:
+                    # define a's image under the column as a fresh coset
+                    if alive >= max_cosets:
+                        return None
+                    alive += 1
+                    if fresh == len(p):
+                        eng.grow()
+                    p[fresh] = fresh
+                    fw[a] = fresh
+                    bw[fresh] = a
+                    fresh += 1
     table = eng.snapshot(fp.alphabet)
     _verify_closed(table, fp, sub)
     return table
@@ -391,12 +403,11 @@ def merge_coincidences(
     """The quotient of ``table`` in which each pair of cosets coincides,
     standardized.  Coset 1 must reach every coset of the quotient, as it
     does when ``table`` is transitive; otherwise :class:`PreconditionError`."""
-    ncols = 2 * len(table.alphabet)
-    eng = _Engine.from_rows(table.rows, ncols)
+    eng = _Engine.from_rows(table.rows)
     for c, d in pairs:
         if not (1 <= c <= table.size and 1 <= d <= table.size):
             raise InputError(f"coset pair ({c}, {d}) out of range")
-        eng.coincide(eng.find(c), eng.find(d))
+        eng.coincide(c, d)
     return eng.snapshot(table.alphabet)
 
 

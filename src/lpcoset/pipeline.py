@@ -442,10 +442,10 @@ def enumerate_cosets(
     infinite index overflows at every limit, so the order keeps the
     overflows cheap:
 
-    - Overflow cost is monotone in the limit.  ``_Engine.define`` is the
-      only reader of ``max_cosets`` in :func:`todd_coxeter`, so an
-      overflowing run is a prefix of the same run with a larger limit, and
-      a closing run is the same whatever limit lets it close.
+    - Overflow cost is monotone in the limit.  The definition steps of
+      :func:`todd_coxeter`'s loop are the only readers of ``max_cosets``,
+      so an overflowing run is a prefix of the same run with a larger
+      limit, and a closing run is the same whatever limit lets it close.
     - A run at limit N over a covering of weight w (prepared relator
       letters plus two columns per generator) does about N * w work.
       Attempts come in increasing estimated work, and on one level the

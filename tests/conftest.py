@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from lpcoset import (
@@ -39,3 +41,33 @@ def bas_index3_rep(bas):
             Permutation.from_cycles(3, [(2, 3)]),
         ),
     )
+
+
+# seconds; the slowest test bounded by it takes about 2 s on a 2-vCPU host
+TIME_BOUND = 60
+
+
+class TimeBoundExceeded(BaseException):
+    """Not an ``Exception``, so that hypothesis does not catch it and run
+    the endless example again to shrink it, but fails the test at once."""
+
+
+@pytest.fixture
+def time_bound():
+    """Fail the test once it has run ``TIME_BOUND`` seconds: a descent
+    that takes its choices in the wrong order, or a coincidence loop that
+    never empties its queue, need not fail a comparison, but may never
+    end.  The bound is a real-time interval timer, whose SIGALRM raises in
+    the test, so no thread or process is started; the previous handler is
+    restored."""
+
+    def expire(signum, frame):
+        raise TimeBoundExceeded(f"the test ran past {TIME_BOUND} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_BOUND)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -38,11 +38,11 @@ from lpcoset.coset_enum import (
     DEFAULT_MAX_COSETS,
     _col_word,
     _cyclically_reduce,
-    _Engine,
-    _Overflow,
+    _closed_table,
     _prepared_relators,
     _verify_closed,
 )
+from lpcoset.perms import _closure
 from lpcoset.presentations import MAX_WORD_LETTERS, FinitePresentation
 from lpcoset.errors import InputError, ParseError, PreconditionError, ResourceLimitError
 from lpcoset.subgroups import _low_index_tables, _split_relators
@@ -879,7 +879,191 @@ def plain_low_index(lp, max_index: int, level: int) -> list[CosetTable]:
     )
 
 
-class _FelschEngine(_Engine):
+class _Overflow(Exception):
+    pass
+
+
+class _RowEngine:
+    """The enumeration engine on rows: ``tab[c][col]`` is the image of
+    coset c under the column's signed letter, rows are 1-based with
+    ``tab[0]`` unused, and the row of a dead coset is ``None``.  Reference
+    for the library's ``coset_enum._Engine``, which keeps one list per
+    column and runs its scan inside ``todd_coxeter``'s loop."""
+
+    def __init__(self, ncols: int, max_cosets: int):
+        self.ncols = ncols
+        self.tab: list[list[int] | None] = [None, [0] * ncols]
+        self.p = [0, 1]
+        self.ndead = 0
+        self.max_cosets = max_cosets
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]], ncols: int) -> "_RowEngine":
+        eng = cls(ncols, max_cosets=len(rows) + 1)
+        eng.tab = [None] + [list(r) for r in rows]
+        eng.p = list(range(len(rows) + 1))
+        return eng
+
+    @property
+    def alive(self) -> int:
+        return len(self.tab) - 1 - self.ndead
+
+    def find(self, c: int) -> int:
+        p = self.p
+        root = c
+        while p[root] != root:
+            root = p[root]
+        while p[c] != root:
+            p[c], c = root, p[c]
+        return root
+
+    def define(self, a: int, col: int) -> int:
+        """Adjoin a fresh coset as the image of ``a`` under ``col``."""
+        if self.alive >= self.max_cosets:
+            raise _Overflow
+        b = len(self.tab)
+        self.tab.append([0] * self.ncols)
+        self.p.append(b)
+        self.tab[a][col] = b
+        self.tab[b][col ^ 1] = a
+        return b
+
+    def _merge(self, a: int, b: int, queue: list[int]) -> None:
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.p[b] = a
+        self.ndead += 1
+        queue.append(b)
+
+    def coincide(self, a: int, b: int) -> None:
+        """Identify two cosets and propagate until the table is consistent.
+
+        Rows of dying cosets are migrated eagerly onto their survivors and
+        then freed; an edge that lands on an already defined entry queues a
+        further merge.
+        """
+        queue: list[int] = []
+        self._merge(a, b, queue)
+        i = 0
+        while i < len(queue):
+            dead = queue[i]
+            i += 1
+            row = self.tab[dead]
+            for col in range(self.ncols):
+                f = row[col]
+                if f == 0:
+                    continue
+                row[col] = 0
+                if self.tab[f][col ^ 1] == dead:
+                    self.tab[f][col ^ 1] = 0
+                mu = self.find(dead)
+                nu = self.find(f)
+                t = self.tab[mu][col]
+                if t != 0:
+                    self._merge(nu, t, queue)
+                else:
+                    t = self.tab[nu][col ^ 1]
+                    if t != 0:
+                        self._merge(mu, t, queue)
+                    else:
+                        self.tab[mu][col] = nu
+                        self.tab[nu][col ^ 1] = mu
+            self.tab[dead] = None
+
+    def scan_fill(self, a: int, w: Sequence[int]) -> None:
+        """Trace the cycle ``w`` based at ``a``, defining new cosets until
+        it closes; a closing gap of one letter is filled in, and two ends
+        that meet at different cosets coincide."""
+        tab = self.tab
+        f = a
+        i = 0
+        r = len(w)
+        b = a
+        j = r
+        while True:
+            while i < j:
+                t = tab[f][w[i]]
+                if t == 0:
+                    break
+                f = t
+                i += 1
+            if i == j:
+                if f != b:
+                    self.coincide(f, b)
+                return
+            while j > i:
+                t = tab[b][w[j - 1] ^ 1]
+                if t == 0:
+                    break
+                b = t
+                j -= 1
+            if j == i:
+                if f != b:
+                    self.coincide(f, b)
+                return
+            if j == i + 1:
+                tab[f][w[i]] = b
+                tab[b][w[i] ^ 1] = f
+                return
+            f = self.define(f, w[i])
+            i += 1
+
+    def snapshot(self, alphabet: Alphabet) -> CosetTable:
+        """The live cosets as a standardized closed table."""
+        tab, p, find = self.tab, self.p, self.find
+        if any(0 in tab[c] for c in range(1, len(tab)) if p[c] == c):
+            raise RuntimeError("enumeration left an undefined entry in a live row")
+        transitions = _closure(1, range(0, self.ncols, 2), lambda c, col: find(tab[c][col]))
+        if len(transitions) != self.alive:
+            raise PreconditionError("table is not transitive from coset 1")
+        return _closed_table(alphabet, transitions)
+
+
+def row_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
+    """One HLT pass on ``_RowEngine``, one ``scan_fill`` call per (coset,
+    relator) and one ``define`` call per definition.  Reference for the
+    library's ``todd_coxeter``, which must make the same definitions and
+    coincidences in the same order; None on overflow."""
+    _require_same_alphabet(fp.alphabet, sub.alphabet)
+    if max_cosets < 1:
+        raise InputError("max_cosets must be positive")
+    relators = _prepared_relators(fp)
+    eng = _RowEngine(2 * len(fp.alphabet), max_cosets)
+    try:
+        for g in sub.generators:
+            eng.scan_fill(1, _col_word(g))
+        a = 1
+        while a < len(eng.tab):
+            if eng.p[a] == a:
+                for w in relators:
+                    eng.scan_fill(a, w)
+                    if eng.p[a] != a:
+                        break
+                if eng.p[a] == a:
+                    for col in range(eng.ncols):
+                        if eng.tab[a][col] == 0:
+                            eng.define(a, col)
+            a += 1
+    except _Overflow:
+        return None
+    table = eng.snapshot(fp.alphabet)
+    _verify_closed(table, fp, sub)
+    return table
+
+
+def row_merge_coincidences(table: CosetTable, pairs) -> CosetTable:
+    """The quotient of ``table`` by the coset ``pairs`` on ``_RowEngine``.
+    Reference for the library's ``merge_coincidences``."""
+    eng = _RowEngine.from_rows(table.rows, 2 * len(table.alphabet))
+    for c, d in pairs:
+        eng.coincide(eng.find(c), eng.find(d))
+    return eng.snapshot(table.alphabet)
+
+
+class _FelschEngine(_RowEngine):
     """The enumeration engine with a deduction stack: every edge that
     ``define``, ``coincide`` or ``scan_fill`` establishes is pushed, and
     ``process_deductions`` scans every relator rotation through it."""
@@ -1034,7 +1218,7 @@ def sweeping_todd_coxeter(fp, sub, *, max_cosets: int = DEFAULT_MAX_COSETS):
     _require_same_alphabet(fp.alphabet, sub.alphabet)
     relators = _prepared_relators(fp)
     subgens = [w for w in (_col_word(g) for g in sub.generators) if w]
-    eng = _Engine(2 * len(fp.alphabet), max_cosets)
+    eng = _RowEngine(2 * len(fp.alphabet), max_cosets)
     try:
         while True:
             before = (len(eng.tab), eng.ndead)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -43,6 +44,7 @@ from lpcoset.coset_enum import (
 )
 
 from helpers import (
+    _RowEngine,
     class_prepared_relators,
     congruence_quotient_size,
     enumeration_fixtures,
@@ -51,6 +53,8 @@ from helpers import (
     raw_prepared_relators,
     raw_todd_coxeter,
     reroot,
+    row_merge_coincidences,
+    row_todd_coxeter,
     sweeping_todd_coxeter,
     table_from_rep,
     whole_group,
@@ -270,6 +274,7 @@ class TestPreparedRelators:
         assert_no_proper_powers(prepared)
 
 
+@pytest.mark.usefixtures("time_bound")
 class TestToddCoxeter:
     def test_basilica_level_zero_index_three(self, bas):
         fp = bas.covering(0)
@@ -337,9 +342,10 @@ class TestToddCoxeter:
         one_pass = todd_coxeter(fp, sub, max_cosets=limit)
         assert sweeping_todd_coxeter(fp, sub, max_cosets=limit) == one_pass
 
-    def test_dead_rows_are_freed(self, bas_u_result):
-        # every engine that todd_coxeter or merge_coincidences builds holds a
-        # row for its live cosets only, once its coincidences are processed
+    def test_dead_cosets_are_cleared(self, bas_u_result):
+        # every engine that todd_coxeter or merge_coincidences builds, once
+        # its coincidences are processed: each entry of a dead coset is 0,
+        # and no entry of a live coset names a dead one
         engines = []
 
         class Recording(_Engine):
@@ -351,9 +357,16 @@ class TestToddCoxeter:
             for _, fp, sub in enumeration_fixtures():
                 todd_coxeter(fp, sub)
             merge_coincidences(bas_u_result.table, [(1, 2)])
-        assert sum(eng.ndead for eng in engines) > 0
+        ndead = 0
         for eng in engines:
-            assert sum(row is not None for row in eng.tab) == eng.alive
+            p = eng.p
+            dead = {c for c in range(1, len(p)) if p[c] not in (0, c)}
+            live = [c for c in range(1, len(p)) if p[c] == c]
+            ndead += len(dead)
+            for col in eng.cols:
+                assert not any(col[c] for c in dead)
+                assert not any(col[c] in dead for c in live)
+        assert ndead > 0
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_index_divisibility_across_levels(self, bas, grig, level):
@@ -393,39 +406,65 @@ class TestToddCoxeter:
             assert standardize(felsch).rows == standardize(hlt).rows
         assert closed >= 10
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=7), max_size=3),
-        st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4), max_size=2),
-        st.integers(1, 40),
-        st.integers(1, 200),
-    )
-    def test_overflowing_run_is_a_prefix_of_a_larger_run(self, rels, gens, limit, extra):
-        # the escalation schedule's cost bound: define is the only reader of
-        # max_cosets, so a run that overflows at one limit made the same
-        # definitions, in the same order, as the run at any larger limit
-        abc = Alphabet(("x", "y"))
-        fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in rels))
-        sub = SubgroupSpec(abc, tuple(Word.reduce(abc, g) for g in gens))
+    def test_overflowing_run_is_a_prefix_of_a_larger_run(self):
+        # the escalation schedule's cost bound, on the row-major reference,
+        # whose definitions are calls that can be recorded: define is the
+        # only reader of max_cosets, so a run that overflows at one limit
+        # made the same definitions, in the same order, as the run at any
+        # larger limit.  The library makes the reference's run
+        # (TestAgainstTheRowEngine), so the bound holds for it too.
+        recorded = []
 
-        def defines(max_cosets):
-            calls = []
-            define = _Engine.define
+        @settings(max_examples=150, deadline=None)
+        @given(
+            st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=7), max_size=3),
+            st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4), max_size=2),
+            st.integers(1, 40),
+            st.integers(1, 200),
+        )
+        def check(rels, gens, limit, extra):
+            abc = Alphabet(("x", "y"))
+            fp = FinitePresentation(abc, tuple(Word.reduce(abc, r) for r in rels))
+            sub = SubgroupSpec(abc, tuple(Word.reduce(abc, g) for g in gens))
 
-            def recording(eng, a, col):
-                calls.append((a, col))
-                return define(eng, a, col)
+            def defines(max_cosets):
+                calls = []
+                define = _RowEngine.define
 
-            with mock.patch.object(_Engine, "define", recording):
-                table = todd_coxeter(fp, sub, max_cosets=max_cosets)
-            return table, calls
+                def recording(eng, a, col):
+                    calls.append((a, col))
+                    return define(eng, a, col)
 
-        small, small_calls = defines(limit)
-        _, big_calls = defines(limit + extra)
-        if small is None:
-            assert big_calls[: len(small_calls)] == small_calls
-        else:
-            assert big_calls == small_calls
+                with mock.patch.object(_RowEngine, "define", recording):
+                    table = row_todd_coxeter(fp, sub, max_cosets=max_cosets)
+                return table, calls
+
+            small, small_calls = defines(limit)
+            _, big_calls = defines(limit + extra)
+            recorded.append(len(small_calls))
+            if small is None:
+                assert big_calls[: len(small_calls)] == small_calls
+            else:
+                assert big_calls == small_calls
+
+        check()
+        assert any(recorded)
+
+    def test_columns_grow_with_the_cosets(self):
+        # a 3-coset run at the default ceiling of 10^6 cosets allocates for
+        # the cosets it defines, not for the ceiling
+        abc = Alphabet(("a", "b"))
+        fp = FinitePresentation(abc, tuple(parse_words(abc, "a^3, b")))
+        sub = SubgroupSpec(abc, ())
+        todd_coxeter(fp, sub)
+        tracemalloc.start()
+        try:
+            table = todd_coxeter(fp, sub)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.size == 3
+        assert peak < 2**20
 
     def test_divisibility_is_strict_somewhere(self):
         # burnside(1,2): the level-0 cover sees <a^3> with index 3, level 1
@@ -436,6 +475,38 @@ class TestToddCoxeter:
         sub = SubgroupSpec(lp.alphabet, tuple(parse_words(lp.alphabet, "a1^3")))
         assert todd_coxeter(lp.covering(0), sub).size == 3
         assert todd_coxeter(lp.covering(1), sub).size == 1
+
+
+@st.composite
+def transitive_tables(draw):
+    """The closed table of a two-generator action on 1-12 points, one
+    generator an n-cycle so that coset 1 reaches every coset."""
+    n = draw(st.integers(1, 12))
+    cycle = Permutation(tuple(c % n + 1 for c in range(1, n + 1)))
+    other = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    return table_from_rep(PermutationRep(Alphabet(("s", "t")), n, (cycle, other)))
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestAgainstTheRowEngine:
+    """The column engine against the row-major reference engine of
+    ``helpers``: the same definitions and coincidences in the same order
+    give the same tables and the same overflow points."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_presentations())
+    def test_todd_coxeter_at_every_limit(self, case):
+        fp, sub = case
+        for limit in range(1, 65):
+            table = todd_coxeter(fp, sub, max_cosets=limit)
+            assert table == row_todd_coxeter(fp, sub, max_cosets=limit), limit
+
+    @settings(max_examples=200, deadline=None)
+    @given(transitive_tables(), st.data())
+    def test_merge_coincidences(self, table, data):
+        coset = st.integers(1, table.size)
+        pairs = data.draw(st.lists(st.tuples(coset, coset), min_size=1, max_size=3))
+        assert merge_coincidences(table, pairs) == row_merge_coincidences(table, pairs)
 
 
 class TestVerifyClosed:
@@ -455,7 +526,7 @@ class TestVerifyClosed:
     def test_incomplete_table(self):
         # a live row with an undefined entry is an engine fault, raised
         # where the engine's table is read out
-        eng = _Engine.from_rows(((2, 2), (1, 0)), 2)
+        eng = _Engine.from_rows(((2, 2), (1, 0)))
         with pytest.raises(RuntimeError, match="undefined entry in a live row"):
             eng.snapshot(Alphabet(("a",)))
 
@@ -502,6 +573,7 @@ class TestTrace:
                 assert trace(table, c, w) == img.apply(c)
 
 
+@pytest.mark.usefixtures("time_bound")
 class TestMergeCoincidence:
     def test_merge_with_itself_is_identity(self, bas_u_result):
         table = bas_u_result.table

@@ -6,7 +6,6 @@ import gc
 import inspect
 import itertools
 import random
-import signal
 import sys
 
 import pytest
@@ -556,36 +555,7 @@ _FIXED_PRESENTATIONS = [
 ]
 
 
-# seconds; the slowest test below takes about 2 s on a 2-vCPU host
-DESCENT_TIME_BOUND = 60
-
-
-class DescentTimeout(BaseException):
-    """Not an ``Exception``, so that hypothesis does not catch it and run
-    the endless example again to shrink it, but fails the test at once."""
-
-
-@pytest.fixture
-def descent_time_bound():
-    """Fail the test once it has run ``DESCENT_TIME_BOUND`` seconds: a
-    descent that takes its choices in the wrong order need not fail a
-    comparison, but may never end.  The bound is a real-time interval
-    timer, whose SIGALRM raises in the test, so no thread or process is
-    started; the previous handler is restored."""
-
-    def expire(signum, frame):
-        raise DescentTimeout(f"the test ran past {DESCENT_TIME_BOUND} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, DESCENT_TIME_BOUND)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.mark.usefixtures("descent_time_bound")
+@pytest.mark.usefixtures("time_bound")
 class TestLowIndexSearch:
     def test_candidates_are_standardized_and_closed(self, bas):
         classes, capped = low_index_classes(bas.covering(1), 4)
